@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -37,6 +38,12 @@ class ConfigError(ValueError):
     """Config file failed to parse or validate."""
 
 
+def _require_finite(section: str, **values: float) -> None:
+    for key, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"[{section}] {key} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class HomConfig:
     window_ps: float = 340.0
@@ -44,6 +51,12 @@ class HomConfig:
     accidental_fraction: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(
+            "hom",
+            window_ps=self.window_ps,
+            step_ps=self.step_ps,
+            accidentals=self.accidental_fraction,
+        )
         if self.window_ps <= 0.0 or self.step_ps <= 0.0:
             raise ConfigError("[hom] window_ps and step_ps must be positive")
         if not (0.0 <= self.accidental_fraction < 1.0):
@@ -58,6 +71,7 @@ class JsiConfig:
     pump_power_mw: float = 2.0
 
     def __post_init__(self) -> None:
+        _require_finite("jsi", filter_fwhm_pm=self.filter_fwhm_pm, pump_mw=self.pump_power_mw)
         if self.filter_fwhm_pm < 0.0:
             raise ConfigError("[jsi] filter_fwhm_pm must be >= 0")
         if self.max_bin < 0:
@@ -74,6 +88,12 @@ class ChshConfig:
     seed: int = 12345
 
     def __post_init__(self) -> None:
+        _require_finite(
+            "chsh",
+            fringe_visibility=self.fringe_visibility,
+            chsh_visibility=self.chsh_visibility,
+            integration=self.integration,
+        )
         for name, v in (
             ("fringe_visibility", self.fringe_visibility),
             ("chsh_visibility", self.chsh_visibility),
@@ -103,6 +123,16 @@ class RunConfig:
     chsh: ChshConfig = field(default_factory=ChshConfig)
     output_dir: str = "out"
     preset_name: str = ""
+
+    def __post_init__(self) -> None:
+        # The report locates revival dips and fits the time-bin spectrum,
+        # both of which need the dips at +/- one period inside the scan.
+        period = 0.5 * self.cavity.round_trip_ps
+        if self.hom.window_ps < period:
+            raise ConfigError(
+                f"[hom] window_ps={self.hom.window_ps!r} is shorter than one revival "
+                f"period ({period:.4f} ps, half the cavity round trip)"
+            )
 
     def resolved_n_max(self) -> int:
         return self.n_max if self.n_max is not None else default_n_max(self.cavity, self.source)
@@ -213,7 +243,14 @@ def parse_config_text(text: str) -> dict[str, dict]:
 def _require_number(sections: dict, section: str, key: str, value) -> float:
     if not isinstance(value, (int, float)):
         raise ConfigError(f"[{section}] {key} must be a number, got {value!r}")
+    _require_finite(section, **{key: value})
     return float(value)
+
+
+def _finite(section: str, key: str, value):
+    """``value`` itself, once ``float(value)`` is known to be finite."""
+    _require_finite(section, **{key: float(value)})
+    return value
 
 
 def build_config(sections: dict[str, dict], output_dir: str | None = None) -> RunConfig:
@@ -252,6 +289,12 @@ def build_config(sections: dict[str, dict], output_dir: str | None = None) -> Ru
         )
     except ValueError as exc:
         raise ConfigError(f"[source] {exc}") from exc
+    _require_finite(
+        "source",
+        bpm_ghz=source.phase_matching_fwhm_hz,
+        pump_mw=source.pump_power_mw,
+        wavelength_nm=source.degenerate_wavelength_nm,
+    )
 
     comb_sec = sections.get("comb", {})
     n_max = comb_sec.get("n_max")
@@ -271,7 +314,9 @@ def build_config(sections: dict[str, dict], output_dir: str | None = None) -> Ru
     jsi = JsiConfig(
         filter_fwhm_pm=float(jsi_sec.get("filter_fwhm_pm", jsi_defaults.get("filter_fwhm_pm", 300.0))),
         filter_shape=str(jsi_sec.get("filter_shape", "gaussian")),
-        max_bin=int(jsi_sec.get("max_bin", jsi_defaults.get("max_bin", 2))),
+        max_bin=int(
+            _finite("jsi", "max_bin", jsi_sec.get("max_bin", jsi_defaults.get("max_bin", 2)))
+        ),
         pump_power_mw=float(jsi_sec.get("pump_mw", source.pump_power_mw)),
     )
 
@@ -280,7 +325,7 @@ def build_config(sections: dict[str, dict], output_dir: str | None = None) -> Ru
         fringe_visibility=float(chsh_sec.get("fringe_visibility", 0.9796)),
         chsh_visibility=float(chsh_sec.get("chsh_visibility", 0.9497)),
         integration=float(chsh_sec.get("integration", 10000.0)),
-        seed=int(chsh_sec.get("seed", 12345)),
+        seed=int(_finite("chsh", "seed", chsh_sec.get("seed", 12345))),
     )
 
     out = output_dir or str(sections.get("output", {}).get("dir", "out"))

@@ -51,6 +51,25 @@ class TestExitCodes:
         code = main(["hom", "--preset", "7ghz", "--out", str(tmp_path / "o")])
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["hom", "jsi", "schmidt", "chsh", "report"])
+    @pytest.mark.parametrize(
+        ("hom_line", "message"),
+        [
+            ("window_ps=inf", "window_ps must be finite"),
+            ("step_ps=nan", "step_ps must be finite"),
+            ("window_ps=5.0", "shorter than one revival period"),
+        ],
+    )
+    def test_bad_hom_window_is_exit_1_before_any_output(
+        self, command, hom_line, message, tmp_path, capsys
+    ):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f'[cavity] preset="45ghz"\n[hom] {hom_line}\n')
+        out = tmp_path / "o"
+        assert main([command, "--config", str(bad), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSubcommands:
     def test_hom_writes_trace_and_revivals(self, fast_cfg_path, tmp_path, capsys):

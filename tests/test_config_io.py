@@ -1,12 +1,14 @@
 """Config parsing/validation and CSV/JSON round trips."""
 
 import json
+import math
+import re
 
 import numpy as np
 import pytest
 
 from bfcsim import ConfigError, load_config, preset_config
-from bfcsim.config import build_config, parse_config_text
+from bfcsim.config import ChshConfig, HomConfig, JsiConfig, build_config, parse_config_text
 from bfcsim.io import (
     export_json,
     jsi_from_csv,
@@ -81,6 +83,54 @@ class TestConfigParsing:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent/path.cfg")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[cavity] fsr_ghz=inf, linewidth_ghz=1.56"]
+        + [
+            f'[cavity] preset="45ghz"\n{line}'
+            for line in (
+                "[hom] window_ps=inf",
+                "[hom] step_ps=nan",
+                "[hom] accidentals=nan",
+                "[source] bpm_ghz=inf",
+                "[source] pump_mw=nan",
+                "[source] wavelength_nm=inf",
+                "[jsi] filter_fwhm_pm=inf",
+                "[jsi] pump_mw=nan",
+                "[jsi] max_bin=inf",
+                "[chsh] fringe_visibility=nan",
+                "[chsh] chsh_visibility=nan",
+                "[chsh] integration=inf",
+                "[chsh] seed=nan",
+            )
+        ],
+    )
+    def test_non_finite_values_rejected(self, text):
+        key = re.search(r"(\w+)=(?:inf|nan)", text).group(1)
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            build_config(parse_config_text(text + "\n"))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: HomConfig(window_ps=math.inf),
+            lambda: HomConfig(step_ps=math.nan),
+            lambda: JsiConfig(pump_power_mw=math.inf),
+            lambda: ChshConfig(integration=math.nan),
+        ],
+    )
+    def test_non_finite_fields_rejected_on_construction(self, make):
+        with pytest.raises(ConfigError, match="must be finite"):
+            make()
+
+    def test_window_shorter_than_revival_period_rejected(self):
+        # 45ghz revival period: 11.03 ps.
+        text = '[cavity] preset="45ghz"\n[hom] window_ps=5.0\n'
+        with pytest.raises(ConfigError, match="shorter than one revival period"):
+            build_config(parse_config_text(text))
+        ok = build_config(parse_config_text('[cavity] preset="45ghz"\n[hom] window_ps=11.1\n'))
+        assert ok.hom.window_ps == 11.1
 
     def test_hash_stable_and_scientific(self, tmp_path):
         a = preset_config("45ghz", output_dir=str(tmp_path / "a"))
