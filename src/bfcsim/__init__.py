@@ -13,12 +13,9 @@ from .comb import (
     CavitySpec,
     CombSpectrum,
     SourceSpec,
-    bin_lineshape,
     build_comb,
     cavity_preset,
     default_n_max,
-    round_trip_time,
-    temporal_envelope,
 )
 from .hom import (
     HomTrace,
@@ -34,8 +31,6 @@ from .jsi import (
     DEFAULT_ACCIDENTAL_MODEL,
     FilterSpec,
     Jsi,
-    accidental_floor,
-    apply_filters,
     crosstalk_db,
     filter_bandwidth_hz,
     ideal_jsi,
@@ -50,7 +45,6 @@ from .schmidt import (
     ideal_frequency_spectrum,
     jsa_from_jsi,
     schmidt_decompose,
-    schmidt_number,
     time_bin_eigenvalues,
     time_bin_spectrum_from_visibilities,
     window_limited_n_max,

@@ -1,23 +1,23 @@
 """Command-line entry point: hom | jsi | schmidt | chsh | report subcommands.
 
-Exit codes: 0 success, 1 configuration/validation error, 2 runtime error.
+Every subcommand is a view over the stages in `bfcsim.report`: it runs the
+stages it needs, writes its files and prints one line.
+Exit codes: 0 success, 1 configuration/validation error, 2 runtime error;
+a failed stage exits as the error it raised would.
 The output directory resolves as --out, then $BFCSIM_OUT, then the config.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import chsh as chsh_mod
 from . import io as io_mod
-from .comb import build_comb
+from .chsh import DEFAULT_ANGLES_DEG
 from .config import (
-    ConfigError,
     RunConfig,
     SCHEMA_VERSION,
     TOOL_VERSION,
@@ -25,18 +25,26 @@ from .config import (
     load_config,
     preset_config,
 )
-from .hom import central_dip_width, locate_revivals, simulate_hom_trace
-from .jsi import FilterSpec, crosstalk_db, filter_bandwidth_hz, scan_correlation_matrix
-from .report import run_report
-from .schmidt import (
-    bin_counts,
-    dimensionality_report,
-    jsa_from_jsi,
-    schmidt_decompose,
-    time_bin_eigenvalues,
-    time_bin_spectrum_from_visibilities,
-    window_limited_n_max,
+from .report import (
+    StageError,
+    chsh_stage,
+    comb_stage,
+    dimensionality_stage,
+    dip_width_stage,
+    freq_schmidt_stage,
+    hom_stage,
+    jsi_stage,
+    measured_jsi_stage,
+    revivals_stage,
+    run_report,
+    summary_text,
+    time_schmidt_stage,
 )
+
+# Unused here; perfbench's tracer wraps these names on this module and stops if one is missing.
+from .comb import build_comb  # noqa: F401
+from .jsi import scan_correlation_matrix  # noqa: F401
+from .schmidt import schmidt_decompose, time_bin_spectrum_from_visibilities  # noqa: F401
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,7 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chsh = sub.add_parser("chsh", help="fringe scans and the CHSH S parameter")
     add_common(p_chsh)
-    p_chsh.add_argument("--visibility", type=float, help="fringe visibility override")
+    p_chsh.add_argument(
+        "--visibility", type=float, help="visibility of the fringe scans and the CHSH counts"
+    )
     p_chsh.add_argument("--integration", type=float, help="mean counts at the fringe maximum")
     p_chsh.add_argument(
         "--angles",
@@ -95,23 +105,15 @@ def _resolve_config(args) -> RunConfig:
         cfg = load_config(args.config, output_dir=out)
     else:
         cfg = preset_config(args.preset or "45ghz", output_dir=out)
-    if getattr(args, "seed", None) is not None:
-        chsh_cfg = cfg.chsh.__class__(
-            fringe_visibility=cfg.chsh.fringe_visibility,
-            chsh_visibility=cfg.chsh.chsh_visibility,
-            integration=cfg.chsh.integration,
-            seed=args.seed,
-        )
-        cfg = RunConfig(
-            cavity=cfg.cavity,
-            source=cfg.source,
-            n_max=cfg.n_max,
-            hom=cfg.hom,
-            jsi=cfg.jsi,
-            chsh=chsh_cfg,
-            output_dir=cfg.output_dir,
-            preset_name=cfg.preset_name,
-        )
+    chsh = {}
+    if args.seed is not None:
+        chsh["seed"] = args.seed
+    if getattr(args, "visibility", None) is not None:
+        chsh["fringe_visibility"] = chsh["chsh_visibility"] = args.visibility
+    if getattr(args, "integration", None) is not None:
+        chsh["integration"] = args.integration
+    if chsh:
+        cfg = dataclasses.replace(cfg, chsh=dataclasses.replace(cfg.chsh, **chsh))
     return cfg
 
 
@@ -122,86 +124,45 @@ def _outdir(cfg: RunConfig) -> Path:
 
 
 def _cmd_hom(cfg: RunConfig) -> int:
+    trace, zoom = hom_stage(cfg, comb_stage(cfg))
+    revivals = revivals_stage(trace)
+    width = dip_width_stage(zoom)
     out = _outdir(cfg)
-    comb = build_comb(cfg.cavity, cfg.source, cfg.resolved_n_max())
-    step = cfg.hom.step_ps
-    delays = np.arange(-cfg.hom.window_ps, cfg.hom.window_ps + step / 2.0, step)
-    trace = simulate_hom_trace(comb, delays, accidental_fraction=cfg.hom.accidental_fraction)
     io_mod.trace_to_csv(trace, out / "hom_trace.csv")
-    records = locate_revivals(trace)
-    io_mod.revivals_to_csv(records, out / "revivals.csv")
-    zoom_delays = np.arange(-12.0, 12.0 + 0.01, 0.02)
-    zoom = simulate_hom_trace(comb, zoom_delays, accidental_fraction=cfg.hom.accidental_fraction)
-    width = central_dip_width(zoom)
-    print(f"wrote {out / 'hom_trace.csv'} and {out / 'revivals.csv'}")
-    print(f"{len(records)} revival dips, central dip width {width:.3f} ps")
+    io_mod.trace_to_csv(zoom, out / "hom_trace_zoom.csv")
+    io_mod.revivals_to_csv(revivals, out / "revivals.csv")
+    print(f"wrote hom_trace.csv, hom_trace_zoom.csv and revivals.csv in {out}")
+    print(f"{len(revivals)} revival dips, central dip width {width:.3f} ps")
     return 0
 
 
 def _cmd_jsi(cfg: RunConfig, input_path: str | None) -> int:
-    out = _outdir(cfg)
     if input_path:
-        matrix = io_mod.jsi_from_csv(input_path)
-        params = {"source": str(input_path)}
+        matrix, sidecar = measured_jsi_stage(input_path)
     else:
-        comb = build_comb(cfg.cavity, cfg.source, cfg.resolved_n_max())
-        fwhm_hz = filter_bandwidth_hz(cfg.jsi.filter_fwhm_pm, cfg.source.degenerate_wavelength_nm)
-        filt = FilterSpec(fwhm_hz=fwhm_hz, shape=cfg.jsi.filter_shape)
-        matrix = scan_correlation_matrix(
-            comb, filt, filt, min(cfg.jsi.max_bin, comb.n_max), cfg.jsi.pump_power_mw
-        )
-        params = {
-            "filter_fwhm_pm": cfg.jsi.filter_fwhm_pm,
-            "filter_shape": cfg.jsi.filter_shape,
-            "max_bin": cfg.jsi.max_bin,
-            "pump_power_mw": cfg.jsi.pump_power_mw,
-        }
-    xtalk = crosstalk_db(matrix)
+        matrix, sidecar = jsi_stage(cfg, comb_stage(cfg))
+    out = _outdir(cfg)
     io_mod.jsi_to_csv(matrix, out / "jsi_matrix.csv")
-    io_mod.export_json(out / "jsi_matrix.json", {"crosstalk_db": xtalk, **params})
+    io_mod.export_json(out / "jsi_matrix.json", sidecar)
+    xtalk = sidecar["crosstalk_db"]
     print(f"wrote {out / 'jsi_matrix.csv'}; crosstalk {xtalk if xtalk is not None else 'none'} dB")
     return 0
 
 
 def _cmd_schmidt(cfg: RunConfig, input_path: str | None, visibilities_path: str | None) -> int:
-    out = _outdir(cfg)
-    window_n = window_limited_n_max(cfg.cavity, cfg.hom.window_ps)
-
-    if visibilities_path:
-        points = io_mod.visibilities_from_csv(visibilities_path)
-        time_spec = time_bin_spectrum_from_visibilities(points, window_n)
-    else:
-        time_spec = time_bin_eigenvalues(cfg.cavity, window_n)
-    io_mod.spectrum_to_csv(time_spec, out / "schmidt_time.csv")
-
+    points = io_mod.visibilities_from_csv(visibilities_path) if visibilities_path else None
+    _, theory, fitted = time_schmidt_stage(cfg, points)
+    time_spec = fitted if fitted is not None else theory
     if input_path:
         matrix = io_mod.jsi_from_csv(input_path)
     else:
-        comb = build_comb(cfg.cavity, cfg.source, cfg.resolved_n_max())
-        fwhm_hz = filter_bandwidth_hz(cfg.jsi.filter_fwhm_pm, cfg.source.degenerate_wavelength_nm)
-        filt = FilterSpec(fwhm_hz=fwhm_hz, shape=cfg.jsi.filter_shape)
-        matrix = scan_correlation_matrix(
-            comb, filt, filt, min(cfg.jsi.max_bin, comb.n_max), cfg.jsi.pump_power_mw
-        )
-    freq_spec = schmidt_decompose(jsa_from_jsi(matrix), basis="frequency")
+        matrix, _ = jsi_stage(cfg, comb_stage(cfg))
+    freq_spec, _ = freq_schmidt_stage(matrix)
+    _, dim = dimensionality_stage(cfg, time_spec.k_number, freq_spec.k_number)
+    out = _outdir(cfg)
+    io_mod.spectrum_to_csv(time_spec, out / "schmidt_time.csv")
     io_mod.spectrum_to_csv(freq_spec, out / "schmidt_frequency.csv")
-
-    counts = bin_counts(cfg.cavity, cfg.source, cfg.hom.window_ps)
-    dim = dimensionality_report(time_spec.k_number, freq_spec.k_number, counts)
-    io_mod.export_json(
-        out / "dimensionality.json",
-        {
-            "k_time": dim.k_time,
-            "k_freq": dim.k_freq,
-            "n_time_bins": dim.n_time_bins,
-            "n_freq_bins": dim.n_freq_bins,
-            "product_nt_nomega": dim.product_nt_nomega,
-            "product_kt_komega": dim.product_kt_komega,
-            "polarization_factor": dim.polarization_factor,
-            "freq_dimensionality": dim.freq_dimensionality,
-            "total_dimensionality": dim.total_dimensionality,
-        },
-    )
+    io_mod.export_json(out / "dimensionality.json", dataclasses.asdict(dim))
     print(
         f"K_time={dim.k_time:.4f} K_freq={dim.k_freq:.4f} "
         f"total dimensionality {dim.total_dimensionality}"
@@ -209,27 +170,21 @@ def _cmd_schmidt(cfg: RunConfig, input_path: str | None, visibilities_path: str 
     return 0
 
 
-def _cmd_chsh(cfg: RunConfig, args) -> int:
+def _cmd_chsh(cfg: RunConfig, angles: list[float] | None) -> int:
+    angles = tuple(angles) if angles else DEFAULT_ANGLES_DEG
+    s_fringe, _, result, fringes = chsh_stage(cfg, angles)
     out = _outdir(cfg)
-    visibility = args.visibility if args.visibility is not None else cfg.chsh.fringe_visibility
-    integration = args.integration if args.integration is not None else cfg.chsh.integration
-    angles = tuple(args.angles) if args.angles else chsh_mod.DEFAULT_ANGLES_DEG
-    seed = cfg.chsh.seed
-
-    scan_angles = np.arange(0.0, 360.0, 10.0)
-    for i, fixed in enumerate((45.0, 90.0, 135.0, 180.0)):
-        scan = chsh_mod.simulate_fringe_scan(fixed, scan_angles, visibility, integration, seed + i)
-        io_mod.fringe_to_csv(scan, out / f"fringe_p1_{int(fixed)}.csv")
-
-    result = chsh_mod.simulate_chsh_counts(visibility, integration, seed, angles=angles)
+    for fringe in fringes:
+        io_mod.fringe_to_csv(fringe, out / f"fringe_p1_{int(fringe.fixed_angle_deg)}.csv")
     io_mod.export_json(
         out / "chsh.json",
         {
-            "visibility": visibility,
-            "integration": integration,
-            "seed": seed,
+            "fringe_visibility": cfg.chsh.fringe_visibility,
+            "chsh_visibility": cfg.chsh.chsh_visibility,
+            "integration": cfg.chsh.integration,
+            "seed": cfg.chsh.seed,
             "angles_deg": list(angles),
-            "s_fringe": chsh_mod.s_fringe_from_visibility(visibility),
+            "s_fringe": s_fringe,
             **io_mod.chsh_to_dict(result),
         },
     )
@@ -241,9 +196,7 @@ def _cmd_chsh(cfg: RunConfig, args) -> int:
 
 
 def _cmd_report(cfg: RunConfig) -> int:
-    report = run_report(cfg)
-    out = Path(cfg.output_dir)
-    print((out / "summary.txt").read_text(encoding="utf-8"))
+    print(summary_text(run_report(cfg)))
     return 0
 
 
@@ -259,14 +212,16 @@ def main(argv=None) -> int:
         if args.command == "schmidt":
             return _cmd_schmidt(cfg, args.input, args.visibilities)
         if args.command == "chsh":
-            return _cmd_chsh(cfg, args)
+            return _cmd_chsh(cfg, args.angles)
         if args.command == "report":
             return _cmd_report(cfg)
         parser.error(f"unknown command {args.command!r}")
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
+        # A stage names itself in the message; the exit code follows what it raised.
+        cause = exc.__cause__ if isinstance(exc, StageError) else exc
+        if isinstance(cause, ValueError):
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -4,8 +4,7 @@ A Fabry-Perot cavity placed after a broadband downconversion source carves
 the two-photon spectrum into a comb of discrete frequency bins: one
 Lorentzian line per cavity resonance, weighted by the source's
 phase-matching envelope.  This module holds the cavity/source parameter
-types, the comb builder, and the temporal envelope of the resulting
-mode-locked two-photon state.
+types and the comb builder.
 
 Conventions
 -----------
@@ -150,23 +149,6 @@ class CombSpectrum:
         return 2.0 * math.pi / self.fsr_rad_s * 1e12
 
 
-def round_trip_time(cavity: CavitySpec) -> float:
-    """Cavity round-trip time in ps (the reciprocal of the FSR)."""
-    return cavity.round_trip_ps
-
-
-def bin_lineshape(detuning_rad_s, half_width_rad_s):
-    """Lorentzian line profile ``1 / (hw^2 + detuning^2)``.
-
-    Unnormalized on purpose: every consumer forms ratios or normalizes
-    over its own integration grid.  Accepts scalars or arrays.
-    """
-    hw = float(half_width_rad_s)
-    if not hw > 0.0:
-        raise ValueError("bin_lineshape: half_width_rad_s must be > 0")
-    return 1.0 / (hw * hw + np.square(detuning_rad_s))
-
-
 def envelope_intensity(detuning_hz, source: SourceSpec):
     """Squared phase-matching amplitude at a detuning from degeneracy.
 
@@ -218,22 +200,6 @@ def build_comb(cavity: CavitySpec, source: SourceSpec, n_max: int | None = None)
         fsr_rad_s=cavity.fsr_rad_s,
         label=cavity.label,
     )
-
-
-def temporal_envelope(comb: CombSpectrum, n: int) -> float:
-    """Probability weight of the n-th temporal peak of the comb state.
-
-    The two-photon temporal wavefunction repeats at the cavity round-trip
-    time with an exponential decay set by the finesse:
-    ``|psi_n|^2 = exp(-2|n| pi/F) / sum_k exp(-2|k| pi/F)`` over
-    k in [-N, N].
-    """
-    if abs(n) > comb.n_max:
-        raise ValueError(f"temporal_envelope: |n|={abs(n)} exceeds n_max={comb.n_max}")
-    decay = 2.0 * math.pi / comb.finesse
-    k = np.arange(-comb.n_max, comb.n_max + 1)
-    terms = np.exp(-decay * np.abs(k))
-    return float(math.exp(-decay * abs(n)) / terms.sum())
 
 
 CAVITY_PRESETS: dict[str, CavitySpec] = {

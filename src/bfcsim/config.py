@@ -29,6 +29,7 @@ from .comb import (
     cavity_preset,
     default_n_max,
 )
+from .jsi import DEFAULT_ACCIDENTAL_MODEL
 
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = "1"
@@ -42,6 +43,14 @@ def _require_finite(section: str, **values: float) -> None:
     for key, value in values.items():
         if not math.isfinite(value):
             raise ConfigError(f"[{section}] {key} must be finite, got {value!r}")
+
+
+def _require_integer(section: str, **values) -> None:
+    for key, value in values.items():
+        if isinstance(value, float):
+            _require_finite(section, **{key: value})
+        if not isinstance(value, int):
+            raise ConfigError(f"[{section}] {key} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -72,12 +81,19 @@ class JsiConfig:
 
     def __post_init__(self) -> None:
         _require_finite("jsi", filter_fwhm_pm=self.filter_fwhm_pm, pump_mw=self.pump_power_mw)
+        _require_integer("jsi", max_bin=self.max_bin)
         if self.filter_fwhm_pm < 0.0:
             raise ConfigError("[jsi] filter_fwhm_pm must be >= 0")
         if self.max_bin < 0:
             raise ConfigError("[jsi] max_bin must be >= 0")
         if self.pump_power_mw < 0.0:
             raise ConfigError("[jsi] pump_mw must be >= 0")
+        floor = DEFAULT_ACCIDENTAL_MODEL.floor_fraction(self.pump_power_mw)
+        if floor >= 1.0:
+            raise ConfigError(
+                f"[jsi] pump_mw={self.pump_power_mw!r} puts the accidental floor at "
+                f"{floor:.3f} of the peak cell; it must stay below 1"
+            )
 
 
 @dataclass(frozen=True)
@@ -94,6 +110,7 @@ class ChshConfig:
             chsh_visibility=self.chsh_visibility,
             integration=self.integration,
         )
+        _require_integer("chsh", seed=self.seed)
         for name, v in (
             ("fringe_visibility", self.fringe_visibility),
             ("chsh_visibility", self.chsh_visibility),
@@ -247,12 +264,6 @@ def _require_number(sections: dict, section: str, key: str, value) -> float:
     return float(value)
 
 
-def _finite(section: str, key: str, value):
-    """``value`` itself, once ``float(value)`` is known to be finite."""
-    _require_finite(section, **{key: float(value)})
-    return value
-
-
 def build_config(sections: dict[str, dict], output_dir: str | None = None) -> RunConfig:
     """Resolve parsed sections into a validated RunConfig with defaults applied."""
     cav = sections.get("cavity")
@@ -314,9 +325,7 @@ def build_config(sections: dict[str, dict], output_dir: str | None = None) -> Ru
     jsi = JsiConfig(
         filter_fwhm_pm=float(jsi_sec.get("filter_fwhm_pm", jsi_defaults.get("filter_fwhm_pm", 300.0))),
         filter_shape=str(jsi_sec.get("filter_shape", "gaussian")),
-        max_bin=int(
-            _finite("jsi", "max_bin", jsi_sec.get("max_bin", jsi_defaults.get("max_bin", 2)))
-        ),
+        max_bin=jsi_sec.get("max_bin", jsi_defaults.get("max_bin", 2)),
         pump_power_mw=float(jsi_sec.get("pump_mw", source.pump_power_mw)),
     )
 
@@ -325,7 +334,7 @@ def build_config(sections: dict[str, dict], output_dir: str | None = None) -> Ru
         fringe_visibility=float(chsh_sec.get("fringe_visibility", 0.9796)),
         chsh_visibility=float(chsh_sec.get("chsh_visibility", 0.9497)),
         integration=float(chsh_sec.get("integration", 10000.0)),
-        seed=int(_finite("chsh", "seed", chsh_sec.get("seed", 12345))),
+        seed=chsh_sec.get("seed", 12345),
     )
 
     out = output_dir or str(sections.get("output", {}).get("dir", "out"))

@@ -31,11 +31,6 @@ import numpy as np
 
 from .comb import CavitySpec, CombSpectrum
 
-# Fractional accidental-coincidence level used when accidentals are
-# switched on without an explicit value; traces are noiseless by default.
-DEFAULT_ACCIDENTAL_FRACTION = 0.015
-
-
 # A hard bin cutoff (the bandwidth-limiting filter that sets n_max) rings:
 # the coincidence rate overshoots the plateau by up to ~1% near dip
 # shoulders for slowly decaying envelopes.  Traces stay within 1e-9 of

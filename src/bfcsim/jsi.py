@@ -98,29 +98,6 @@ def ideal_jsi(comb: CombSpectrum) -> Jsi:
     return Jsi(n_max=comb.n_max, values=values, normalized=True)
 
 
-def apply_filters(
-    jsi: Jsi,
-    comb: CombSpectrum,
-    sig: FilterSpec,
-    idl: FilterSpec,
-    sig_bin: int,
-    idl_bin: int,
-) -> float:
-    """Coincidence weight with the two filters centered on (sig_bin, idl_bin).
-
-    Sums the JSI over true bins weighted by each filter's transmission at
-    its offset from the target, with offsets converted to Hz via the FSR.
-    Zero-bandwidth filters reduce to sampling the matrix at the targets.
-    """
-    if abs(sig_bin) > jsi.n_max or abs(idl_bin) > jsi.n_max:
-        raise ValueError(f"target bins ({sig_bin}, {idl_bin}) outside +/-{jsi.n_max}")
-    fsr_hz = comb.fsr_rad_s / (2.0 * math.pi)
-    bins = jsi.bins
-    t_sig = np.atleast_1d(filter_transmission(sig, bins - sig_bin, fsr_hz))
-    t_idl = np.atleast_1d(filter_transmission(idl, bins - idl_bin, fsr_hz))
-    return float(t_sig @ jsi.values @ t_idl)
-
-
 @dataclass(frozen=True)
 class AccidentalModel:
     """Uniform accidental floor fraction r(P) = a*P + b*P^2 of the peak cell."""
@@ -155,11 +132,6 @@ DEFAULT_ACCIDENTAL_MODEL = AccidentalModel.calibrate(
     (2.0, 10.0 ** (-11.71 / 10.0)),
     (4.0, 10.0 ** (-6.31 / 10.0)),
 )
-
-
-def accidental_floor(pump_power_mw: float, model: AccidentalModel = DEFAULT_ACCIDENTAL_MODEL) -> float:
-    """Accidental floor as a fraction of the peak diagonal cell."""
-    return model.floor_fraction(pump_power_mw)
 
 
 def scan_correlation_matrix(

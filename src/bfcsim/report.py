@@ -1,10 +1,13 @@
 """End-to-end reproduction pipeline: one config in, a full report plus artifacts out.
 
-Chains the comb, interferometry, spectral-correlation, Schmidt, and CHSH
-stages for a single cavity and writes every intermediate product (CSV) next
-to a JSON report and a human-readable summary.  Output is deterministic for
-a fixed config and seed: no timestamps enter any artifact, so repeated runs
-are byte-identical.
+The stage functions below (comb, hom, revivals, dip-width, schmidt-time,
+jsi, schmidt-frequency, chsh, dimensionality) are the only place a stage
+is computed.  `run_report` chains all of them and writes every
+intermediate product (CSV) next to a JSON report and a human-readable
+summary; each CLI subcommand runs the subset it needs and writes its own
+files.  Stages compute and return; nothing is written until every stage
+has run.  Output is deterministic for a fixed config and seed: no
+timestamps enter any artifact, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -18,12 +21,14 @@ import numpy as np
 
 from . import chsh as chsh_mod
 from . import io as io_mod
-from .comb import build_comb
+from .chsh import DEFAULT_ANGLES_DEG
+from .comb import CombSpectrum, build_comb
 from .config import TOOL_VERSION, SCHEMA_VERSION, RunConfig
-from .hom import central_dip_width, locate_revivals, simulate_hom_trace
-from .jsi import FilterSpec, crosstalk_db, filter_bandwidth_hz, scan_correlation_matrix
+from .hom import HomTrace, RevivalRecord, central_dip_width, locate_revivals, simulate_hom_trace
+from .jsi import FilterSpec, Jsi, crosstalk_db, filter_bandwidth_hz, scan_correlation_matrix
 from .schmidt import (
     REFERENCE_IDEAL_K_FREQ,
+    SchmidtSpectrum,
     bin_counts,
     dimensionality_report,
     ideal_frequency_spectrum,
@@ -53,11 +58,153 @@ _45GHZ_BANDS = {
 
 
 class StageError(RuntimeError):
-    """A pipeline stage failed; partial artifacts stay on disk."""
+    """A pipeline stage failed; ``__cause__`` is the error the stage raised."""
 
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
+
+
+def _stage(name: str, fn):
+    try:
+        return fn()
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+
+
+def comb_stage(config: RunConfig) -> CombSpectrum:
+    return _stage(
+        "comb", lambda: build_comb(config.cavity, config.source, config.resolved_n_max())
+    )
+
+
+def hom_stage(config: RunConfig, comb: CombSpectrum) -> tuple[HomTrace, HomTrace]:
+    """The wide scan over the config's window, and a fine scan of the central dip."""
+
+    def run():
+        step = config.hom.step_ps
+        window = config.hom.window_ps
+        delays = np.arange(-window, window + step / 2.0, step)
+        trace = simulate_hom_trace(
+            comb, delays, accidental_fraction=config.hom.accidental_fraction
+        )
+        # Zoomed inset: the wide scan's step cannot resolve the
+        # base-to-base width.
+        zoom_delays = np.arange(-12.0, 12.0 + 0.01, 0.02)
+        zoom = simulate_hom_trace(
+            comb, zoom_delays, accidental_fraction=config.hom.accidental_fraction
+        )
+        return trace, zoom
+
+    return _stage("hom", run)
+
+
+def revivals_stage(trace: HomTrace) -> list[RevivalRecord]:
+    return _stage("revivals", lambda: locate_revivals(trace))
+
+
+def dip_width_stage(zoom: HomTrace) -> float:
+    return _stage("dip-width", lambda: central_dip_width(zoom))
+
+
+def time_schmidt_stage(
+    config: RunConfig, visibility_points=None
+) -> tuple[int, SchmidtSpectrum, SchmidtSpectrum | None]:
+    """Window-limited bin count, closed-form spectrum, and (given points) the fitted one."""
+
+    def run():
+        window_n = window_limited_n_max(config.cavity, config.hom.window_ps)
+        theory = time_bin_eigenvalues(config.cavity, window_n)
+        fitted = None
+        if visibility_points is not None:
+            fitted = time_bin_spectrum_from_visibilities(visibility_points, window_n)
+        return window_n, theory, fitted
+
+    return _stage("schmidt-time", run)
+
+
+def jsi_stage(config: RunConfig, comb: CombSpectrum) -> tuple[Jsi, dict]:
+    """Filtered scan clamped to the comb, and its sidecar: cross-talk and the settings used."""
+
+    def run():
+        fwhm_hz = filter_bandwidth_hz(
+            config.jsi.filter_fwhm_pm, config.source.degenerate_wavelength_nm
+        )
+        filt = FilterSpec(fwhm_hz=fwhm_hz, shape=config.jsi.filter_shape)
+        max_bin = min(config.jsi.max_bin, comb.n_max)
+        scan = scan_correlation_matrix(
+            comb, filt, filt, max_bin, pump_power_mw=config.jsi.pump_power_mw
+        )
+        sidecar = {
+            "crosstalk_db": crosstalk_db(scan),
+            "filter_fwhm_pm": config.jsi.filter_fwhm_pm,
+            "filter_fwhm_ghz": fwhm_hz / 1e9,
+            "filter_shape": config.jsi.filter_shape,
+            "max_bin": max_bin,
+            "pump_power_mw": config.jsi.pump_power_mw,
+        }
+        return scan, sidecar
+
+    return _stage("jsi", run)
+
+
+def measured_jsi_stage(path) -> tuple[Jsi, dict]:
+    """A measured matrix from a CSV in place of the scan, with its cross-talk sidecar."""
+
+    def run():
+        matrix = io_mod.jsi_from_csv(path)
+        return matrix, {"crosstalk_db": crosstalk_db(matrix), "source": str(path)}
+
+    return _stage("jsi", run)
+
+
+def freq_schmidt_stage(
+    matrix: Jsi, comb: CombSpectrum | None = None
+) -> tuple[SchmidtSpectrum, SchmidtSpectrum | None]:
+    """Spectrum of the (degraded) matrix, and, given the comb, the ideal spectrum."""
+
+    def run():
+        degraded = schmidt_decompose(jsa_from_jsi(matrix), basis="frequency")
+        ideal = ideal_frequency_spectrum(comb) if comb is not None else None
+        return degraded, ideal
+
+    return _stage("schmidt-frequency", run)
+
+
+def chsh_stage(config: RunConfig, angles=DEFAULT_ANGLES_DEG):
+    """S_fringe, analytic and simulated CHSH results, and the four fringe scans.
+
+    The fringe scans run at ``fringe_visibility``, the CHSH values at
+    ``chsh_visibility``; fringe scan i uses seed ``seed + i``.
+    """
+
+    def run():
+        c = config.chsh
+        s_fringe = chsh_mod.s_fringe_from_visibility(c.fringe_visibility)
+        analytic = chsh_mod.s_chsh(visibility=c.chsh_visibility, angles=angles)
+        simulated = chsh_mod.simulate_chsh_counts(
+            c.chsh_visibility, c.integration, c.seed, angles=angles
+        )
+        scan_angles = np.arange(0.0, 360.0, 10.0)
+        fringes = [
+            chsh_mod.simulate_fringe_scan(
+                fixed, scan_angles, c.fringe_visibility, c.integration, seed=c.seed + i
+            )
+            for i, fixed in enumerate((45.0, 90.0, 135.0, 180.0))
+        ]
+        return s_fringe, analytic, simulated, fringes
+
+    return _stage("chsh", run)
+
+
+def dimensionality_stage(config: RunConfig, k_time: float, k_freq: float):
+    """Bin counts and the dimensionality report for the given Schmidt numbers."""
+
+    def run():
+        counts = bin_counts(config.cavity, config.source, config.hom.window_ps)
+        return counts, dimensionality_report(k_time, k_freq, counts)
+
+    return _stage("dimensionality", run)
 
 
 @dataclass
@@ -141,152 +288,42 @@ def run_report(config: RunConfig, out_dir: str | None = None) -> ReproReport:
             pass
 
 
-def _stage(name: str, fn):
-    try:
-        return fn()
-    except Exception as exc:
-        raise StageError(name, exc) from exc
-
-
 def _run_stages(config: RunConfig, out: Path) -> ReproReport:
     cavity = config.cavity
-    source = config.source
-    n_max = config.resolved_n_max()
+    comb = comb_stage(config)
+    trace, zoom = hom_stage(config, comb)
+    revivals = revivals_stage(trace)
+    dip_width = dip_width_stage(zoom)
+    points = [(r.n, r.visibility) for r in revivals if 0.0 < r.visibility <= 1.0]
+    window_n, time_theory, time_fitted = time_schmidt_stage(config, points)
+    scan, jsi_sidecar = jsi_stage(config, comb)
+    freq_degraded, freq_ideal = freq_schmidt_stage(scan, comb)
+    s_fringe, chsh_analytic, chsh_simulated, fringes = chsh_stage(config)
+    counts, dim = dimensionality_stage(config, time_theory.k_number, freq_ideal.k_number)
 
-    comb = _stage("comb", lambda: build_comb(cavity, source, n_max))
-
-    def do_hom():
-        step = config.hom.step_ps
-        window = config.hom.window_ps
-        delays = np.arange(-window, window + step / 2.0, step)
-        trace = simulate_hom_trace(
-            comb, delays, accidental_fraction=config.hom.accidental_fraction
-        )
-        io_mod.trace_to_csv(trace, out / "hom_trace.csv")
-        # Fine scan of the central dip, as a zoomed inset: the wide scan's
-        # step cannot resolve the base-to-base width.
-        zoom_delays = np.arange(-12.0, 12.0 + 0.01, 0.02)
-        zoom = simulate_hom_trace(
-            comb, zoom_delays, accidental_fraction=config.hom.accidental_fraction
-        )
-        io_mod.trace_to_csv(zoom, out / "hom_trace_zoom.csv")
-        return trace, zoom
-
-    trace, zoom_trace = _stage("hom", do_hom)
-
-    def do_revivals():
-        records = locate_revivals(trace)
-        io_mod.revivals_to_csv(records, out / "revivals.csv")
-        return records
-
-    revivals = _stage("revivals", do_revivals)
     centers = np.array([r.center_ps for r in revivals])
     spacing = float(np.mean(np.diff(centers))) if len(revivals) > 1 else math.nan
     central = next((r for r in revivals if r.n == 0), None)
-    central_vis = central.visibility if central else math.nan
-
-    dip_width = _stage("dip-width", lambda: central_dip_width(zoom_trace))
-
-    def do_time_schmidt():
-        window_n = window_limited_n_max(cavity, config.hom.window_ps)
-        theory = time_bin_eigenvalues(cavity, window_n)
-        points = [(r.n, r.visibility) for r in revivals if 0.0 < r.visibility <= 1.0]
-        fitted = time_bin_spectrum_from_visibilities(points, window_n)
-        io_mod.spectrum_to_csv(theory, out / "schmidt_time_theory.csv")
-        io_mod.spectrum_to_csv(fitted, out / "schmidt_time_fitted.csv")
-        return window_n, theory, fitted
-
-    window_n, k_time_theory_spec, k_time_fitted_spec = _stage("schmidt-time", do_time_schmidt)
-
-    def do_jsi():
-        fwhm_hz = filter_bandwidth_hz(config.jsi.filter_fwhm_pm, source.degenerate_wavelength_nm)
-        filt = FilterSpec(fwhm_hz=fwhm_hz, shape=config.jsi.filter_shape)
-        max_bin = min(config.jsi.max_bin, comb.n_max)
-        scan = scan_correlation_matrix(
-            comb, filt, filt, max_bin, pump_power_mw=config.jsi.pump_power_mw
-        )
-        xtalk = crosstalk_db(scan)
-        io_mod.jsi_to_csv(scan, out / "jsi_scan.csv")
-        io_mod.export_json(
-            out / "jsi_scan.json",
-            {
-                "crosstalk_db": xtalk,
-                "filter_fwhm_pm": config.jsi.filter_fwhm_pm,
-                "filter_fwhm_ghz": fwhm_hz / 1e9,
-                "filter_shape": config.jsi.filter_shape,
-                "max_bin": max_bin,
-                "pump_power_mw": config.jsi.pump_power_mw,
-            },
-        )
-        return scan, xtalk
-
-    scan, xtalk = _stage("jsi", do_jsi)
-
-    def do_freq_schmidt():
-        ideal_spec = ideal_frequency_spectrum(comb)
-        degraded = schmidt_decompose(jsa_from_jsi(scan), basis="frequency")
-        io_mod.spectrum_to_csv(ideal_spec, out / "schmidt_frequency_ideal.csv")
-        io_mod.spectrum_to_csv(degraded, out / "schmidt_frequency_degraded.csv")
-        return ideal_spec, degraded
-
-    k_freq_ideal_spec, k_freq_degraded_spec = _stage("schmidt-frequency", do_freq_schmidt)
-
-    def do_chsh():
-        s_fringe = chsh_mod.s_fringe_from_visibility(config.chsh.fringe_visibility)
-        analytic = chsh_mod.s_chsh(visibility=config.chsh.chsh_visibility)
-        simulated = chsh_mod.simulate_chsh_counts(
-            config.chsh.chsh_visibility, config.chsh.integration, config.chsh.seed
-        )
-        for i, fixed in enumerate((45.0, 90.0, 135.0, 180.0)):
-            scan_angles = np.arange(0.0, 360.0, 10.0)
-            fringe = chsh_mod.simulate_fringe_scan(
-                fixed,
-                scan_angles,
-                config.chsh.fringe_visibility,
-                config.chsh.integration,
-                seed=config.chsh.seed + i,
-            )
-            io_mod.fringe_to_csv(fringe, out / f"chsh_fringe_p1_{int(fixed)}.csv")
-        io_mod.export_json(
-            out / "chsh.json",
-            {
-                "s_fringe": s_fringe,
-                "analytic": io_mod.chsh_to_dict(analytic),
-                "simulated": io_mod.chsh_to_dict(simulated),
-            },
-        )
-        return s_fringe, analytic, simulated
-
-    s_fringe, chsh_analytic, chsh_simulated = _stage("chsh", do_chsh)
-
-    def do_dimensionality():
-        counts = bin_counts(cavity, source, config.hom.window_ps)
-        return counts, dimensionality_report(
-            k_time_theory_spec.k_number, k_freq_ideal_spec.k_number, counts
-        )
-
-    counts, dim = _stage("dimensionality", do_dimensionality)
-
     report = ReproReport(
         cavity_label=cavity.label or config.preset_name or "custom",
         fsr_ghz=cavity.fsr_hz / 1e9,
         linewidth_ghz=cavity.linewidth_fwhm_hz / 1e9,
         finesse=cavity.finesse,
         round_trip_ps=cavity.round_trip_ps,
-        envelope_shape=source.envelope_shape,
+        envelope_shape=config.source.envelope_shape,
         n_max=comb.n_max,
         window_n_max=window_n,
         revival_count=len(revivals),
         revival_spacing_ps=spacing,
         central_dip_width_ps=dip_width,
-        central_visibility=central_vis,
+        central_visibility=central.visibility if central else math.nan,
         visibility_table=[(r.n, r.center_ps, r.visibility) for r in revivals],
-        k_time_theory=k_time_theory_spec.k_number,
-        k_time_fitted=k_time_fitted_spec.k_number,
-        k_freq_ideal=k_freq_ideal_spec.k_number,
+        k_time_theory=time_theory.k_number,
+        k_time_fitted=time_fitted.k_number,
+        k_freq_ideal=freq_ideal.k_number,
         k_freq_ideal_reference=REFERENCE_IDEAL_K_FREQ.get(config.preset_name),
-        k_freq_degraded=k_freq_degraded_spec.k_number,
-        crosstalk_db=xtalk,
+        k_freq_degraded=freq_degraded.k_number,
+        crosstalk_db=jsi_sidecar["crosstalk_db"],
         n_freq_bins=counts.n_freq_bins,
         n_time_bins=counts.n_time_bins,
         product_nt_nomega=dim.product_nt_nomega,
@@ -306,8 +343,27 @@ def _run_stages(config: RunConfig, out: Path) -> ReproReport:
     )
 
     def do_write():
+        io_mod.trace_to_csv(trace, out / "hom_trace.csv")
+        io_mod.trace_to_csv(zoom, out / "hom_trace_zoom.csv")
+        io_mod.revivals_to_csv(revivals, out / "revivals.csv")
+        io_mod.spectrum_to_csv(time_theory, out / "schmidt_time_theory.csv")
+        io_mod.spectrum_to_csv(time_fitted, out / "schmidt_time_fitted.csv")
+        io_mod.jsi_to_csv(scan, out / "jsi_scan.csv")
+        io_mod.export_json(out / "jsi_scan.json", jsi_sidecar)
+        io_mod.spectrum_to_csv(freq_ideal, out / "schmidt_frequency_ideal.csv")
+        io_mod.spectrum_to_csv(freq_degraded, out / "schmidt_frequency_degraded.csv")
+        for fringe in fringes:
+            io_mod.fringe_to_csv(fringe, out / f"chsh_fringe_p1_{int(fringe.fixed_angle_deg)}.csv")
+        io_mod.export_json(
+            out / "chsh.json",
+            {
+                "s_fringe": s_fringe,
+                "analytic": io_mod.chsh_to_dict(chsh_analytic),
+                "simulated": io_mod.chsh_to_dict(chsh_simulated),
+            },
+        )
         io_mod.export_json(out / "report.json", report.to_dict())
-        (out / "summary.txt").write_text(_summary_text(report), encoding="utf-8")
+        (out / "summary.txt").write_text(summary_text(report), encoding="utf-8")
 
     _stage("write", do_write)
     return report
@@ -325,7 +381,8 @@ def _fmt(value, band=None) -> str:
     return text
 
 
-def _summary_text(r: ReproReport) -> str:
+def summary_text(r: ReproReport) -> str:
+    """The report as the human-readable text of `summary.txt`."""
     b = r.bands
     lines = [
         f"bfcsim {r.tool_version} reproduction report (config {r.config_hash[:12]})",

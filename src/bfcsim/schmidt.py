@@ -124,13 +124,6 @@ def _spectrum_from_weights(
     return SchmidtSpectrum(eigenvalues=lam, k_number=k, basis=basis, bin_indices=idx)
 
 
-def schmidt_number(eigenvalues) -> float:
-    """Inverse participation ratio of a normalized eigenvalue set."""
-    lam = np.asarray(eigenvalues, dtype=float)
-    lam = lam / lam.sum()
-    return 1.0 / float(np.sum(lam * lam))
-
-
 def jsa_from_jsi(jsi) -> np.ndarray:
     """Amplitude matrix: elementwise square root, Frobenius-normalized.
 

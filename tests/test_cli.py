@@ -53,22 +53,36 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["hom", "jsi", "schmidt", "chsh", "report"])
     @pytest.mark.parametrize(
-        ("hom_line", "message"),
+        ("line", "message"),
         [
-            ("window_ps=inf", "window_ps must be finite"),
-            ("step_ps=nan", "step_ps must be finite"),
-            ("window_ps=5.0", "shorter than one revival period"),
+            ("[hom] window_ps=inf", "window_ps must be finite"),
+            ("[hom] step_ps=nan", "step_ps must be finite"),
+            ("[hom] window_ps=5.0", "shorter than one revival period"),
+            ("[jsi] max_bin=2.7", "max_bin must be an integer"),
+            ("[chsh] seed=1.9", "seed must be an integer"),
+            ("[jsi] pump_mw=10", "accidental floor at 1.327"),
         ],
     )
-    def test_bad_hom_window_is_exit_1_before_any_output(
-        self, command, hom_line, message, tmp_path, capsys
+    def test_bad_config_is_exit_1_before_any_output(
+        self, command, line, message, tmp_path, capsys
     ):
         bad = tmp_path / "bad.cfg"
-        bad.write_text(f'[cavity] preset="45ghz"\n[hom] {hom_line}\n')
+        bad.write_text(f'[cavity] preset="45ghz"\n{line}\n')
         out = tmp_path / "o"
         assert main([command, "--config", str(bad), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_value_error_in_a_stage_is_exit_1(self, tmp_path, capsys):
+        # Too coarse a scan locates too few revivals to fit the time-bin decay.
+        bad = tmp_path / "coarse.cfg"
+        bad.write_text('[cavity] preset="45ghz"\n[hom] window_ps=30, step_ps=5\n')
+        with pytest.warns(UserWarning, match="coarser"):
+            code = main(["report", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "stage 'schmidt-time' failed" in err
+        assert "at least 2 visibility points" in err
 
 
 class TestSubcommands:
@@ -136,6 +150,33 @@ class TestSubcommands:
         result = json.loads((out / "chsh.json").read_text())
         assert 0.0 < result["s_value"] <= 2.8285
 
+    def test_chsh_counts_at_chsh_visibility_as_in_report(self, fast_cfg_path, tmp_path):
+        main(["chsh", "--config", fast_cfg_path, "--out", str(tmp_path / "c")])
+        main(["report", "--config", fast_cfg_path, "--out", str(tmp_path / "r")])
+        chsh = json.loads((tmp_path / "c" / "chsh.json").read_text())
+        report = json.loads((tmp_path / "r" / "report.json").read_text())
+        assert chsh["s_value"] == report["s_chsh_simulated"]
+        assert (chsh["fringe_visibility"], chsh["chsh_visibility"]) == (0.9796, 0.9497)
+
+    def test_visibility_flag_sets_both_visibilities(self, fast_cfg_path, tmp_path):
+        out = tmp_path / "v"
+        main(["chsh", "--config", fast_cfg_path, "--out", str(out), "--visibility", "0.9"])
+        result = json.loads((out / "chsh.json").read_text())
+        assert (result["fringe_visibility"], result["chsh_visibility"]) == (0.9, 0.9)
+        assert result["s_fringe"] == pytest.approx(0.9 * 2 * 2**0.5, rel=1e-12)
+
+    def test_jsi_sidecar_describes_the_clamped_scan(self, tmp_path):
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text('[cavity] preset="45ghz"\n[jsi] max_bin=40\n')
+        out = tmp_path / "jsi"
+        assert main(["jsi", "--config", str(cfg), "--out", str(out)]) == 0
+        sidecar = json.loads((out / "jsi_matrix.json").read_text())
+        assert sidecar["max_bin"] == 16
+        assert sidecar["filter_fwhm_ghz"] == pytest.approx(51.9314, abs=1e-4)
+        rows = (out / "jsi_matrix.csv").read_text().splitlines()
+        assert len(rows) == 1 + 33
+        assert all(len(r.split(",")) == 1 + 33 for r in rows)
+
     def test_env_var_output_dir(self, fast_cfg_path, tmp_path, monkeypatch):
         target = tmp_path / "envout"
         monkeypatch.setenv("BFCSIM_OUT", str(target))
@@ -149,6 +190,28 @@ class TestSubcommands:
         a = json.loads((out1 / "chsh.json").read_text())
         b = json.loads((out2 / "chsh.json").read_text())
         assert a["s_value"] != b["s_value"]
+
+
+class TestOneStageGraph:
+    # (subcommand, its file, the report's file with the same content)
+    PAIRS = [
+        ("hom", "hom_trace.csv", "hom_trace.csv"),
+        ("hom", "hom_trace_zoom.csv", "hom_trace_zoom.csv"),
+        ("hom", "revivals.csv", "revivals.csv"),
+        ("jsi", "jsi_matrix.csv", "jsi_scan.csv"),
+        ("jsi", "jsi_matrix.json", "jsi_scan.json"),
+        ("schmidt", "schmidt_time.csv", "schmidt_time_theory.csv"),
+        ("schmidt", "schmidt_frequency.csv", "schmidt_frequency_degraded.csv"),
+    ] + [("chsh", f"fringe_p1_{a}.csv", f"chsh_fringe_p1_{a}.csv") for a in (45, 90, 135, 180)]
+
+    def test_subcommand_artifacts_match_the_report(self, fast_cfg_path, tmp_path):
+        for command in ("report", "hom", "jsi", "schmidt", "chsh"):
+            out = tmp_path / command
+            assert main([command, "--config", fast_cfg_path, "--out", str(out)]) == 0
+        report = tmp_path / "report"
+        for command, name, report_name in self.PAIRS:
+            got = (tmp_path / command / name).read_bytes()
+            assert got == (report / report_name).read_bytes(), (command, name)
 
 
 class TestReportDeterminism:

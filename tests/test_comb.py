@@ -1,31 +1,28 @@
-"""Comb construction: cavity parameters, lineshape, weights, temporal envelope."""
+"""Comb construction: cavity parameters, weights, temporal envelope."""
 
 import math
 
-import numpy as np
 import pytest
 
 from bfcsim import (
     CavitySpec,
     SourceSpec,
-    bin_lineshape,
     build_comb,
     cavity_preset,
     default_n_max,
-    round_trip_time,
-    temporal_envelope,
+    time_bin_eigenvalues,
 )
 
 
 class TestCavitySpec:
     def test_round_trip_values(self):
-        assert round_trip_time(cavity_preset("45ghz")) == pytest.approx(22.07, abs=0.01)
-        assert round_trip_time(cavity_preset("5ghz")) == pytest.approx(198.8, abs=0.05)
-        assert round_trip_time(CavitySpec(1e12, 1e9)) == pytest.approx(1.0, rel=1e-12)
+        assert cavity_preset("45ghz").round_trip_ps == pytest.approx(22.07, abs=0.01)
+        assert cavity_preset("5ghz").round_trip_ps == pytest.approx(198.8, abs=0.05)
+        assert CavitySpec(1e12, 1e9).round_trip_ps == pytest.approx(1.0, rel=1e-12)
 
     def test_half_round_trip_matches_revival_period(self):
         # 45.32 GHz cavity: revivals repeat every 11.03 ps.
-        assert round_trip_time(cavity_preset("45ghz")) / 2 == pytest.approx(11.03, abs=0.01)
+        assert cavity_preset("45ghz").round_trip_ps / 2 == pytest.approx(11.03, abs=0.01)
 
     def test_preset_derived_constants(self):
         cav = cavity_preset("45ghz")
@@ -42,27 +39,6 @@ class TestCavitySpec:
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown cavity preset"):
             cavity_preset("9ghz")
-
-
-class TestBinLineshape:
-    def test_peak_value(self):
-        hw = 2.0e9
-        assert bin_lineshape(0.0, hw) == pytest.approx(1.0 / hw**2, rel=1e-12)
-
-    def test_half_width_property(self):
-        hw = 3.1e9
-        assert bin_lineshape(hw, hw) == pytest.approx(0.5 / hw**2, rel=1e-12)
-
-    def test_even_and_decreasing(self):
-        hw = 1.0e9
-        assert bin_lineshape(3.7 * hw, hw) == bin_lineshape(-3.7 * hw, hw)
-        grid = np.linspace(0.0, 20 * hw, 200)
-        vals = bin_lineshape(grid, hw)
-        assert np.all(np.diff(vals) < 0.0)
-
-    def test_rejects_bad_half_width(self):
-        with pytest.raises(ValueError):
-            bin_lineshape(1.0, 0.0)
 
 
 class TestBuildComb:
@@ -110,32 +86,39 @@ class TestBuildComb:
             SourceSpec(envelope_shape="boxcar")
 
 
+def peak_weights(cavity, n_max):
+    """Weight of each temporal peak n of the comb state, keyed by n.
+
+    These are the time-bin Schmidt eigenvalues exp(-2 pi |n| / F) / sum.
+    """
+    spectrum = time_bin_eigenvalues(cavity, n_max)
+    return dict(zip(spectrum.bin_indices.tolist(), spectrum.eigenvalues.tolist()))
+
+
 class TestTemporalEnvelope:
     def test_single_bin_is_unity(self, cavity_45):
-        comb = build_comb(cavity_45, SourceSpec(), n_max=0)
-        assert temporal_envelope(comb, 0) == 1.0
+        assert peak_weights(cavity_45, 0) == {0: 1.0}
 
     def test_peak_value_matches_direct_sum(self, cavity_45):
-        with pytest.warns(UserWarning):
-            comb = build_comb(cavity_45, SourceSpec(envelope_shape="gaussian"), n_max=30)
         f = cavity_45.finesse
         sigma = 1.0 + 2.0 * sum(math.exp(-2 * math.pi * k / f) for k in range(1, 31))
-        assert temporal_envelope(comb, 0) == pytest.approx(1.0 / sigma, rel=1e-12)
+        assert peak_weights(cavity_45, 30)[0] == pytest.approx(1.0 / sigma, rel=1e-12)
 
-    def test_geometric_decay_ratio(self, comb_45):
+    def test_geometric_decay_ratio(self, cavity_45, comb_45):
+        w = peak_weights(cavity_45, comb_45.n_max)
         ratio = math.exp(-2 * math.pi / comb_45.finesse)
         for n in range(0, comb_45.n_max - 1):
-            got = temporal_envelope(comb_45, n + 1) / temporal_envelope(comb_45, n)
-            assert got == pytest.approx(ratio, rel=1e-12)
+            assert w[n + 1] / w[n] == pytest.approx(ratio, rel=1e-12)
 
-    def test_sums_to_one_even_and_decreasing(self, comb_15):
+    def test_sums_to_one_even_and_decreasing(self, cavity_15, comb_15):
         n_max = comb_15.n_max
-        vals = [temporal_envelope(comb_15, n) for n in range(-n_max, n_max + 1)]
-        assert sum(vals) == pytest.approx(1.0, abs=1e-12)
+        w = peak_weights(cavity_15, n_max)
+        assert sum(w.values()) == pytest.approx(1.0, abs=1e-12)
         for n in range(1, n_max + 1):
-            assert temporal_envelope(comb_15, n) == temporal_envelope(comb_15, -n)
-            assert temporal_envelope(comb_15, n) < temporal_envelope(comb_15, n - 1)
+            assert w[n] == w[-n]
+            assert w[n] < w[n - 1]
 
-    def test_out_of_range_rejected(self, comb_45):
-        with pytest.raises(ValueError):
-            temporal_envelope(comb_45, comb_45.n_max + 1)
+    def test_no_peak_beyond_n_max(self, cavity_45, comb_45):
+        assert sorted(peak_weights(cavity_45, comb_45.n_max)) == list(
+            range(-comb_45.n_max, comb_45.n_max + 1)
+        )

@@ -103,12 +103,15 @@ class TestConfigParsing:
                 "[chsh] chsh_visibility=nan",
                 "[chsh] integration=inf",
                 "[chsh] seed=nan",
+                "[jsi] max_bin=2.7",
+                "[chsh] seed=1.9",
             )
         ],
     )
     def test_non_finite_values_rejected(self, text):
-        key = re.search(r"(\w+)=(?:inf|nan)", text).group(1)
-        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        key, value = re.search(r"(\w+)=(inf|nan|\d+\.\d+)", text).groups()
+        message = "must be finite" if value in ("inf", "nan") else "must be an integer"
+        with pytest.raises(ConfigError, match=f"{key} {message}"):
             build_config(parse_config_text(text + "\n"))
 
     @pytest.mark.parametrize(
@@ -118,11 +121,21 @@ class TestConfigParsing:
             lambda: HomConfig(step_ps=math.nan),
             lambda: JsiConfig(pump_power_mw=math.inf),
             lambda: ChshConfig(integration=math.nan),
+            lambda: JsiConfig(max_bin=2.7),
+            lambda: ChshConfig(seed=1.9),
         ],
     )
     def test_non_finite_fields_rejected_on_construction(self, make):
-        with pytest.raises(ConfigError, match="must be finite"):
+        with pytest.raises(ConfigError, match="must be (finite|an integer)"):
             make()
+
+    def test_pump_power_past_the_floor_calibration_rejected(self):
+        # The calibrated floor fraction reaches 1 at about 8.63 mW.
+        text = '[cavity] preset="45ghz"\n[jsi] pump_mw=10\n'
+        with pytest.raises(ConfigError, match="accidental floor at 1.327"):
+            build_config(parse_config_text(text))
+        ok = build_config(parse_config_text('[cavity] preset="45ghz"\n[jsi] pump_mw=8.5\n'))
+        assert ok.jsi.pump_power_mw == 8.5
 
     def test_window_shorter_than_revival_period_rejected(self):
         # 45ghz revival period: 11.03 ps.

@@ -15,7 +15,7 @@ from bfcsim import (
     simulate_hom_trace,
     visibility_to_decay_parameter,
 )
-from bfcsim.hom import DEFAULT_ACCIDENTAL_FRACTION, HomTrace
+from bfcsim.hom import HomTrace
 
 
 def revival_delays(cavity, n_values):
@@ -98,7 +98,7 @@ class TestSimulateTrace:
             assert v == pytest.approx(dip_visibility_closed_form(n, cavity_45), abs=1e-3)
 
     def test_accidental_floor_scales_visibility(self, comb_45, cavity_45):
-        a = DEFAULT_ACCIDENTAL_FRACTION
+        a = 0.015
         delays = revival_delays(cavity_45, [0, 1])
         trace = simulate_hom_trace(comb_45, delays, accidental_fraction=a)
         # central dip rises to the accidental fraction; overall V -> V(1-a)

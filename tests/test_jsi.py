@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from bfcsim import (
+    DEFAULT_ACCIDENTAL_MODEL,
     AccidentalModel,
     FilterSpec,
     Jsi,
     SourceSpec,
-    accidental_floor,
-    apply_filters,
     build_comb,
     crosstalk_db,
     filter_bandwidth_hz,
@@ -91,27 +90,26 @@ class TestFilterTransmission:
             FilterSpec(shape="boxcar")
 
 
-class TestApplyFilters:
+class TestScanCells:
+    """Single cells of the filtered scan, with no accidental floor."""
+
     def test_delta_filters_sample_matrix(self, comb_45):
         jsi = ideal_jsi(comb_45)
-        got = apply_filters(jsi, comb_45, DELTA, DELTA, 2, -2)
-        assert got == jsi.value_at(2, -2)
+        scan = scan_correlation_matrix(comb_45, DELTA, DELTA, comb_45.n_max)
+        assert scan.value_at(2, -2) == pytest.approx(jsi.value_at(2, -2), rel=1e-12)
 
     def test_delta_filters_mismatch_is_zero(self, comb_45):
-        jsi = ideal_jsi(comb_45)
-        assert apply_filters(jsi, comb_45, DELTA, DELTA, 1, 0) == 0.0
+        scan = scan_correlation_matrix(comb_45, DELTA, DELTA, comb_45.n_max)
+        assert scan.value_at(1, 0) == 0.0
 
     def test_finite_filters_suppress_mismatch(self, comb_45):
         filt = FilterSpec(fwhm_hz=filter_bandwidth_hz(300.0))
-        jsi = ideal_jsi(comb_45)
-        matched = apply_filters(jsi, comb_45, filt, filt, 1, -1)
-        mismatched = apply_filters(jsi, comb_45, filt, filt, 1, 0)
-        assert 0.0 < mismatched < matched
+        scan = scan_correlation_matrix(comb_45, filt, filt, 2)
+        assert 0.0 < scan.value_at(1, 0) < scan.value_at(1, -1)
 
     def test_out_of_range_target(self, comb_45):
-        jsi = ideal_jsi(comb_45)
         with pytest.raises(ValueError):
-            apply_filters(jsi, comb_45, DELTA, DELTA, comb_45.n_max + 1, 0)
+            scan_correlation_matrix(comb_45, DELTA, DELTA, comb_45.n_max + 1)
 
     def test_smearing_conserves_weight_for_normalized_filters(self, cavity_45):
         # Bin-normalized transmission: summing the filtered signal over a
@@ -136,15 +134,16 @@ class TestApplyFilters:
 
 class TestAccidentalModel:
     def test_calibration_anchors(self):
-        assert accidental_floor(0.0) == 0.0
-        assert accidental_floor(2.0) == pytest.approx(10 ** (-11.71 / 10), rel=1e-12)
-        assert accidental_floor(4.0) == pytest.approx(10 ** (-6.31 / 10), rel=1e-12)
-        assert accidental_floor(2.0) == pytest.approx(0.0674, abs=1e-4)
-        assert accidental_floor(4.0) == pytest.approx(0.2339, abs=1e-4)
+        floor = DEFAULT_ACCIDENTAL_MODEL.floor_fraction
+        assert floor(0.0) == 0.0
+        assert floor(2.0) == pytest.approx(10 ** (-11.71 / 10), rel=1e-12)
+        assert floor(4.0) == pytest.approx(10 ** (-6.31 / 10), rel=1e-12)
+        assert floor(2.0) == pytest.approx(0.0674, abs=1e-4)
+        assert floor(4.0) == pytest.approx(0.2339, abs=1e-4)
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
-            accidental_floor(-1.0)
+            DEFAULT_ACCIDENTAL_MODEL.floor_fraction(-1.0)
 
     def test_custom_calibration(self):
         model = AccidentalModel.calibrate((1.0, 0.1), (2.0, 0.3))
