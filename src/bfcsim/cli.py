@@ -66,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"cavity preset ({', '.join(available_presets())}); default 45ghz",
         )
         p.add_argument("--out", help="output directory (overrides $BFCSIM_OUT and config)")
-        p.add_argument("--seed", type=int, help="random seed override")
 
     p_hom = sub.add_parser("hom", help="simulate the coincidence trace and locate revivals")
     add_common(p_hom)
@@ -96,6 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="full reproduction pipeline")
     add_common(p_report)
+    # Only these two commands have a random stage.
+    for p in (p_chsh, p_report):
+        p.add_argument("--seed", type=int, help="seed of the simulated CHSH and fringe counts")
     return parser
 
 
@@ -106,7 +108,7 @@ def _resolve_config(args) -> RunConfig:
     else:
         cfg = preset_config(args.preset or "45ghz", output_dir=out)
     chsh = {}
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         chsh["seed"] = args.seed
     if getattr(args, "visibility", None) is not None:
         chsh["fringe_visibility"] = chsh["chsh_visibility"] = args.visibility

@@ -42,7 +42,7 @@ class CavitySpec:
 
     fsr_hz: float
     linewidth_fwhm_hz: float
-    label: str = ""
+    label: str = "custom"
 
     def __post_init__(self) -> None:
         if not (self.linewidth_fwhm_hz > 0.0):

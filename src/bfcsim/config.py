@@ -10,12 +10,14 @@ The config format is a flat sectioned key-value text, e.g.::
     [output] dir="out"
 
 Pairs may follow the section tag on the same line (comma-separated) or
-appear on their own lines.  Unknown sections or keys are errors; values
-are validated by the domain types they construct.
+appear on their own lines.  Unknown sections or keys are errors.  Each
+setting's default and range check live on the dataclass that holds it;
+a key missing from the file takes that default.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -29,10 +31,14 @@ from .comb import (
     cavity_preset,
     default_n_max,
 )
-from .jsi import DEFAULT_ACCIDENTAL_MODEL
+from .jsi import DEFAULT_ACCIDENTAL_MODEL, FILTER_SHAPES
 
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = "1"
+
+# Largest HOM delay grid a config may ask for, 2 * window_ps / step_ps + 1
+# delays; the default grid has 3,401.
+MAX_HOM_DELAYS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -70,6 +76,12 @@ class HomConfig:
             raise ConfigError("[hom] window_ps and step_ps must be positive")
         if not (0.0 <= self.accidental_fraction < 1.0):
             raise ConfigError("[hom] accidentals must lie in [0, 1)")
+        n_delays = 2.0 * self.window_ps / self.step_ps + 1.0
+        if n_delays > MAX_HOM_DELAYS:
+            raise ConfigError(
+                f"[hom] window_ps={self.window_ps!r} and step_ps={self.step_ps!r} give "
+                f"{n_delays:.4g} delays; at most {MAX_HOM_DELAYS} are allowed"
+            )
 
 
 @dataclass(frozen=True)
@@ -84,6 +96,10 @@ class JsiConfig:
         _require_integer("jsi", max_bin=self.max_bin)
         if self.filter_fwhm_pm < 0.0:
             raise ConfigError("[jsi] filter_fwhm_pm must be >= 0")
+        if self.filter_shape not in FILTER_SHAPES:
+            raise ConfigError(
+                f"[jsi] filter_shape must be one of {FILTER_SHAPES}, got {self.filter_shape!r}"
+            )
         if self.max_bin < 0:
             raise ConfigError("[jsi] max_bin must be >= 0")
         if self.pump_power_mw < 0.0:
@@ -119,15 +135,8 @@ class ChshConfig:
                 raise ConfigError(f"[chsh] {name} must lie in [0, 1]")
         if self.integration <= 0.0:
             raise ConfigError("[chsh] integration must be > 0")
-
-
-# Per-preset defaults for the JSI scan, matching the filter bandwidths and
-# scan ranges each cavity was measured with.
-_JSI_PRESET_DEFAULTS = {
-    "45ghz": {"filter_fwhm_pm": 300.0, "max_bin": 2},
-    "15ghz": {"filter_fwhm_pm": 100.0, "max_bin": 8},
-    "5ghz": {"filter_fwhm_pm": 100.0, "max_bin": 9},
-}
+        if self.seed < 0:
+            raise ConfigError(f"[chsh] seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -142,6 +151,8 @@ class RunConfig:
     preset_name: str = ""
 
     def __post_init__(self) -> None:
+        if self.n_max is not None and (not isinstance(self.n_max, int) or self.n_max < 0):
+            raise ConfigError("[comb] n_max must be a nonnegative integer")
         # The report locates revival dips and fits the time-bin spectrum,
         # both of which need the dips at +/- one period inside the scan.
         period = 0.5 * self.cavity.round_trip_ps
@@ -155,55 +166,63 @@ class RunConfig:
         return self.n_max if self.n_max is not None else default_n_max(self.cavity, self.source)
 
     def to_dict(self) -> dict:
-        return {
-            "cavity": {
-                "fsr_hz": self.cavity.fsr_hz,
-                "linewidth_fwhm_hz": self.cavity.linewidth_fwhm_hz,
-                "label": self.cavity.label,
-            },
-            "source": {
-                "phase_matching_fwhm_hz": self.source.phase_matching_fwhm_hz,
-                "envelope_shape": self.source.envelope_shape,
-                "pump_power_mw": self.source.pump_power_mw,
-                "degenerate_wavelength_nm": self.source.degenerate_wavelength_nm,
-            },
-            "n_max": self.resolved_n_max(),
-            "hom": {
-                "window_ps": self.hom.window_ps,
-                "step_ps": self.hom.step_ps,
-                "accidental_fraction": self.hom.accidental_fraction,
-            },
-            "jsi": {
-                "filter_fwhm_pm": self.jsi.filter_fwhm_pm,
-                "filter_shape": self.jsi.filter_shape,
-                "max_bin": self.jsi.max_bin,
-                "pump_power_mw": self.jsi.pump_power_mw,
-            },
-            "chsh": {
-                "fringe_visibility": self.chsh.fringe_visibility,
-                "chsh_visibility": self.chsh.chsh_visibility,
-                "integration": self.chsh.integration,
-                "seed": self.chsh.seed,
-            },
-            "preset": self.preset_name,
-            "schema_version": SCHEMA_VERSION,
-        }
+        """The scientific configuration: every field but where artifacts land."""
+        out = dataclasses.asdict(self)
+        del out["output_dir"], out["preset_name"]
+        out.update(
+            n_max=self.resolved_n_max(), preset=self.preset_name, schema_version=SCHEMA_VERSION
+        )
+        return out
 
     def config_hash(self) -> str:
-        # Hash of the scientific configuration only: where artifacts land
-        # must not change their contents.
         canonical = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-_KNOWN_KEYS = {
-    "cavity": {"preset", "fsr_ghz", "linewidth_ghz", "label"},
-    "source": {"bpm_ghz", "envelope", "pump_mw", "wavelength_nm"},
-    "comb": {"n_max"},
-    "hom": {"window_ps", "step_ps", "accidentals"},
-    "jsi": {"filter_fwhm_pm", "filter_shape", "max_bin", "pump_mw"},
-    "chsh": {"fringe_visibility", "chsh_visibility", "integration", "seed"},
-    "output": {"dir"},
+# File key -> (dataclass field, conversion) per section.  A number scales
+# float() of the value into the field's unit; `str` and `int` fields take
+# the value as written, and the dataclass checks integers.
+_FIELDS = {
+    "cavity": {
+        "fsr_ghz": ("fsr_hz", 1e9),
+        "linewidth_ghz": ("linewidth_fwhm_hz", 1e9),
+        "label": ("label", str),
+    },
+    "source": {
+        "bpm_ghz": ("phase_matching_fwhm_hz", 1e9),
+        "envelope": ("envelope_shape", str),
+        "pump_mw": ("pump_power_mw", 1.0),
+        "wavelength_nm": ("degenerate_wavelength_nm", 1.0),
+    },
+    "comb": {"n_max": ("n_max", int)},
+    "hom": {
+        "window_ps": ("window_ps", 1.0),
+        "step_ps": ("step_ps", 1.0),
+        "accidentals": ("accidental_fraction", 1.0),
+    },
+    "jsi": {
+        "filter_fwhm_pm": ("filter_fwhm_pm", 1.0),
+        "filter_shape": ("filter_shape", str),
+        "max_bin": ("max_bin", int),
+        "pump_mw": ("pump_power_mw", 1.0),
+    },
+    "chsh": {
+        "fringe_visibility": ("fringe_visibility", 1.0),
+        "chsh_visibility": ("chsh_visibility", 1.0),
+        "integration": ("integration", 1.0),
+        "seed": ("seed", int),
+    },
+    "output": {"dir": ("output_dir", str)},
+}
+
+_KNOWN_KEYS = {section: set(keys) for section, keys in _FIELDS.items()}
+_KNOWN_KEYS["cavity"].add("preset")
+
+# Per-preset defaults for the JSI scan, matching the filter bandwidths and
+# scan ranges each cavity was measured with; 45ghz takes JsiConfig's own.
+_JSI_PRESET_DEFAULTS = {
+    "15ghz": {"filter_fwhm_pm": 100.0, "max_bin": 8},
+    "5ghz": {"filter_fwhm_pm": 100.0, "max_bin": 9},
 }
 
 _SECTION_RE = re.compile(r"^\[(\w+)\]\s*(.*)$")
@@ -257,11 +276,32 @@ def parse_config_text(text: str) -> dict[str, dict]:
     return sections
 
 
-def _require_number(sections: dict, section: str, key: str, value) -> float:
-    if not isinstance(value, (int, float)):
-        raise ConfigError(f"[{section}] {key} must be a number, got {value!r}")
-    _require_finite(section, **{key: value})
-    return float(value)
+def _fields(sections: dict[str, dict], section: str) -> dict:
+    """The section's file keys as dataclass fields, converted; absent keys are left out."""
+    out = {}
+    for key, value in sections.get(section, {}).items():
+        name, convert = _FIELDS[section][key]
+        if isinstance(convert, float):
+            try:
+                number = float(value)
+            except ValueError:
+                raise ConfigError(f"[{section}] {key} must be a number, got {value!r}") from None
+            # CavitySpec and SourceSpec accept inf and nan.
+            _require_finite(section, **{key: number})
+            value = number * convert
+        elif convert is str:
+            value = str(value)
+        out[name] = value
+    return out
+
+
+def _construct(section: str, cls, kwargs: dict):
+    try:
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 def build_config(sections: dict[str, dict], output_dir: str | None = None) -> RunConfig:
@@ -278,75 +318,25 @@ def build_config(sections: dict[str, dict], output_dir: str | None = None) -> Ru
     else:
         if "fsr_ghz" not in cav or "linewidth_ghz" not in cav:
             raise ConfigError("[cavity] requires both fsr_ghz and linewidth_ghz (or a preset)")
-        try:
-            cavity = CavitySpec(
-                fsr_hz=_require_number(sections, "cavity", "fsr_ghz", cav["fsr_ghz"]) * 1e9,
-                linewidth_fwhm_hz=_require_number(
-                    sections, "cavity", "linewidth_ghz", cav["linewidth_ghz"]
-                )
-                * 1e9,
-                label=str(cav.get("label", "custom")),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        cavity = _construct("cavity", CavitySpec, _fields(sections, "cavity"))
 
-    src = sections.get("source", {})
-    try:
-        source = SourceSpec(
-            phase_matching_fwhm_hz=float(src.get("bpm_ghz", 245.0)) * 1e9,
-            envelope_shape=str(src.get("envelope", "sinc_squared")),
-            pump_power_mw=float(src.get("pump_mw", 2.0)),
-            degenerate_wavelength_nm=float(src.get("wavelength_nm", 1316.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[source] {exc}") from exc
-    _require_finite(
-        "source",
-        bpm_ghz=source.phase_matching_fwhm_hz,
-        pump_mw=source.pump_power_mw,
-        wavelength_nm=source.degenerate_wavelength_nm,
-    )
-
-    comb_sec = sections.get("comb", {})
-    n_max = comb_sec.get("n_max")
-    if n_max is not None:
-        if not isinstance(n_max, int) or n_max < 0:
-            raise ConfigError("[comb] n_max must be a nonnegative integer")
-
-    hom_sec = sections.get("hom", {})
-    hom = HomConfig(
-        window_ps=float(hom_sec.get("window_ps", 340.0)),
-        step_ps=float(hom_sec.get("step_ps", 0.2)),
-        accidental_fraction=float(hom_sec.get("accidentals", 0.0)),
-    )
-
-    jsi_defaults = _JSI_PRESET_DEFAULTS.get(preset_name, {})
-    jsi_sec = sections.get("jsi", {})
-    jsi = JsiConfig(
-        filter_fwhm_pm=float(jsi_sec.get("filter_fwhm_pm", jsi_defaults.get("filter_fwhm_pm", 300.0))),
-        filter_shape=str(jsi_sec.get("filter_shape", "gaussian")),
-        max_bin=jsi_sec.get("max_bin", jsi_defaults.get("max_bin", 2)),
-        pump_power_mw=float(jsi_sec.get("pump_mw", source.pump_power_mw)),
-    )
-
-    chsh_sec = sections.get("chsh", {})
-    chsh = ChshConfig(
-        fringe_visibility=float(chsh_sec.get("fringe_visibility", 0.9796)),
-        chsh_visibility=float(chsh_sec.get("chsh_visibility", 0.9497)),
-        integration=float(chsh_sec.get("integration", 10000.0)),
-        seed=chsh_sec.get("seed", 12345),
-    )
-
-    out = output_dir or str(sections.get("output", {}).get("dir", "out"))
+    source = _construct("source", SourceSpec, _fields(sections, "source"))
+    jsi = {
+        "pump_power_mw": source.pump_power_mw,
+        **_JSI_PRESET_DEFAULTS.get(preset_name, {}),
+        **_fields(sections, "jsi"),
+    }
+    run = {**_fields(sections, "comb"), **_fields(sections, "output")}
+    if output_dir:
+        run["output_dir"] = output_dir
     return RunConfig(
         cavity=cavity,
         source=source,
-        n_max=n_max,
-        hom=hom,
-        jsi=jsi,
-        chsh=chsh,
-        output_dir=out,
+        hom=_construct("hom", HomConfig, _fields(sections, "hom")),
+        jsi=_construct("jsi", JsiConfig, jsi),
+        chsh=_construct("chsh", ChshConfig, _fields(sections, "chsh")),
         preset_name=preset_name,
+        **run,
     )
 
 
@@ -360,12 +350,9 @@ def load_config(path: str, output_dir: str | None = None) -> RunConfig:
     return build_config(parse_config_text(text), output_dir=output_dir)
 
 
-def preset_config(name: str, output_dir: str | None = None, seed: int | None = None) -> RunConfig:
+def preset_config(name: str, output_dir: str | None = None) -> RunConfig:
     """RunConfig for a named cavity preset with all defaults applied."""
-    sections: dict[str, dict] = {"cavity": {"preset": name}}
-    if seed is not None:
-        sections["chsh"] = {"seed": seed}
-    return build_config(sections, output_dir=output_dir)
+    return build_config({"cavity": {"preset": name}}, output_dir=output_dir)
 
 
 def available_presets() -> list[str]:

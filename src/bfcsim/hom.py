@@ -81,21 +81,23 @@ class RevivalRecord:
 # lies within this many grid steps of ``d0 + j * step``.
 _UNIFORM_GRID_RTOL = 1e-9
 
+# The quadrature samples the spectral intensity this many times per cavity
+# linewidth, out to this many bins past the outermost comb bin.
+POINTS_PER_LINEWIDTH = 32
+PAD_BINS = 2.0
+
 
 def simulate_hom_trace(
-    comb: CombSpectrum,
-    delays_ps,
-    points_per_linewidth: int = 32,
-    accidental_fraction: float = 0.0,
-    pad_bins: float = 2.0,
+    comb: CombSpectrum, delays_ps, *, accidental_fraction: float = 0.0
 ) -> HomTrace:
     """Numeric interferogram oracle over an explicit delay grid (ps).
 
     The biphoton spectral intensity is the squared Lorentzian line
     profile summed over bins with the comb weights; the visibility is its
     normalized cosine transform, a trapezoidal quadrature on a grid of
-    ``points_per_linewidth`` samples per cavity linewidth.  An optional
-    uniform accidental floor rescales V -> V * (1 - a).
+    `POINTS_PER_LINEWIDTH` samples per cavity linewidth that spans the
+    comb plus `PAD_BINS` bins on each side.  An optional uniform
+    accidental floor rescales V -> V * (1 - a).
 
     The delay grid picks the kernel.  A grid of at least 3 delays, each
     within 1e-9 steps of ``d0 + j * step``, is summed by a chirp-z
@@ -109,15 +111,10 @@ def simulate_hom_trace(
         raise ValueError("simulate_hom_trace: empty delay grid")
     if delays.size > 1 and not np.all(np.diff(delays) > 0.0):
         raise ValueError("simulate_hom_trace: delay grid must be strictly increasing")
-    if points_per_linewidth < 8:
-        raise ValueError(
-            "simulate_hom_trace: fewer than 8 quadrature points per linewidth "
-            "risks aliasing the bin lineshape"
-        )
     if not (0.0 <= accidental_fraction < 1.0):
         raise ValueError("simulate_hom_trace: accidental_fraction must be in [0, 1)")
 
-    step, k, intensity = _spectral_intensity(comb, points_per_linewidth, pad_bins)
+    step, k, intensity = _spectral_intensity(comb)
     delay_step = _uniform_step(delays)
     if delay_step is None:
         visibility = _direct_visibility(step * k, intensity, delays * 1e-12)
@@ -132,9 +129,7 @@ def simulate_hom_trace(
 
 
 @functools.lru_cache(maxsize=2)
-def _spectral_intensity(
-    comb: CombSpectrum, points_per_linewidth: int, pad_bins: float
-) -> tuple[float, np.ndarray, np.ndarray]:
+def _spectral_intensity(comb: CombSpectrum) -> tuple[float, np.ndarray, np.ndarray]:
     """Quadrature grid step (rad/s), sample indices k and normalized intensity.
 
     The samples sit at ``omega_k = step * k`` for k in [-K, K].  Cached per
@@ -143,10 +138,10 @@ def _spectral_intensity(
     """
     hw = comb.half_width_rad_s
     spacing = comb.fsr_rad_s
-    # Symmetric quadrature grid covering every bin plus pad_bins of margin;
+    # Symmetric quadrature grid covering every bin plus PAD_BINS of margin;
     # symmetry keeps the computed trace even in tau to machine precision.
-    step = 2.0 * hw / points_per_linewidth
-    half_span = (comb.n_max + pad_bins) * spacing
+    step = 2.0 * hw / POINTS_PER_LINEWIDTH
+    half_span = (comb.n_max + PAD_BINS) * spacing
     k_max = int(math.ceil(half_span / step))
     k = np.arange(-k_max, k_max + 1, dtype=np.int64)
     omega = step * k

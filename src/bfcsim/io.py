@@ -46,15 +46,6 @@ def export_json(path, obj) -> None:
         raise RuntimeError(f"failed writing JSON {path}: {exc}") from exc
 
 
-def load_json(path):
-    path = Path(path)
-    try:
-        with path.open("r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise RuntimeError(f"failed reading JSON {path}: {exc}") from exc
-
-
 def trace_to_csv(trace: HomTrace, path) -> None:
     export_csv(path, ["delay_ps", "coincidence"], zip(trace.delays_ps, trace.coincidence))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comb import CombSpectrum, SPEED_OF_LIGHT_M_S
+from .comb import DEFAULT_SOURCE, CombSpectrum, SPEED_OF_LIGHT_M_S
 
 FILTER_SHAPES = ("gaussian", "lorentzian")
 
@@ -62,7 +62,6 @@ class FilterSpec:
 
     fwhm_hz: float = 0.0
     shape: str = "gaussian"
-    center_offset_bins: float = 0.0
 
     def __post_init__(self) -> None:
         if self.fwhm_hz < 0.0:
@@ -71,7 +70,9 @@ class FilterSpec:
             raise ValueError(f"FilterSpec: shape must be one of {FILTER_SHAPES}")
 
 
-def filter_bandwidth_hz(fwhm_pm: float, wavelength_nm: float = 1316.0) -> float:
+def filter_bandwidth_hz(
+    fwhm_pm: float, wavelength_nm: float = DEFAULT_SOURCE.degenerate_wavelength_nm
+) -> float:
     """Convert a filter bandwidth quoted in picometers to Hz."""
     lam_m = wavelength_nm * 1e-9
     return SPEED_OF_LIGHT_M_S * (fwhm_pm * 1e-12) / (lam_m * lam_m)
@@ -79,7 +80,7 @@ def filter_bandwidth_hz(fwhm_pm: float, wavelength_nm: float = 1316.0) -> float:
 
 def filter_transmission(filt: FilterSpec, offset_bins, fsr_hz: float):
     """Filter transmission at a bin offset from the filter's target bin."""
-    off = (np.asarray(offset_bins, dtype=float) - filt.center_offset_bins) * fsr_hz
+    off = np.asarray(offset_bins, dtype=float) * fsr_hz
     if filt.fwhm_hz == 0.0:
         out = np.where(np.abs(off) < 1e-6 * fsr_hz, 1.0, 0.0)
     elif filt.shape == "gaussian":
@@ -140,15 +141,14 @@ def scan_correlation_matrix(
     idl: FilterSpec,
     max_bin: int,
     pump_power_mw: float = 0.0,
-    model: AccidentalModel = DEFAULT_ACCIDENTAL_MODEL,
 ) -> Jsi:
     """Filtered coincidence matrix over targets in [-max_bin, max_bin]^2.
 
     Applies the filter pair to the ideal JSI at every target pair, then
-    adds the pump-dependent accidental floor.  The floor is referenced to
-    the peak diagonal cell of the *measured* matrix, i.e. the uniform
-    offset f solves f = r * (signal_peak + f), so the off-diagonal to
-    peak-diagonal ratio of the result equals the calibrated fraction r.
+    adds the accidental floor of `DEFAULT_ACCIDENTAL_MODEL`.  The floor is
+    referenced to the peak diagonal cell of the *measured* matrix, i.e. the
+    uniform offset f solves f = r * (signal_peak + f), so the off-diagonal
+    to peak-diagonal ratio of the result equals the calibrated fraction r.
     """
     if max_bin < 0 or max_bin > comb.n_max:
         raise ValueError(f"scan range +/-{max_bin} outside the comb's +/-{comb.n_max} bins")
@@ -160,7 +160,7 @@ def scan_correlation_matrix(
     t_idl = np.stack([np.atleast_1d(filter_transmission(idl, bins - t, fsr_hz)) for t in targets])
     values = t_sig @ base.values @ t_idl.T
 
-    r = model.floor_fraction(pump_power_mw)
+    r = DEFAULT_ACCIDENTAL_MODEL.floor_fraction(pump_power_mw)
     if r >= 1.0:
         raise ValueError(f"accidental floor fraction {r:.3f} >= 1; pump power too high")
     if r > 0.0:
@@ -184,15 +184,11 @@ def crosstalk_db(jsi: Jsi) -> float | None:
     v = jsi.values
     if float(v.max()) <= 0.0:
         raise ValueError("crosstalk_db: matrix is all zero")
-    size = 2 * jsi.n_max + 1
-    idx = np.arange(size)
-    anti = v[idx, idx[::-1]]
-    peak = float(anti.max())
+    peak = float(jsi.anti_diagonal().max())
     if peak <= 0.0:
         raise ValueError("crosstalk_db: no nonzero cell on the anticorrelation diagonal")
-    mask = np.ones_like(v, dtype=bool)
-    mask[idx, idx[::-1]] = False
-    max_off = float(v[mask].max()) if np.any(mask) else 0.0
+    off = v[~np.eye(v.shape[0], dtype=bool)[::-1]]
+    max_off = float(off.max()) if off.size else 0.0
     if max_off <= 0.0:
         return None
     return 10.0 * math.log10(max_off / peak)

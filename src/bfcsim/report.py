@@ -201,7 +201,7 @@ def dimensionality_stage(config: RunConfig, k_time: float, k_freq: float):
     """Bin counts and the dimensionality report for the given Schmidt numbers."""
 
     def run():
-        counts = bin_counts(config.cavity, config.source, config.hom.window_ps)
+        counts = bin_counts(config.cavity, config.source)
         return counts, dimensionality_report(k_time, k_freq, counts)
 
     return _stage("dimensionality", run)

@@ -79,11 +79,10 @@ class SchmidtSpectrum:
 
 @dataclass(frozen=True)
 class BinCounts:
-    """Usable mode counts: frequency bins, time bins, and the window-limited time bins."""
+    """Usable mode counts: frequency bins and time bins."""
 
     n_freq_bins: float
     n_time_bins: float
-    n_time_bins_window: float
 
 
 @dataclass(frozen=True)
@@ -206,18 +205,16 @@ def window_limited_n_max(cavity: CavitySpec, delay_window_ps: float) -> int:
     return int(delay_window_ps / (0.5 * cavity.round_trip_ps))
 
 
-def bin_counts(cavity: CavitySpec, source: SourceSpec, delay_window_ps: float) -> BinCounts:
+def bin_counts(cavity: CavitySpec, source: SourceSpec) -> BinCounts:
     """Frequency-bin and time-bin counts for a cavity/source pair.
 
     The frequency-bin count is the phase-matching bandwidth over the FSR;
     the time-bin count within an inverse cavity linewidth equals the
-    finesse.  The window-limited count caps the latter by the number of
-    revival periods inside the scan window.
+    finesse.
     """
     n_freq = source.phase_matching_fwhm_hz / cavity.fsr_hz
     n_time = cavity.finesse
-    windowed = min(n_time, delay_window_ps / (0.5 * cavity.round_trip_ps))
-    return BinCounts(n_freq_bins=n_freq, n_time_bins=n_time, n_time_bins_window=windowed)
+    return BinCounts(n_freq_bins=n_freq, n_time_bins=n_time)
 
 
 def dimensionality_report(k_time: float, k_freq: float, counts: BinCounts) -> DimensionalityReport:

@@ -61,6 +61,10 @@ class TestExitCodes:
             ("[jsi] max_bin=2.7", "max_bin must be an integer"),
             ("[chsh] seed=1.9", "seed must be an integer"),
             ("[jsi] pump_mw=10", "accidental floor at 1.327"),
+            ("[chsh] seed=-1", "seed must be >= 0"),
+            ('[jsi] filter_shape="box"', "filter_shape must be one of"),
+            ('[hom] window_ps="abc"', "[hom] window_ps must be a number"),
+            ("[hom] step_ps=1e-7", "at most 1000000 are allowed"),
         ],
     )
     def test_bad_config_is_exit_1_before_any_output(
@@ -72,6 +76,19 @@ class TestExitCodes:
         assert main([command, "--config", str(bad), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["chsh", "report"])
+    def test_negative_seed_flag_is_exit_1_before_any_output(self, command, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main([command, "--seed", "-1", "--out", str(out)]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["hom", "jsi", "schmidt"])
+    def test_seed_flag_only_where_something_is_random(self, command, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "1", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
 
     def test_value_error_in_a_stage_is_exit_1(self, tmp_path, capsys):
         # Too coarse a scan locates too few revivals to fit the time-bin decay.

@@ -1,25 +1,37 @@
 """Config parsing/validation and CSV/JSON round trips."""
 
+import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from bfcsim import ConfigError, load_config, preset_config
-from bfcsim.config import ChshConfig, HomConfig, JsiConfig, build_config, parse_config_text
+from bfcsim.comb import ENVELOPE_SHAPES
+from bfcsim.config import (
+    MAX_HOM_DELAYS,
+    ChshConfig,
+    HomConfig,
+    JsiConfig,
+    build_config,
+    parse_config_text,
+)
 from bfcsim.io import (
     export_json,
     jsi_from_csv,
     jsi_to_csv,
-    load_json,
     spectrum_to_csv,
     trace_to_csv,
     visibilities_from_csv,
 )
-from bfcsim.jsi import Jsi
+from bfcsim.jsi import FILTER_SHAPES, Jsi
 from bfcsim.schmidt import time_bin_eigenvalues
+
+HASH_45GHZ = "d9d805a31ddd2f8378d787e7fcd0961ad98798e1bf557970866df38510a37b03"
 
 
 class TestConfigParsing:
@@ -145,11 +157,96 @@ class TestConfigParsing:
         ok = build_config(parse_config_text('[cavity] preset="45ghz"\n[hom] window_ps=11.1\n'))
         assert ok.hom.window_ps == 11.1
 
+    def test_non_number_names_its_key(self):
+        for line, message in (
+            ('[hom] window_ps="abc"', "[hom] window_ps must be a number, got 'abc'"),
+            ("[source] bpm_ghz=abc", "[source] bpm_ghz must be a number, got 'abc'"),
+        ):
+            with pytest.raises(ConfigError) as exc:
+                build_config(parse_config_text(f'[cavity] preset="45ghz"\n{line}\n'))
+            assert str(exc.value) == message
+
+    def test_delay_grid_budget(self):
+        # 2 * 500 / 0.001 + 1 = 1,000,001 delays, one past the budget.
+        assert MAX_HOM_DELAYS == 1_000_000
+        with pytest.raises(ConfigError, match="1e\\+06 delays; at most 1000000"):
+            HomConfig(window_ps=500.0, step_ps=0.001)
+        assert HomConfig(window_ps=499.0, step_ps=0.001).step_ps == 0.001
+
     def test_hash_stable_and_scientific(self, tmp_path):
         a = preset_config("45ghz", output_dir=str(tmp_path / "a"))
         b = preset_config("45ghz", output_dir=str(tmp_path / "b"))
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != preset_config("15ghz").config_hash()
+
+    def test_hash_digests_pinned(self):
+        assert preset_config("45ghz").config_hash() == HASH_45GHZ
+        assert preset_config("15ghz").config_hash() == (
+            "f4508154523d75a2e29f3cfad7e7a0a794ec940efea4bf4f183b07ccabf57a83"
+        )
+        assert preset_config("5ghz").config_hash() == (
+            "a2b59edeb9f702a27dc38e2916f4955e4804a94b921a0b8b48c89be26b196784"
+        )
+        sample = Path(__file__).resolve().parents[1] / "docs" / "sample.cfg"
+        assert load_config(str(sample)).config_hash() == HASH_45GHZ
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+# Per section: file key -> (dataclass field, unit scale, valid values).
+# Every value is valid on the 45ghz preset whatever the other keys hold.
+SECTION_KEYS = {
+    "source": {
+        "bpm_ghz": ("phase_matching_fwhm_hz", 1e9, _floats(1.0, 1000.0)),
+        "envelope": ("envelope_shape", None, st.sampled_from(ENVELOPE_SHAPES)),
+        "pump_mw": ("pump_power_mw", 1.0, _floats(0.0, 8.5)),
+        "wavelength_nm": ("degenerate_wavelength_nm", 1.0, _floats(400.0, 2000.0)),
+    },
+    "hom": {
+        "window_ps": ("window_ps", 1.0, _floats(12.0, 400.0)),
+        "step_ps": ("step_ps", 1.0, _floats(0.01, 5.0)),
+        "accidentals": ("accidental_fraction", 1.0, _floats(0.0, 0.99)),
+    },
+    "jsi": {
+        "filter_fwhm_pm": ("filter_fwhm_pm", 1.0, _floats(0.0, 1000.0)),
+        "filter_shape": ("filter_shape", None, st.sampled_from(FILTER_SHAPES)),
+        "max_bin": ("max_bin", None, st.integers(0, 100)),
+        "pump_mw": ("pump_power_mw", 1.0, _floats(0.0, 8.5)),
+    },
+    "chsh": {
+        "fringe_visibility": ("fringe_visibility", 1.0, _floats(0.0, 1.0)),
+        "chsh_visibility": ("chsh_visibility", 1.0, _floats(0.0, 1.0)),
+        "integration": ("integration", 1.0, _floats(1e-3, 1e7)),
+        "seed": ("seed", None, st.integers(0, 2**63)),
+    },
+}
+
+
+@st.composite
+def _section_subsets(draw):
+    section = draw(st.sampled_from(sorted(SECTION_KEYS)))
+    keys = SECTION_KEYS[section]
+    values = draw(st.fixed_dictionaries({}, optional={k: v[2] for k, v in keys.items()}))
+    return section, values
+
+
+@given(_section_subsets())
+def test_build_config_sets_exactly_the_given_keys(drawn):
+    section, values = drawn
+    pairs = ", ".join(
+        f'{k}="{v}"' if isinstance(v, str) else f"{k}={v!r}" for k, v in values.items()
+    )
+    cfg = build_config(parse_config_text(f'[cavity] preset="45ghz"\n[{section}] {pairs}\n'))
+    obj = getattr(cfg, section)
+    default = type(obj)()
+    expected = {}
+    for key, value in values.items():
+        name, scale, _ = SECTION_KEYS[section][key]
+        expected[name] = value if scale is None else float(value) * scale
+    for f in dataclasses.fields(obj):
+        assert getattr(obj, f.name) == expected.get(f.name, getattr(default, f.name)), f.name
 
 
 class TestRoundTrips:
@@ -157,7 +254,7 @@ class TestRoundTrips:
         payload = {"k": 18.3039, "values": [1, 2.5, -3], "name": "x", "flag": True}
         path = tmp_path / "obj.json"
         export_json(path, payload)
-        assert load_json(path) == payload
+        assert json.loads(path.read_text()) == payload
 
     def test_json_reexport_identical(self, tmp_path):
         payload = {"b": 2, "a": [1.5, 2.25]}

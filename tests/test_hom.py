@@ -111,8 +111,6 @@ class TestSimulateTrace:
             simulate_hom_trace(comb_45, np.array([]))
         with pytest.raises(ValueError, match="strictly increasing"):
             simulate_hom_trace(comb_45, np.array([1.0, 1.0, 2.0]))
-        with pytest.raises(ValueError, match="aliasing"):
-            simulate_hom_trace(comb_45, np.array([0.0]), points_per_linewidth=7)
 
 
 class TestLocateRevivals:

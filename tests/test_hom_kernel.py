@@ -13,7 +13,7 @@ ZOOM = np.arange(-12.0, 12.0 + 0.01, 0.02)
 
 
 def _direct_coincidence(comb, delays, accidental_fraction=0.0):
-    step, k, intensity = hom._spectral_intensity(comb, 32, 2.0)
+    step, k, intensity = hom._spectral_intensity(comb)
     visibility = hom._direct_visibility(step * k, intensity, delays * 1e-12)
     return np.clip(1.0 - (1.0 - accidental_fraction) * visibility, 0.0, None)
 
@@ -84,8 +84,8 @@ class TestUniformityRule:
 
 class TestSpectralIntensity:
     def test_shared_per_comb_and_read_only(self, comb_45):
-        first = hom._spectral_intensity(comb_45, 32, 2.0)
-        assert hom._spectral_intensity(comb_45, 32, 2.0) is first
+        first = hom._spectral_intensity(comb_45)
+        assert hom._spectral_intensity(comb_45) is first
         step, k, intensity = first
         assert intensity.sum() == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ValueError):
@@ -95,6 +95,6 @@ class TestSpectralIntensity:
 
     def test_distinct_combs_do_not_collide(self, comb_45, cavity_45):
         narrow = build_comb(cavity_45, DEFAULT_SOURCE, n_max=3)
-        _, k_narrow, _ = hom._spectral_intensity(narrow, 32, 2.0)
-        _, k_full, _ = hom._spectral_intensity(comb_45, 32, 2.0)
+        _, k_narrow, _ = hom._spectral_intensity(narrow)
+        _, k_full, _ = hom._spectral_intensity(comb_45)
         assert k_narrow.size < k_full.size

@@ -79,10 +79,6 @@ class TestFilterTransmission:
         filt = FilterSpec(fwhm_hz=10e9, shape="lorentzian")
         assert filter_transmission(filt, 0.5, 10e9) == pytest.approx(0.5, rel=1e-12)
 
-    def test_center_offset_shifts_peak(self):
-        filt = FilterSpec(fwhm_hz=10e9, center_offset_bins=1.0)
-        assert filter_transmission(filt, 1.0, 45.32e9) == 1.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             FilterSpec(fwhm_hz=-1.0)

@@ -170,21 +170,21 @@ class TestVisibilityFit:
 
 class TestBinCounts:
     def test_45ghz_counts(self, cavity_45):
-        counts = bin_counts(cavity_45, DEFAULT_SOURCE, 340.0)
+        counts = bin_counts(cavity_45, DEFAULT_SOURCE)
         assert counts.n_freq_bins == pytest.approx(245.0 / 45.32, rel=1e-12)
         assert counts.n_freq_bins == pytest.approx(5.41, abs=0.01)
         assert counts.n_time_bins == pytest.approx(29.05, abs=0.01)
 
     def test_product_matches_between_similar_linewidths(self, cavity_45, cavity_15):
-        c45 = bin_counts(cavity_45, DEFAULT_SOURCE, 340.0)
-        c15 = bin_counts(cavity_15, DEFAULT_SOURCE, 340.0)
+        c45 = bin_counts(cavity_45, DEFAULT_SOURCE)
+        c15 = bin_counts(cavity_15, DEFAULT_SOURCE)
         p45 = c45.n_freq_bins * c45.n_time_bins
         p15 = c15.n_freq_bins * c15.n_time_bins
         assert abs(p15 / p45 - 1.0) <= 0.15
 
     def test_narrow_linewidth_triples_product(self, cavity_45, cavity_5):
-        c45 = bin_counts(cavity_45, DEFAULT_SOURCE, 340.0)
-        c5 = bin_counts(cavity_5, DEFAULT_SOURCE, 340.0)
+        c45 = bin_counts(cavity_45, DEFAULT_SOURCE)
+        c5 = bin_counts(cavity_5, DEFAULT_SOURCE)
         p45 = c45.n_freq_bins * c45.n_time_bins
         p5 = c5.n_freq_bins * c5.n_time_bins
         assert 2.5 <= p5 / p45 <= 4.0
@@ -197,22 +197,22 @@ class TestBinCounts:
 
 class TestDimensionality:
     def test_headline_648(self, cavity_45):
-        counts = bin_counts(cavity_45, DEFAULT_SOURCE, 340.0)
+        counts = bin_counts(cavity_45, DEFAULT_SOURCE)
         report = dimensionality_report(18.02, 4.31, counts)
         assert report.total_dimensionality == 648
         assert report.total_dimensionality // report.polarization_factor == 324
 
     def test_frequency_dimensionality(self, cavity_5):
-        counts = bin_counts(cavity_5, DEFAULT_SOURCE, 340.0)
+        counts = bin_counts(cavity_5, DEFAULT_SOURCE)
         report = dimensionality_report(5.16, 11.67, counts)
         assert report.freq_dimensionality == 121
 
     def test_polarization_only(self, cavity_45):
-        counts = bin_counts(cavity_45, DEFAULT_SOURCE, 340.0)
+        counts = bin_counts(cavity_45, DEFAULT_SOURCE)
         assert dimensionality_report(1.0, 1.0, counts).total_dimensionality == 2
 
     def test_rejects_subunit_k(self, cavity_45):
-        counts = bin_counts(cavity_45, DEFAULT_SOURCE, 340.0)
+        counts = bin_counts(cavity_45, DEFAULT_SOURCE)
         with pytest.raises(ValueError):
             dimensionality_report(0.5, 2.0, counts)
 
