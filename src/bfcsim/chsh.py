@@ -166,11 +166,21 @@ def _analytic_correlation(phi1_deg: float, phi2_deg: float, visibility: float) -
     return -visibility * math.cos(math.radians(2.0 * (phi1_deg + phi2_deg)))
 
 
-def _combine_s(e_values) -> float:
+def _angle_pairs(angles, caller: str):
+    """The four (phi1, phi2) settings of a CHSH test, in the order `_chsh_result` combines."""
+    if len(angles) != 4:
+        raise ValueError(f"{caller}: angles must be (phi1, phi1', phi2, phi2')")
+    phi1, phi1p, phi2, phi2p = angles
+    return ((phi1, phi2), (phi1, phi2p), (phi1p, phi2), (phi1p, phi2p))
+
+
+def _chsh_result(e_values, variances) -> ChshResult:
     # CHSH combination with the minus sign on the (phi1', phi2') term;
     # this is the arrangement the standard angle set maximizes.
     e1, e2, e3, e4 = e_values
-    return abs(e1 + e2 + e3 - e4)
+    s = abs(e1 + e2 + e3 - e4)
+    sigma = math.sqrt(sum(variances))
+    return ChshResult(tuple(e_values), s, sigma, violation_sigmas(s, sigma))
 
 
 def s_chsh(
@@ -189,34 +199,22 @@ def s_chsh(
     """
     if (visibility is None) == (correlations is None):
         raise ValueError("s_chsh: provide exactly one of visibility or correlations")
-    if len(angles) != 4:
-        raise ValueError("s_chsh: angles must be (phi1, phi1', phi2, phi2')")
-    phi1, phi1p, phi2, phi2p = angles
-    pairs = ((phi1, phi2), (phi1, phi2p), (phi1p, phi2), (phi1p, phi2p))
-
+    pairs = _angle_pairs(angles, "s_chsh")
+    variances = [0.0] * 4
     if visibility is not None:
         if not (0.0 <= visibility <= 1.0):
             raise ValueError("s_chsh: visibility must lie in [0, 1]")
-        e_values = tuple(_analytic_correlation(a, b, visibility) for a, b in pairs)
-        sigma = 0.0
+        e_values = [_analytic_correlation(a, b, visibility) for a, b in pairs]
     else:
-        e_values = tuple(float(e) for e in correlations)
+        e_values = [float(e) for e in correlations]
         if len(e_values) != 4:
             raise ValueError("s_chsh: exactly four correlations required")
-        sigma = 0.0
         if errors is not None:
             errs = [float(x) for x in errors]
             if len(errs) != 4:
                 raise ValueError("s_chsh: exactly four correlation errors required")
-            sigma = math.sqrt(sum(x * x for x in errs))
-
-    s = _combine_s(e_values)
-    return ChshResult(
-        correlations=e_values,
-        s_value=s,
-        s_sigma=sigma,
-        violation_sigmas=violation_sigmas(s, sigma),
-    )
+            variances = [x * x for x in errs]
+    return _chsh_result(e_values, variances)
 
 
 def s_fringe_from_visibility(v_mean: float) -> float:
@@ -241,12 +239,8 @@ def simulate_chsh_counts(
     """
     if integration <= 0.0:
         raise ValueError("simulate_chsh_counts: integration must be > 0")
-    if len(angles) != 4:
-        raise ValueError("simulate_chsh_counts: angles must be (phi1, phi1', phi2, phi2')")
-    phi1, phi1p, phi2, phi2p = angles
-    pairs = ((phi1, phi2), (phi1, phi2p), (phi1p, phi2), (phi1p, phi2p))
+    pairs = _angle_pairs(angles, "simulate_chsh_counts")
     rng = np.random.default_rng(seed)
-
     e_values = []
     variances = []
     for a, b in pairs:
@@ -255,12 +249,4 @@ def simulate_chsh_counts(
         counts = rng.poisson(means)
         e_values.append(correlation_E(counts))
         variances.append(correlation_E_error(counts) ** 2)
-
-    s = _combine_s(e_values)
-    sigma = math.sqrt(sum(variances))
-    return ChshResult(
-        correlations=tuple(e_values),
-        s_value=s,
-        s_sigma=sigma,
-        violation_sigmas=violation_sigmas(s, sigma),
-    )
+    return _chsh_result(e_values, variances)

@@ -1,7 +1,7 @@
 """Command-line entry point: hom | jsi | schmidt | chsh | report subcommands.
 
 Every subcommand is a view over the stages in `bfcsim.report`: it runs the
-stages it needs, writes its files and prints one line.
+stages it needs, hands its files to the `write` stage and prints one line.
 Exit codes: 0 success, 1 configuration/validation error, 2 runtime error;
 a failed stage exits as the error it raised would.
 The output directory resolves as --out, then $BFCSIM_OUT, then the config.
@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import os
 import sys
-from pathlib import Path
 
 from . import io as io_mod
 from .chsh import DEFAULT_ANGLES_DEG
@@ -39,6 +38,7 @@ from .report import (
     run_report,
     summary_text,
     time_schmidt_stage,
+    write_stage,
 )
 
 # Unused here; perfbench's tracer wraps these names on this module and stops if one is missing.
@@ -119,105 +119,87 @@ def _resolve_config(args) -> RunConfig:
     return cfg
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _matrix(cfg: RunConfig, args):
+    """The measured matrix from --input, else the scan, with its sidecar."""
+    if args.input:
+        return measured_jsi_stage(args.input)
+    return jsi_stage(cfg, comb_stage(cfg))
 
 
-def _cmd_hom(cfg: RunConfig) -> int:
+def _cmd_hom(cfg: RunConfig, args) -> None:
     trace, zoom = hom_stage(cfg, comb_stage(cfg))
     revivals = revivals_stage(trace)
     width = dip_width_stage(zoom)
-    out = _outdir(cfg)
-    io_mod.trace_to_csv(trace, out / "hom_trace.csv")
-    io_mod.trace_to_csv(zoom, out / "hom_trace_zoom.csv")
-    io_mod.revivals_to_csv(revivals, out / "revivals.csv")
+    out = write_stage(
+        cfg.output_dir,
+        {"hom_trace.csv": trace, "hom_trace_zoom.csv": zoom, "revivals.csv": revivals},
+    )
     print(f"wrote hom_trace.csv, hom_trace_zoom.csv and revivals.csv in {out}")
     print(f"{len(revivals)} revival dips, central dip width {width:.3f} ps")
-    return 0
 
 
-def _cmd_jsi(cfg: RunConfig, input_path: str | None) -> int:
-    if input_path:
-        matrix, sidecar = measured_jsi_stage(input_path)
-    else:
-        matrix, sidecar = jsi_stage(cfg, comb_stage(cfg))
-    out = _outdir(cfg)
-    io_mod.jsi_to_csv(matrix, out / "jsi_matrix.csv")
-    io_mod.export_json(out / "jsi_matrix.json", sidecar)
+def _cmd_jsi(cfg: RunConfig, args) -> None:
+    matrix, sidecar = _matrix(cfg, args)
+    out = write_stage(cfg.output_dir, {"jsi_matrix.csv": matrix, "jsi_matrix.json": sidecar})
     xtalk = sidecar["crosstalk_db"]
     print(f"wrote {out / 'jsi_matrix.csv'}; crosstalk {xtalk if xtalk is not None else 'none'} dB")
-    return 0
 
 
-def _cmd_schmidt(cfg: RunConfig, input_path: str | None, visibilities_path: str | None) -> int:
-    points = io_mod.visibilities_from_csv(visibilities_path) if visibilities_path else None
-    _, theory, fitted = time_schmidt_stage(cfg, points)
+def _cmd_schmidt(cfg: RunConfig, args) -> None:
+    _, theory, fitted = time_schmidt_stage(cfg, args.visibilities)
     time_spec = fitted if fitted is not None else theory
-    if input_path:
-        matrix = io_mod.jsi_from_csv(input_path)
-    else:
-        matrix, _ = jsi_stage(cfg, comb_stage(cfg))
-    freq_spec, _ = freq_schmidt_stage(matrix)
+    freq_spec, _ = freq_schmidt_stage(_matrix(cfg, args)[0])
     _, dim = dimensionality_stage(cfg, time_spec.k_number, freq_spec.k_number)
-    out = _outdir(cfg)
-    io_mod.spectrum_to_csv(time_spec, out / "schmidt_time.csv")
-    io_mod.spectrum_to_csv(freq_spec, out / "schmidt_frequency.csv")
-    io_mod.export_json(out / "dimensionality.json", dataclasses.asdict(dim))
+    write_stage(
+        cfg.output_dir,
+        {
+            "schmidt_time.csv": time_spec,
+            "schmidt_frequency.csv": freq_spec,
+            "dimensionality.json": dataclasses.asdict(dim),
+        },
+    )
     print(
         f"K_time={dim.k_time:.4f} K_freq={dim.k_freq:.4f} "
         f"total dimensionality {dim.total_dimensionality}"
     )
-    return 0
 
 
-def _cmd_chsh(cfg: RunConfig, angles: list[float] | None) -> int:
-    angles = tuple(angles) if angles else DEFAULT_ANGLES_DEG
+def _cmd_chsh(cfg: RunConfig, args) -> None:
+    angles = tuple(args.angles) if args.angles else DEFAULT_ANGLES_DEG
     s_fringe, _, result, fringes = chsh_stage(cfg, angles)
-    out = _outdir(cfg)
-    for fringe in fringes:
-        io_mod.fringe_to_csv(fringe, out / f"fringe_p1_{int(fringe.fixed_angle_deg)}.csv")
-    io_mod.export_json(
-        out / "chsh.json",
-        {
-            "fringe_visibility": cfg.chsh.fringe_visibility,
-            "chsh_visibility": cfg.chsh.chsh_visibility,
-            "integration": cfg.chsh.integration,
-            "seed": cfg.chsh.seed,
-            "angles_deg": list(angles),
-            "s_fringe": s_fringe,
-            **io_mod.chsh_to_dict(result),
-        },
+    summary = {
+        **dataclasses.asdict(cfg.chsh),
+        "angles_deg": list(angles),
+        "s_fringe": s_fringe,
+        **io_mod.chsh_to_dict(result),
+    }
+    write_stage(
+        cfg.output_dir,
+        {**{f"fringe_p1_{int(f.fixed_angle_deg)}.csv": f for f in fringes}, "chsh.json": summary},
     )
     print(
         f"S = {result.s_value:.4f} +/- {result.s_sigma:.4f} "
         f"({result.violation_sigmas:.1f} sigma above the classical bound)"
     )
-    return 0
 
 
-def _cmd_report(cfg: RunConfig) -> int:
+def _cmd_report(cfg: RunConfig, args) -> None:
     print(summary_text(run_report(cfg)))
-    return 0
+
+
+_VIEWS = {
+    "hom": _cmd_hom,
+    "jsi": _cmd_jsi,
+    "schmidt": _cmd_schmidt,
+    "chsh": _cmd_chsh,
+    "report": _cmd_report,
+}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args)
-        if args.command == "hom":
-            return _cmd_hom(cfg)
-        if args.command == "jsi":
-            return _cmd_jsi(cfg, args.input)
-        if args.command == "schmidt":
-            return _cmd_schmidt(cfg, args.input, args.visibilities)
-        if args.command == "chsh":
-            return _cmd_chsh(cfg, args.angles)
-        if args.command == "report":
-            return _cmd_report(cfg)
-        parser.error(f"unknown command {args.command!r}")
+        _VIEWS[args.command](_resolve_config(args), args)
     except Exception as exc:
         # A stage names itself in the message; the exit code follows what it raised.
         cause = exc.__cause__ if isinstance(exc, StageError) else exc

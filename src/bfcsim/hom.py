@@ -241,11 +241,11 @@ def _plateau_medians(delays: np.ndarray, coincidence: np.ndarray, period: float)
     k_lo = int(math.floor(delays[0] / period)) - 1
     k_hi = int(math.ceil(delays[-1] / period)) + 1
     for k in range(k_lo, k_hi + 1):
-        lo = (k + 0.25) * period
-        hi = (k + 0.75) * period
-        mask = (delays >= lo) & (delays <= hi)
-        if np.any(mask):
-            medians[k] = float(np.median(coincidence[mask]))
+        # The delays increase strictly: bisection finds exactly lo <= d <= hi.
+        start = np.searchsorted(delays, (k + 0.25) * period, side="left")
+        stop = np.searchsorted(delays, (k + 0.75) * period, side="right")
+        if stop > start:
+            medians[k] = float(np.median(coincidence[start:stop]))
     return medians
 
 
@@ -279,7 +279,10 @@ def locate_revivals(trace: HomTrace) -> list[RevivalRecord]:
     n_hi = int(math.floor(delays[-1] / period))
     for n in range(n_lo, n_hi + 1):
         center = n * period
-        idx = np.nonzero(np.abs(delays - center) <= period / 4.0)[0]
+        # Bisect to a period-wide slice, far past any rounding of the test.
+        start = np.searchsorted(delays, center - period / 2.0)
+        stop = np.searchsorted(delays, center + period / 2.0)
+        idx = start + np.nonzero(np.abs(delays[start:stop] - center) <= period / 4.0)[0]
         if idx.size < 3:
             continue
         local = c[idx]

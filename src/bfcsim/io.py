@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .chsh import ChshResult, FringeScan
-from .hom import HomTrace, RevivalRecord
+from .hom import HomTrace
 from .jsi import Jsi
 from .schmidt import SchmidtSpectrum
 
@@ -46,42 +46,17 @@ def export_json(path, obj) -> None:
         raise RuntimeError(f"failed writing JSON {path}: {exc}") from exc
 
 
-def trace_to_csv(trace: HomTrace, path) -> None:
-    export_csv(path, ["delay_ps", "coincidence"], zip(trace.delays_ps, trace.coincidence))
-
-
-def revivals_to_csv(records: list[RevivalRecord], path) -> None:
-    export_csv(
-        path,
-        ["n", "center_ps", "visibility"],
-        ((r.n, r.center_ps, r.visibility) for r in records),
-    )
-
-
-def spectrum_to_csv(spectrum: SchmidtSpectrum, path) -> None:
-    """Eigenvalues as ``n,eigenvalue``; n is the bin label if present, else the rank."""
-    if spectrum.bin_indices is not None:
-        labels = spectrum.bin_indices
-    else:
-        labels = np.arange(spectrum.eigenvalues.size)
-    export_csv(path, ["n", "eigenvalue"], zip(labels, spectrum.eigenvalues))
-
-
-def jsi_to_csv(jsi: Jsi, path) -> None:
-    """Matrix with a leading header row/column of signal/idler bin indices."""
-    bins = jsi.bins
-    rows = [[int(n_s)] + [v for v in row] for n_s, row in zip(bins, jsi.values)]
-    export_csv(path, ["bin"] + [str(int(b)) for b in bins], rows)
+def _read_csv(path) -> list[list[str]]:
+    try:
+        with Path(path).open("r", encoding="utf-8", newline="") as fh:
+            return list(csv.reader(fh))
+    except OSError as exc:
+        raise RuntimeError(f"failed reading CSV {path}: {exc}") from exc
 
 
 def jsi_from_csv(path) -> Jsi:
-    """Load a matrix in the `jsi_to_csv` layout; weights are renormalized."""
-    path = Path(path)
-    try:
-        with path.open("r", encoding="utf-8", newline="") as fh:
-            reader = list(csv.reader(fh))
-    except OSError as exc:
-        raise RuntimeError(f"failed reading CSV {path}: {exc}") from exc
+    """Load a matrix in the `write_artifact` layout; weights are renormalized."""
+    reader = _read_csv(path)
     if len(reader) < 2 or len(reader[0]) < 2 or reader[0][0] != "bin":
         raise ValueError(f"{path}: expected a 'bin'-headed matrix CSV")
     col_bins = [int(x) for x in reader[0][1:]]
@@ -102,19 +77,39 @@ def jsi_from_csv(path) -> Jsi:
 
 def visibilities_from_csv(path) -> list[tuple[int, float]]:
     """Load ``n,visibility`` rows for a time-bin Schmidt fit."""
-    path = Path(path)
-    try:
-        with path.open("r", encoding="utf-8", newline="") as fh:
-            reader = list(csv.reader(fh))
-    except OSError as exc:
-        raise RuntimeError(f"failed reading CSV {path}: {exc}") from exc
+    reader = _read_csv(path)
     if not reader or [h.strip() for h in reader[0][:2]] != ["n", "visibility"]:
         raise ValueError(f"{path}: expected header 'n,visibility'")
     return [(int(r[0]), float(r[1])) for r in reader[1:] if r]
 
 
-def fringe_to_csv(scan: FringeScan, path) -> None:
-    export_csv(path, ["phi2_deg", "counts"], zip(scan.scan_angles_deg, scan.counts))
+def write_artifact(path, value) -> None:
+    """Write one artifact in the layout of its type (see docs/formats.md).
+
+    A dict is written as JSON and a str as text; a list holds revival records.
+    """
+    if isinstance(value, dict):
+        export_json(path, value)
+    elif isinstance(value, str):
+        Path(path).write_text(value, encoding="utf-8")
+    elif isinstance(value, HomTrace):
+        export_csv(path, ["delay_ps", "coincidence"], zip(value.delays_ps, value.coincidence))
+    elif isinstance(value, Jsi):
+        # A header row and a leading column of signal/idler bin indices.
+        bins = [int(b) for b in value.bins]
+        rows = [[n] + list(row) for n, row in zip(bins, value.values)]
+        export_csv(path, ["bin"] + [str(b) for b in bins], rows)
+    elif isinstance(value, SchmidtSpectrum):
+        # n is the bin label if the spectrum has them, else the rank.
+        labels = value.bin_indices
+        if labels is None:
+            labels = np.arange(value.eigenvalues.size)
+        export_csv(path, ["n", "eigenvalue"], zip(labels, value.eigenvalues))
+    elif isinstance(value, FringeScan):
+        export_csv(path, ["phi2_deg", "counts"], zip(value.scan_angles_deg, value.counts))
+    else:
+        rows = ((r.n, r.center_ps, r.visibility) for r in value)
+        export_csv(path, ["n", "center_ps", "visibility"], rows)
 
 
 def chsh_to_dict(result: ChshResult) -> dict:

@@ -4,16 +4,19 @@ The stage functions below (comb, hom, revivals, dip-width, schmidt-time,
 jsi, schmidt-frequency, chsh, dimensionality) are the only place a stage
 is computed.  `run_report` chains all of them and writes every
 intermediate product (CSV) next to a JSON report and a human-readable
-summary; each CLI subcommand runs the subset it needs and writes its own
-files.  Stages compute and return; nothing is written until every stage
-has run.  Output is deterministic for a fixed config and seed: no
+summary; each CLI subcommand runs the subset it needs.  Every command
+ends in the one `write` stage, the only code that touches the output
+directory.  Output is deterministic for a fixed config and seed: no
 timestamps enter any artifact, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,6 +43,7 @@ from .schmidt import (
 )
 
 LOCK_FILENAME = ".bfcsim.lock"
+_STAGING_PREFIX = ".bfcsim-staging-"
 
 # Acceptance bands for headline numbers, keyed by cavity preset where they
 # are preset-specific.
@@ -65,146 +69,194 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
-def _stage(name: str, fn):
-    try:
-        return fn()
-    except Exception as exc:
-        raise StageError(name, exc) from exc
+def _stage(name: str):
+    """Name a stage: anything the decorated function raises becomes a `StageError`."""
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def run(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except Exception as exc:
+                raise StageError(name, exc) from exc
+
+        return run
+
+    return decorate
 
 
+@_stage("comb")
 def comb_stage(config: RunConfig) -> CombSpectrum:
-    return _stage(
-        "comb", lambda: build_comb(config.cavity, config.source, config.resolved_n_max())
-    )
+    return build_comb(config.cavity, config.source, config.resolved_n_max())
 
 
+@_stage("hom")
 def hom_stage(config: RunConfig, comb: CombSpectrum) -> tuple[HomTrace, HomTrace]:
     """The wide scan over the config's window, and a fine scan of the central dip."""
-
-    def run():
-        step = config.hom.step_ps
-        window = config.hom.window_ps
-        delays = np.arange(-window, window + step / 2.0, step)
-        trace = simulate_hom_trace(
-            comb, delays, accidental_fraction=config.hom.accidental_fraction
-        )
-        # Zoomed inset: the wide scan's step cannot resolve the
-        # base-to-base width.
-        zoom_delays = np.arange(-12.0, 12.0 + 0.01, 0.02)
-        zoom = simulate_hom_trace(
-            comb, zoom_delays, accidental_fraction=config.hom.accidental_fraction
-        )
-        return trace, zoom
-
-    return _stage("hom", run)
+    step = config.hom.step_ps
+    window = config.hom.window_ps
+    delays = np.arange(-window, window + step / 2.0, step)
+    trace = simulate_hom_trace(comb, delays, accidental_fraction=config.hom.accidental_fraction)
+    # Zoomed inset: the wide scan's step cannot resolve the base-to-base width.
+    zoom_delays = np.arange(-12.0, 12.0 + 0.01, 0.02)
+    zoom = simulate_hom_trace(
+        comb, zoom_delays, accidental_fraction=config.hom.accidental_fraction
+    )
+    return trace, zoom
 
 
+@_stage("revivals")
 def revivals_stage(trace: HomTrace) -> list[RevivalRecord]:
-    return _stage("revivals", lambda: locate_revivals(trace))
+    return locate_revivals(trace)
 
 
+@_stage("dip-width")
 def dip_width_stage(zoom: HomTrace) -> float:
-    return _stage("dip-width", lambda: central_dip_width(zoom))
+    return central_dip_width(zoom)
 
 
+@_stage("schmidt-time")
 def time_schmidt_stage(
     config: RunConfig, visibility_points=None
 ) -> tuple[int, SchmidtSpectrum, SchmidtSpectrum | None]:
-    """Window-limited bin count, closed-form spectrum, and (given points) the fitted one."""
+    """Window-limited bin count, closed-form spectrum, and (given points) the fitted one.
 
-    def run():
-        window_n = window_limited_n_max(config.cavity, config.hom.window_ps)
-        theory = time_bin_eigenvalues(config.cavity, window_n)
-        fitted = None
-        if visibility_points is not None:
-            fitted = time_bin_spectrum_from_visibilities(visibility_points, window_n)
-        return window_n, theory, fitted
+    ``visibility_points`` is a list of ``(n, visibility)`` or the path of a
+    CSV holding them.
+    """
+    window_n = window_limited_n_max(config.cavity, config.hom.window_ps)
+    theory = time_bin_eigenvalues(config.cavity, window_n)
+    if isinstance(visibility_points, (str, os.PathLike)):
+        visibility_points = io_mod.visibilities_from_csv(visibility_points)
+    fitted = None
+    if visibility_points is not None:
+        fitted = time_bin_spectrum_from_visibilities(visibility_points, window_n)
+    return window_n, theory, fitted
 
-    return _stage("schmidt-time", run)
 
-
+@_stage("jsi")
 def jsi_stage(config: RunConfig, comb: CombSpectrum) -> tuple[Jsi, dict]:
     """Filtered scan clamped to the comb, and its sidecar: cross-talk and the settings used."""
-
-    def run():
-        fwhm_hz = filter_bandwidth_hz(
-            config.jsi.filter_fwhm_pm, config.source.degenerate_wavelength_nm
-        )
-        filt = FilterSpec(fwhm_hz=fwhm_hz, shape=config.jsi.filter_shape)
-        max_bin = min(config.jsi.max_bin, comb.n_max)
-        scan = scan_correlation_matrix(
-            comb, filt, filt, max_bin, pump_power_mw=config.jsi.pump_power_mw
-        )
-        sidecar = {
-            "crosstalk_db": crosstalk_db(scan),
-            "filter_fwhm_pm": config.jsi.filter_fwhm_pm,
-            "filter_fwhm_ghz": fwhm_hz / 1e9,
-            "filter_shape": config.jsi.filter_shape,
-            "max_bin": max_bin,
-            "pump_power_mw": config.jsi.pump_power_mw,
-        }
-        return scan, sidecar
-
-    return _stage("jsi", run)
+    fwhm_hz = filter_bandwidth_hz(config.jsi.filter_fwhm_pm, config.source.degenerate_wavelength_nm)
+    filt = FilterSpec(fwhm_hz=fwhm_hz, shape=config.jsi.filter_shape)
+    max_bin = min(config.jsi.max_bin, comb.n_max)
+    scan = scan_correlation_matrix(
+        comb, filt, filt, max_bin, pump_power_mw=config.jsi.pump_power_mw
+    )
+    sidecar = {
+        "crosstalk_db": crosstalk_db(scan),
+        "filter_fwhm_pm": config.jsi.filter_fwhm_pm,
+        "filter_fwhm_ghz": fwhm_hz / 1e9,
+        "filter_shape": config.jsi.filter_shape,
+        "max_bin": max_bin,
+        "pump_power_mw": config.jsi.pump_power_mw,
+    }
+    return scan, sidecar
 
 
+@_stage("jsi")
 def measured_jsi_stage(path) -> tuple[Jsi, dict]:
     """A measured matrix from a CSV in place of the scan, with its cross-talk sidecar."""
-
-    def run():
-        matrix = io_mod.jsi_from_csv(path)
-        return matrix, {"crosstalk_db": crosstalk_db(matrix), "source": str(path)}
-
-    return _stage("jsi", run)
+    matrix = io_mod.jsi_from_csv(path)
+    return matrix, {"crosstalk_db": crosstalk_db(matrix), "source": str(path)}
 
 
+@_stage("schmidt-frequency")
 def freq_schmidt_stage(
     matrix: Jsi, comb: CombSpectrum | None = None
 ) -> tuple[SchmidtSpectrum, SchmidtSpectrum | None]:
     """Spectrum of the (degraded) matrix, and, given the comb, the ideal spectrum."""
-
-    def run():
-        degraded = schmidt_decompose(jsa_from_jsi(matrix), basis="frequency")
-        ideal = ideal_frequency_spectrum(comb) if comb is not None else None
-        return degraded, ideal
-
-    return _stage("schmidt-frequency", run)
+    degraded = schmidt_decompose(jsa_from_jsi(matrix), basis="frequency")
+    ideal = ideal_frequency_spectrum(comb) if comb is not None else None
+    return degraded, ideal
 
 
+@_stage("chsh")
 def chsh_stage(config: RunConfig, angles=DEFAULT_ANGLES_DEG):
     """S_fringe, analytic and simulated CHSH results, and the four fringe scans.
 
     The fringe scans run at ``fringe_visibility``, the CHSH values at
     ``chsh_visibility``; fringe scan i uses seed ``seed + i``.
     """
-
-    def run():
-        c = config.chsh
-        s_fringe = chsh_mod.s_fringe_from_visibility(c.fringe_visibility)
-        analytic = chsh_mod.s_chsh(visibility=c.chsh_visibility, angles=angles)
-        simulated = chsh_mod.simulate_chsh_counts(
-            c.chsh_visibility, c.integration, c.seed, angles=angles
+    c = config.chsh
+    s_fringe = chsh_mod.s_fringe_from_visibility(c.fringe_visibility)
+    analytic = chsh_mod.s_chsh(visibility=c.chsh_visibility, angles=angles)
+    simulated = chsh_mod.simulate_chsh_counts(
+        c.chsh_visibility, c.integration, c.seed, angles=angles
+    )
+    scan_angles = np.arange(0.0, 360.0, 10.0)
+    fringes = [
+        chsh_mod.simulate_fringe_scan(
+            fixed, scan_angles, c.fringe_visibility, c.integration, seed=c.seed + i
         )
-        scan_angles = np.arange(0.0, 360.0, 10.0)
-        fringes = [
-            chsh_mod.simulate_fringe_scan(
-                fixed, scan_angles, c.fringe_visibility, c.integration, seed=c.seed + i
-            )
-            for i, fixed in enumerate((45.0, 90.0, 135.0, 180.0))
-        ]
-        return s_fringe, analytic, simulated, fringes
-
-    return _stage("chsh", run)
+        for i, fixed in enumerate((45.0, 90.0, 135.0, 180.0))
+    ]
+    return s_fringe, analytic, simulated, fringes
 
 
+@_stage("dimensionality")
 def dimensionality_stage(config: RunConfig, k_time: float, k_freq: float):
     """Bin counts and the dimensionality report for the given Schmidt numbers."""
+    counts = bin_counts(config.cavity, config.source)
+    return counts, dimensionality_report(k_time, k_freq, counts)
 
-    def run():
-        counts = bin_counts(config.cavity, config.source)
-        return counts, dimensionality_report(k_time, k_freq, counts)
 
-    return _stage("dimensionality", run)
+def _take_lock(lock: Path) -> None:
+    """Create `lock` holding this process's pid; reclaim it once if its owner is dead."""
+    for attempt in range(2):
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            if attempt or not _owner_is_dead(lock):
+                raise RuntimeError(
+                    f"output directory {lock.parent} is locked by another run "
+                    f"(remove {lock} if stale)"
+                ) from None
+            lock.unlink(missing_ok=True)
+    with open(fd, "w", encoding="utf-8") as fh:
+        fh.write(f"{os.getpid()}\n")
+
+
+def _owner_is_dead(lock: Path) -> bool:
+    try:
+        os.kill(int(lock.read_text(encoding="utf-8")), 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError, OverflowError):
+        pass  # no pid in it: held; not ours to signal: alive
+    return False
+
+
+@_stage("write")
+def write_stage(out_dir, artifacts: dict) -> Path:
+    """Put every artifact of one command into `out_dir`, or leave it as it was.
+
+    ``artifacts`` maps file names to values (see `io.write_artifact`).  Under
+    `LOCK_FILENAME`, every file is written into a private staging directory
+    inside `out_dir` and then renamed into place, so a failed write leaves
+    the earlier files untouched and a killed run leaves no half-written
+    artifact.  This is the only place a command touches the output directory.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    lock = out / LOCK_FILENAME
+    _take_lock(lock)
+    try:
+        # Left by a killed run: under the lock no live run is using them.
+        for stale in out.glob(_STAGING_PREFIX + "*"):
+            shutil.rmtree(stale, ignore_errors=True)
+        staging = Path(tempfile.mkdtemp(prefix=_STAGING_PREFIX, dir=out))
+        try:
+            for name, value in artifacts.items():
+                io_mod.write_artifact(staging / name, value)
+            for name in artifacts:
+                os.replace(staging / name, out / name)
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
+    finally:
+        lock.unlink(missing_ok=True)
+    return out
 
 
 @dataclass
@@ -267,28 +319,8 @@ def _bands_for(preset: str) -> dict:
     return {k: list(v) for k, v in bands.items()}
 
 
-def run_report(config: RunConfig, out_dir: str | None = None) -> ReproReport:
+def run_report(config: RunConfig) -> ReproReport:
     """Execute the full pipeline for one cavity and write all artifacts."""
-    out = Path(out_dir or config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    lock = out / LOCK_FILENAME
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        os.close(fd)
-    except FileExistsError:
-        raise RuntimeError(
-            f"output directory {out} is locked by another run (remove {lock} if stale)"
-        )
-    try:
-        return _run_stages(config, out)
-    finally:
-        try:
-            lock.unlink()
-        except OSError:
-            pass
-
-
-def _run_stages(config: RunConfig, out: Path) -> ReproReport:
     cavity = config.cavity
     comb = comb_stage(config)
     trace, zoom = hom_stage(config, comb)
@@ -342,30 +374,28 @@ def _run_stages(config: RunConfig, out: Path) -> ReproReport:
         bands=_bands_for(config.preset_name),
     )
 
-    def do_write():
-        io_mod.trace_to_csv(trace, out / "hom_trace.csv")
-        io_mod.trace_to_csv(zoom, out / "hom_trace_zoom.csv")
-        io_mod.revivals_to_csv(revivals, out / "revivals.csv")
-        io_mod.spectrum_to_csv(time_theory, out / "schmidt_time_theory.csv")
-        io_mod.spectrum_to_csv(time_fitted, out / "schmidt_time_fitted.csv")
-        io_mod.jsi_to_csv(scan, out / "jsi_scan.csv")
-        io_mod.export_json(out / "jsi_scan.json", jsi_sidecar)
-        io_mod.spectrum_to_csv(freq_ideal, out / "schmidt_frequency_ideal.csv")
-        io_mod.spectrum_to_csv(freq_degraded, out / "schmidt_frequency_degraded.csv")
-        for fringe in fringes:
-            io_mod.fringe_to_csv(fringe, out / f"chsh_fringe_p1_{int(fringe.fixed_angle_deg)}.csv")
-        io_mod.export_json(
-            out / "chsh.json",
-            {
+    write_stage(
+        config.output_dir,
+        {
+            "hom_trace.csv": trace,
+            "hom_trace_zoom.csv": zoom,
+            "revivals.csv": revivals,
+            "schmidt_time_theory.csv": time_theory,
+            "schmidt_time_fitted.csv": time_fitted,
+            "jsi_scan.csv": scan,
+            "jsi_scan.json": jsi_sidecar,
+            "schmidt_frequency_ideal.csv": freq_ideal,
+            "schmidt_frequency_degraded.csv": freq_degraded,
+            **{f"chsh_fringe_p1_{int(f.fixed_angle_deg)}.csv": f for f in fringes},
+            "chsh.json": {
                 "s_fringe": s_fringe,
                 "analytic": io_mod.chsh_to_dict(chsh_analytic),
                 "simulated": io_mod.chsh_to_dict(chsh_simulated),
             },
-        )
-        io_mod.export_json(out / "report.json", report.to_dict())
-        (out / "summary.txt").write_text(summary_text(report), encoding="utf-8")
-
-    _stage("write", do_write)
+            "report.json": report.to_dict(),
+            "summary.txt": summary_text(report),
+        },
+    )
     return report
 
 

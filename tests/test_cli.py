@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bfcsim.io
 from bfcsim.cli import main
 from bfcsim.report import LOCK_FILENAME
 
@@ -16,6 +20,52 @@ FAST_CONFIG = """\
 [jsi] max_bin=2, pump_mw=2
 [chsh] integration=2000, seed=7
 """
+
+
+FRINGES = [f"fringe_p1_{a}.csv" for a in (45, 90, 135, 180)]
+# Every file each command writes.
+ARTIFACTS = {
+    "hom": ["hom_trace.csv", "hom_trace_zoom.csv", "revivals.csv"],
+    "jsi": ["jsi_matrix.csv", "jsi_matrix.json"],
+    "schmidt": ["dimensionality.json", "schmidt_frequency.csv", "schmidt_time.csv"],
+    "chsh": ["chsh.json"] + FRINGES,
+    "report": [
+        "hom_trace.csv",
+        "hom_trace_zoom.csv",
+        "revivals.csv",
+        "schmidt_time_theory.csv",
+        "schmidt_time_fitted.csv",
+        "jsi_scan.csv",
+        "jsi_scan.json",
+        "schmidt_frequency_ideal.csv",
+        "schmidt_frequency_degraded.csv",
+        "chsh.json",
+        "report.json",
+        "summary.txt",
+    ]
+    + ["chsh_" + f for f in FRINGES],
+}
+COMMANDS = list(ARTIFACTS)
+
+
+# A chsh run, reseeded so its files differ, killed in the middle of its write.
+KILLED_RUN = """\
+import os, sys
+import bfcsim.io
+from bfcsim.cli import main
+bfcsim.io.export_json = lambda path, obj: os._exit(9)
+main(["chsh", "--config", sys.argv[1], "--out", sys.argv[2], "--seed", "8"])
+"""
+
+
+def _dead_pid() -> int:
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
+
+
+def _snapshot(path: Path) -> dict:
+    return {p.name: p.read_bytes() for p in path.iterdir()}
 
 
 @pytest.fixture()
@@ -39,13 +89,16 @@ class TestExitCodes:
         assert code == 1
         assert "fsr_hz > linewidth_fwhm_hz" in capsys.readouterr().err
 
-    def test_locked_output_is_exit_2(self, fast_cfg_path, tmp_path, capsys):
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("owner", ["", str(os.getpid())], ids=["empty", "live-pid"])
+    def test_locked_output_is_exit_2(self, command, owner, fast_cfg_path, tmp_path, capsys):
         out = tmp_path / "locked"
         out.mkdir()
-        (out / LOCK_FILENAME).touch()
-        code = main(["report", "--config", fast_cfg_path, "--out", str(out)])
+        (out / LOCK_FILENAME).write_text(owner)
+        code = main([command, "--config", fast_cfg_path, "--out", str(out)])
         assert code == 2
         assert "locked" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [LOCK_FILENAME]
 
     def test_unknown_preset_is_exit_1(self, tmp_path, capsys):
         code = main(["hom", "--preset", "7ghz", "--out", str(tmp_path / "o")])
@@ -94,12 +147,14 @@ class TestExitCodes:
         # Too coarse a scan locates too few revivals to fit the time-bin decay.
         bad = tmp_path / "coarse.cfg"
         bad.write_text('[cavity] preset="45ghz"\n[hom] window_ps=30, step_ps=5\n')
+        out = tmp_path / "o"
         with pytest.warns(UserWarning, match="coarser"):
-            code = main(["report", "--config", str(bad), "--out", str(tmp_path / "o")])
+            code = main(["report", "--config", str(bad), "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         assert "stage 'schmidt-time' failed" in err
         assert "at least 2 visibility points" in err
+        assert not out.exists()
 
 
 class TestSubcommands:
@@ -207,6 +262,62 @@ class TestSubcommands:
         a = json.loads((out1 / "chsh.json").read_text())
         b = json.loads((out2 / "chsh.json").read_text())
         assert a["s_value"] != b["s_value"]
+
+
+class TestWriteStage:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_success_lists_exactly_the_artifacts(self, command, fast_cfg_path, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        # What a killed run leaves: its lock, holding the pid of a reaped
+        # child, and its staging directory. Neither blocks the next run.
+        (out / LOCK_FILENAME).write_text(f"{_dead_pid()}\n")
+        (out / ".bfcsim-staging-killed").mkdir()
+        (out / ".bfcsim-staging-killed" / "chsh.json").write_text("{")
+        assert main([command, "--config", fast_cfg_path, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS[command])
+
+    def test_run_killed_mid_write_leaves_earlier_files_and_blocks_nothing(
+        self, fast_cfg_path, tmp_path
+    ):
+        out = tmp_path / "o"
+        assert main(["chsh", "--config", fast_cfg_path, "--out", str(out)]) == 0
+        before = _snapshot(out)
+        # The fringe CSVs are staged; the process dies before writing chsh.json.
+        killed = subprocess.Popen(
+            [sys.executable, "-c", KILLED_RUN, fast_cfg_path, str(out)],
+            env={**os.environ, "PYTHONPATH": str(Path(bfcsim.io.__file__).parents[1])},
+        )
+        assert killed.wait(timeout=60) == 9
+        assert {n: (out / n).read_bytes() for n in before} == before
+        staging, lock = sorted(set(p.name for p in out.iterdir()) - set(before))
+        assert staging.startswith(".bfcsim-staging-") and lock == LOCK_FILENAME
+        assert (out / LOCK_FILENAME).read_text() == f"{killed.pid}\n"
+        assert main(["chsh", "--config", fast_cfg_path, "--out", str(out)]) == 0
+        assert _snapshot(out) == before
+
+    @pytest.mark.parametrize(
+        ("command", "failing"), [("chsh", "chsh.json"), ("report", "report.json")]
+    )
+    def test_failed_write_leaves_the_directory_as_it_was(
+        self, command, failing, fast_cfg_path, tmp_path, monkeypatch, capsys
+    ):
+        out = tmp_path / "o"
+        assert main([command, "--config", fast_cfg_path, "--out", str(out)]) == 0
+        before = _snapshot(out)
+        reseeded = tmp_path / "reseeded.cfg"
+        reseeded.write_text(FAST_CONFIG.replace("seed=7", "seed=8"))
+        real_export_json = bfcsim.io.export_json
+
+        def export_json(path, obj):
+            if Path(path).name == failing:
+                raise RuntimeError("disk full")
+            real_export_json(path, obj)
+
+        monkeypatch.setattr(bfcsim.io, "export_json", export_json)
+        assert main([command, "--config", str(reseeded), "--out", str(out)]) == 2
+        assert "stage 'write' failed: disk full" in capsys.readouterr().err
+        assert _snapshot(out) == before
 
 
 class TestOneStageGraph:

@@ -23,10 +23,8 @@ from bfcsim.config import (
 from bfcsim.io import (
     export_json,
     jsi_from_csv,
-    jsi_to_csv,
-    spectrum_to_csv,
-    trace_to_csv,
     visibilities_from_csv,
+    write_artifact,
 )
 from bfcsim.jsi import FILTER_SHAPES, Jsi
 from bfcsim.schmidt import time_bin_eigenvalues
@@ -271,7 +269,7 @@ class TestRoundTrips:
             comb_45, FilterSpec(0.0), FilterSpec(0.0), 2, pump_power_mw=2.0
         )
         path = tmp_path / "m.csv"
-        jsi_to_csv(scan, path)
+        write_artifact(path, scan)
         back = jsi_from_csv(path)
         assert back.n_max == scan.n_max
         assert np.max(np.abs(back.values - scan.values)) < 1e-15
@@ -287,7 +285,7 @@ class TestRoundTrips:
 
         trace = simulate_hom_trace(comb_45, np.array([-1.0, 0.0, 1.0]))
         path = tmp_path / "t.csv"
-        trace_to_csv(trace, path)
+        write_artifact(path, trace)
         lines = path.read_text().splitlines()
         assert lines[0] == "delay_ps,coincidence"
         assert len(lines) == 4
@@ -295,7 +293,7 @@ class TestRoundTrips:
     def test_spectrum_csv_uses_bin_labels(self, tmp_path, cavity_45):
         spec = time_bin_eigenvalues(cavity_45, 2)
         path = tmp_path / "s.csv"
-        spectrum_to_csv(spec, path)
+        write_artifact(path, spec)
         lines = path.read_text().splitlines()
         assert lines[0] == "n,eigenvalue"
         assert lines[1].startswith("0,")  # central bin carries the top eigenvalue
@@ -315,5 +313,5 @@ class TestRoundTrips:
         values[2, 0] = 0.5
         jsi = Jsi(n_max=1, values=values, normalized=True)
         path = tmp_path / "j.csv"
-        jsi_to_csv(jsi, path)
+        write_artifact(path, jsi)
         assert np.allclose(jsi_from_csv(path).values, values)

@@ -15,7 +15,7 @@ from bfcsim import (
     simulate_hom_trace,
     visibility_to_decay_parameter,
 )
-from bfcsim.hom import HomTrace
+from bfcsim.hom import HomTrace, RevivalRecord, _plateau_medians
 
 
 def revival_delays(cavity, n_values):
@@ -159,6 +159,98 @@ class TestLocateRevivals:
         trace = simulate_hom_trace(comb_45, np.linspace(-2.0, 2.0, 41))
         with pytest.raises(ValueError, match="revival period"):
             locate_revivals(trace)
+
+
+def _mask_plateau_medians(delays, coincidence, period):
+    # The full-array mask formulation, kept as the oracle of the bisection.
+    medians = {}
+    k_lo = int(math.floor(delays[0] / period)) - 1
+    k_hi = int(math.ceil(delays[-1] / period)) + 1
+    for k in range(k_lo, k_hi + 1):
+        mask = (delays >= (k + 0.25) * period) & (delays <= (k + 0.75) * period)
+        if np.any(mask):
+            medians[k] = float(np.median(coincidence[mask]))
+    return medians
+
+
+def _mask_revival_windows(delays, period):
+    n_lo = int(math.ceil(delays[0] / period))
+    n_hi = int(math.floor(delays[-1] / period))
+    return {
+        n: np.nonzero(np.abs(delays - n * period) <= period / 4.0)[0]
+        for n in range(n_lo, n_hi + 1)
+    }
+
+
+def _mask_locate_revivals(trace):
+    delays, c, period = trace.delays_ps, trace.coincidence, trace.revival_period_ps
+    medians = _mask_plateau_medians(delays, c, period)
+    global_plateau = float(np.median(list(medians.values()))) if medians else float(c.max())
+    records = []
+    for n, idx in _mask_revival_windows(delays, period).items():
+        if idx.size < 3:
+            continue
+        local = c[idx]
+        j = int(np.argmin(local))
+        if j == 0 or j == local.size - 1 or not (local[j] < local[0] and local[j] < local[-1]):
+            continue
+        plateaus = [medians[k] for k in (n - 1, n) if k in medians]
+        c_max = float(np.mean(plateaus)) if plateaus else global_plateau
+        if c_max <= 0.0:
+            continue
+        vis = min(max((c_max - float(local[j])) / c_max, 0.0), 1.0)
+        records.append(RevivalRecord(n=n, center_ps=float(delays[idx[j]]), visibility=vis))
+    return records
+
+
+def _edge_grid(period, n_periods):
+    """A coarse grid plus every window edge, each also one ulp either side."""
+    n = np.arange(-n_periods, n_periods + 1)
+    edges = np.concatenate(
+        [
+            n * period + period / 4.0,
+            n * period - period / 4.0,
+            (n + 0.25) * period,
+            (n + 0.75) * period,
+        ]
+    )
+    edges = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+    grid = np.linspace(-n_periods * period, n_periods * period, 40 * n_periods + 1)
+    return np.unique(np.concatenate([grid, edges]))
+
+
+class TestRevivalWindowsMatchMaskOracle:
+    """locate_revivals bisects to each window; the records must not change by a bit."""
+
+    def _check(self, trace):
+        delays, c, period = trace.delays_ps, trace.coincidence, trace.revival_period_ps
+        assert _plateau_medians(delays, c, period) == _mask_plateau_medians(delays, c, period)
+        expected = _mask_locate_revivals(trace)
+        assert expected
+        assert locate_revivals(trace) == expected
+
+    @pytest.mark.parametrize("fixture", ["trace_45", "trace_15", "trace_5"])
+    def test_preset_wide_traces(self, fixture, request):
+        self._check(request.getfixturevalue(fixture))
+
+    def test_nonuniform_grid(self, cavity_45):
+        comb = build_comb(cavity_45, DEFAULT_SOURCE, n_max=6)
+        rng = np.random.default_rng(5)
+        delays = np.unique(rng.uniform(-60.0, 60.0, 2500))
+        self._check(simulate_hom_trace(comb, delays))
+
+    def test_delays_on_window_edges(self, comb_45):
+        period = 0.5 * comb_45.round_trip_ps
+        delays = _edge_grid(period, 6)
+        # Periodic Gaussian dips: cheap, and every window holds a strict minimum.
+        phase = delays - np.round(delays / period) * period
+        c = 1.0 - 0.9 * np.exp(-((phase / (0.05 * period)) ** 2))
+        self._check(HomTrace(delays_ps=delays, coincidence=c, comb=comb_45))
+        # Some delays meet the quarter-period test with equality.
+        assert any(
+            np.any(np.abs(delays[idx] - n * period) == period / 4.0)
+            for n, idx in _mask_revival_windows(delays, period).items()
+        )
 
 
 class TestCentralDipWidth:
