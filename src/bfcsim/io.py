@@ -15,24 +15,21 @@ from .schmidt import SchmidtSpectrum
 
 
 def export_csv(path, header: list[str], rows) -> None:
-    """Write rows as CSV with a header line; floats use repr precision."""
+    """Write rows as CSV with a header line.
+
+    Cells are written as they are, so floats must be float64: each is
+    written in its shortest form that reads back exactly.  `write_artifact`
+    builds its rows with ``.tolist()``, which yields Python ``int`` and
+    ``float`` far faster than converting cell by cell.
+    """
     path = Path(path)
     try:
         with path.open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([_format_cell(c) for c in row])
+            writer.writerows(rows)
     except OSError as exc:
         raise RuntimeError(f"failed writing CSV {path}: {exc}") from exc
-
-
-def _format_cell(value):
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return value
 
 
 def export_json(path, obj) -> None:
@@ -93,20 +90,21 @@ def write_artifact(path, value) -> None:
     elif isinstance(value, str):
         Path(path).write_text(value, encoding="utf-8")
     elif isinstance(value, HomTrace):
-        export_csv(path, ["delay_ps", "coincidence"], zip(value.delays_ps, value.coincidence))
+        rows = zip(value.delays_ps.tolist(), value.coincidence.tolist())
+        export_csv(path, ["delay_ps", "coincidence"], rows)
     elif isinstance(value, Jsi):
         # A header row and a leading column of signal/idler bin indices.
-        bins = [int(b) for b in value.bins]
-        rows = [[n] + list(row) for n, row in zip(bins, value.values)]
+        bins = value.bins.tolist()
+        rows = ([n] + row.tolist() for n, row in zip(bins, value.values))
         export_csv(path, ["bin"] + [str(b) for b in bins], rows)
     elif isinstance(value, SchmidtSpectrum):
         # n is the bin label if the spectrum has them, else the rank.
         labels = value.bin_indices
-        if labels is None:
-            labels = np.arange(value.eigenvalues.size)
-        export_csv(path, ["n", "eigenvalue"], zip(labels, value.eigenvalues))
+        labels = range(value.eigenvalues.size) if labels is None else labels.tolist()
+        export_csv(path, ["n", "eigenvalue"], zip(labels, value.eigenvalues.tolist()))
     elif isinstance(value, FringeScan):
-        export_csv(path, ["phi2_deg", "counts"], zip(value.scan_angles_deg, value.counts))
+        rows = zip(value.scan_angles_deg.tolist(), value.counts.tolist())
+        export_csv(path, ["phi2_deg", "counts"], rows)
     else:
         rows = ((r.n, r.center_ps, r.visibility) for r in value)
         export_csv(path, ["n", "center_ps", "visibility"], rows)

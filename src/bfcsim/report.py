@@ -44,6 +44,7 @@ from .schmidt import (
 
 LOCK_FILENAME = ".bfcsim.lock"
 _STAGING_PREFIX = ".bfcsim-staging-"
+_PID_PREFIX = ".bfcsim-pid-"
 
 # Acceptance bands for headline numbers, keyed by cavity preset where they
 # are preset-specific.
@@ -202,20 +203,30 @@ def dimensionality_stage(config: RunConfig, k_time: float, k_freq: float):
 
 
 def _take_lock(lock: Path) -> None:
-    """Create `lock` holding this process's pid; reclaim it once if its owner is dead."""
-    for attempt in range(2):
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except FileExistsError:
-            if attempt or not _owner_is_dead(lock):
-                raise RuntimeError(
-                    f"output directory {lock.parent} is locked by another run "
-                    f"(remove {lock} if stale)"
-                ) from None
-            lock.unlink(missing_ok=True)
-    with open(fd, "w", encoding="utf-8") as fh:
-        fh.write(f"{os.getpid()}\n")
+    """Create `lock` holding this process's pid; reclaim it once if its owner is dead.
+
+    The pid goes into a private file first, which is then hard-linked to
+    `lock`: link(2) fails on an existing name as ``O_EXCL`` does, and the
+    lock never exists without its pid.  A kill before the link leaves only
+    an inert ``.bfcsim-pid-*`` file, which blocks nothing.
+    """
+    fd, pid_file = tempfile.mkstemp(prefix=_PID_PREFIX, dir=lock.parent)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        for attempt in range(2):
+            try:
+                os.link(pid_file, lock)
+                return
+            except FileExistsError:
+                if attempt or not _owner_is_dead(lock):
+                    raise RuntimeError(
+                        f"output directory {lock.parent} is locked by another run "
+                        f"(remove {lock} if stale)"
+                    ) from None
+                lock.unlink(missing_ok=True)
+    finally:
+        os.unlink(pid_file)
 
 
 def _owner_is_dead(lock: Path) -> bool:
@@ -319,6 +330,20 @@ def _bands_for(preset: str) -> dict:
     return {k: list(v) for k, v in bands.items()}
 
 
+def _revival_spacing(revivals: list[RevivalRecord]) -> float:
+    """Mean dip spacing (ps) per step of n, nan for fewer than two dips.
+
+    Where an index is missing (no dip found), a position step is not an n
+    step, so the spacing is taken over n from the outermost dips.
+    """
+    if len(revivals) < 2:
+        return math.nan
+    first, last = revivals[0], revivals[-1]
+    if last.n - first.n == len(revivals) - 1:
+        return float(np.mean(np.diff([r.center_ps for r in revivals])))
+    return (last.center_ps - first.center_ps) / (last.n - first.n)
+
+
 def run_report(config: RunConfig) -> ReproReport:
     """Execute the full pipeline for one cavity and write all artifacts."""
     cavity = config.cavity
@@ -333,8 +358,7 @@ def run_report(config: RunConfig) -> ReproReport:
     s_fringe, chsh_analytic, chsh_simulated, fringes = chsh_stage(config)
     counts, dim = dimensionality_stage(config, time_theory.k_number, freq_ideal.k_number)
 
-    centers = np.array([r.center_ps for r in revivals])
-    spacing = float(np.mean(np.diff(centers))) if len(revivals) > 1 else math.nan
+    spacing = _revival_spacing(revivals)
     central = next((r for r in revivals if r.n == 0), None)
     report = ReproReport(
         cavity_label=cavity.label or config.preset_name or "custom",

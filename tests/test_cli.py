@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bfcsim.io
@@ -55,6 +56,15 @@ import bfcsim.io
 from bfcsim.cli import main
 bfcsim.io.export_json = lambda path, obj: os._exit(9)
 main(["chsh", "--config", sys.argv[1], "--out", sys.argv[2], "--seed", "8"])
+"""
+
+
+# A chsh run killed after writing its pid file, before linking it to the lock.
+KILLED_BEFORE_LINK = """\
+import os, sys
+from bfcsim.cli import main
+os.link = lambda src, dst: os._exit(9)
+main(["chsh", "--config", sys.argv[1], "--out", sys.argv[2]])
 """
 
 
@@ -318,6 +328,60 @@ class TestWriteStage:
         assert main([command, "--config", str(reseeded), "--out", str(out)]) == 2
         assert "stage 'write' failed: disk full" in capsys.readouterr().err
         assert _snapshot(out) == before
+
+    def test_failure_before_the_lock_link_leaves_no_lock(
+        self, fast_cfg_path, tmp_path, monkeypatch, capsys
+    ):
+        out = tmp_path / "o"
+
+        def link(src, dst):
+            assert Path(src).read_text() == f"{os.getpid()}\n"  # the pid is written
+            raise RuntimeError("killed before link")
+
+        monkeypatch.setattr(os, "link", link)
+        assert main(["chsh", "--config", fast_cfg_path, "--out", str(out)]) == 2
+        assert "killed before link" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        monkeypatch.undo()
+        assert main(["chsh", "--config", fast_cfg_path, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS["chsh"])
+
+    def test_kill_before_the_lock_link_blocks_nothing(self, fast_cfg_path, tmp_path):
+        out = tmp_path / "o"
+        killed = subprocess.Popen(
+            [sys.executable, "-c", KILLED_BEFORE_LINK, fast_cfg_path, str(out)],
+            env={**os.environ, "PYTHONPATH": str(Path(bfcsim.io.__file__).parents[1])},
+        )
+        assert killed.wait(timeout=60) == 9
+        # No lock: only the pid file, already holding the pid.
+        (pid_file,) = out.iterdir()
+        assert pid_file.name.startswith(".bfcsim-pid-")
+        assert pid_file.read_text() == f"{killed.pid}\n"
+        assert main(["chsh", "--config", fast_cfg_path, "--out", str(out)]) == 0
+        assert not (out / LOCK_FILENAME).exists()
+
+
+class TestRevivalSpacing:
+    def test_spacing_counts_n_steps_across_missing_dips(self, tmp_path):
+        # Finesse 3: some |n| >= 25 have no dip, so n skips values.
+        cfg = tmp_path / "f3.cfg"
+        cfg.write_text("[cavity] fsr_ghz=45, linewidth_ghz=15\n")
+        out = tmp_path / "o"
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        ns = [row[0] for row in report["visibility_table"]]
+        assert ns[-1] - ns[0] > len(ns) - 1
+        half_round_trip = report["round_trip_ps"] / 2
+        assert report["revival_spacing_ps"] == pytest.approx(half_round_trip, abs=0.05)
+
+    def test_contiguous_n_keeps_the_mean_of_differences(self):
+        from bfcsim.hom import RevivalRecord
+        from bfcsim.report import _revival_spacing
+
+        centers = [-22.1, -11.03, 0.0, 11.07, 22.05]
+        records = [RevivalRecord(n, c, 0.5) for n, c in zip(range(-2, 3), centers)]
+        assert _revival_spacing(records) == float(np.mean(np.diff(centers)))
+        assert np.isnan(_revival_spacing(records[:1]))
 
 
 class TestOneStageGraph:

@@ -1,6 +1,8 @@
 """Config parsing/validation and CSV/JSON round trips."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import re
@@ -21,6 +23,7 @@ from bfcsim.config import (
     parse_config_text,
 )
 from bfcsim.io import (
+    export_csv,
     export_json,
     jsi_from_csv,
     visibilities_from_csv,
@@ -315,3 +318,111 @@ class TestRoundTrips:
         path = tmp_path / "j.csv"
         write_artifact(path, jsi)
         assert np.allclose(jsi_from_csv(path).values, values)
+
+
+def _old_rule_csv(header, rows) -> str:
+    """CSV text with every cell through the per-cell rule the writer used to apply."""
+
+    def cell(value):
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        if isinstance(value, (int, np.integer)):
+            return int(value)
+        return value
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cell(c) for c in row])
+    return buf.getvalue()
+
+
+class TestCsvBytes:
+    """`write_artifact` CSVs against the old layout, built from numpy scalars."""
+
+    def _check(self, tmp_path, value, header, rows):
+        path = tmp_path / "a.csv"
+        write_artifact(path, value)
+        assert path.read_bytes() == _old_rule_csv(header, rows).encode("utf-8")
+
+    def test_hom_trace_with_signed_zero_subnormal_and_huge(self, tmp_path, comb_45):
+        from bfcsim import HomTrace
+
+        delays = np.array([-1e300, -0.0, 5e-324, 1.0 / 3.0, 1e300])
+        coincidence = np.array([0.1, -0.0, 5e-324, 1.0 / 3.0, 1.0])
+        trace = HomTrace(delays_ps=delays, coincidence=coincidence, comb=comb_45)
+        self._check(tmp_path, trace, ["delay_ps", "coincidence"], zip(delays, coincidence))
+        assert "-0.0,-0.0\n5e-324,5e-324\n" in (tmp_path / "a.csv").read_text()
+
+    def test_preset_traces(self, tmp_path, trace_45, zoom_trace_45):
+        for trace in (trace_45, zoom_trace_45):
+            rows = zip(trace.delays_ps, trace.coincidence)
+            self._check(tmp_path, trace, ["delay_ps", "coincidence"], rows)
+
+    def test_jsi(self, tmp_path, comb_45):
+        from bfcsim import scan_correlation_matrix
+        from bfcsim.jsi import FilterSpec
+
+        scan = scan_correlation_matrix(comb_45, FilterSpec(5e9), FilterSpec(5e9), 3, 2.0)
+        bins = [int(b) for b in scan.bins]
+        rows = [[n] + list(row) for n, row in zip(bins, scan.values)]
+        self._check(tmp_path, scan, ["bin"] + [str(b) for b in bins], rows)
+
+    def test_schmidt_spectrum_with_and_without_bin_indices(self, tmp_path, cavity_45):
+        from bfcsim import schmidt_decompose
+
+        labelled = time_bin_eigenvalues(cavity_45, 5)
+        ranked = schmidt_decompose(np.random.default_rng(3).random((6, 6)))
+        assert labelled.bin_indices is not None and ranked.bin_indices is None
+        rows = zip(labelled.bin_indices, labelled.eigenvalues)
+        self._check(tmp_path, labelled, ["n", "eigenvalue"], rows)
+        rows = zip(np.arange(ranked.eigenvalues.size), ranked.eigenvalues)
+        self._check(tmp_path, ranked, ["n", "eigenvalue"], rows)
+
+    def test_fringe_scan_with_int64_counts(self, tmp_path):
+        from bfcsim.chsh import simulate_fringe_scan
+
+        scan = simulate_fringe_scan(45.0, np.arange(0.0, 360.0, 10.0), 0.95, 2000.0, seed=7)
+        assert scan.counts.dtype == np.int64
+        rows = zip(scan.scan_angles_deg, scan.counts)
+        self._check(tmp_path, scan, ["phi2_deg", "counts"], rows)
+
+    def test_revival_records(self, tmp_path, trace_45):
+        from bfcsim import locate_revivals
+        from bfcsim.hom import RevivalRecord
+
+        records = locate_revivals(trace_45) + [RevivalRecord(-3, -0.0, 5e-324)]
+        rows = ((r.n, r.center_ps, r.visibility) for r in records)
+        self._check(tmp_path, records, ["n", "center_ps", "visibility"], rows)
+
+
+_CELLS = st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _jsi_values(draw):
+    size = 2 * draw(st.integers(0, 3)) + 1
+    cells = draw(st.lists(_CELLS, min_size=size * size, max_size=size * size))
+    values = np.array(cells).reshape(size, size)
+    values[size // 2, size // 2] += draw(st.floats(5e-324, 1.0))  # some weight
+    return values
+
+
+@given(_jsi_values())
+def test_jsi_csv_reads_back_exactly(tmp_path_factory, values):
+    path = tmp_path_factory.getbasetemp() / "round_trip_jsi.csv"
+    write_artifact(path, Jsi(n_max=values.shape[0] // 2, values=values))
+    back = jsi_from_csv(path)
+    # The reader renormalizes; the cells themselves come back bit for bit.
+    assert back.n_max == values.shape[0] // 2
+    assert np.array_equal(back.values, values / values.sum())
+
+
+@given(st.lists(st.tuples(st.integers(-(2**63), 2**63 - 1), st.floats(allow_nan=False))))
+def test_visibility_points_read_back_exactly(tmp_path_factory, points):
+    path = tmp_path_factory.getbasetemp() / "round_trip_visibilities.csv"
+    export_csv(path, ["n", "visibility"], points)
+    back = visibilities_from_csv(path)
+    assert back == points
+    assert [math.copysign(1.0, v) for _, v in back] == [math.copysign(1.0, v) for _, v in points]

@@ -1,9 +1,9 @@
-"""HOM kernels: the chirp-z transform against the direct cosine-sum oracle."""
+"""HOM kernels against their oracles: chirp-z vs direct sum, blocked vs plain intensity build."""
 
 import numpy as np
 import pytest
 
-from bfcsim import DEFAULT_SOURCE, build_comb, hom, simulate_hom_trace
+from bfcsim import DEFAULT_SOURCE, build_comb, cavity_preset, hom, simulate_hom_trace
 
 # Chirp-z vs direct on the same quadrature; measured gap is ~1e-13.
 KERNEL_TOL = 1e-10
@@ -98,3 +98,44 @@ class TestSpectralIntensity:
         _, k_narrow, _ = hom._spectral_intensity(narrow)
         _, k_full, _ = hom._spectral_intensity(comb_45)
         assert k_narrow.size < k_full.size
+
+
+def _reference_intensity(comb, step, k):
+    """The plain per-bin loop, with a fresh temporary per step."""
+    hw = comb.half_width_rad_s
+    omega = step * k
+    intensity = np.zeros_like(omega)
+    for m, w in zip(comb.bins, comb.bin_weights):
+        line = 1.0 / (hw * hw + np.square(omega - m * comb.fsr_rad_s))
+        intensity += w * np.square(line)
+    return intensity / intensity.sum()
+
+
+class TestBlockedIntensityIsBitIdentical:
+    @pytest.mark.parametrize("fixture", ["comb_45", "comb_15", "comb_5"])
+    def test_presets(self, fixture, request):
+        comb = request.getfixturevalue(fixture)
+        step, k, intensity = hom._spectral_intensity(comb)
+        assert np.array_equal(intensity, _reference_intensity(comb, step, k))
+
+    # (block, preset, n_max): single-sample blocks, and ragged last blocks on
+    # narrow 45ghz combs (a Python-level step per few samples) and the presets.
+    @pytest.mark.parametrize(
+        ("block", "preset", "n_max"),
+        [
+            (1, "45ghz", 1),
+            (7, "45ghz", 2),
+            (7, "45ghz", 3),
+            (4_096, "45ghz", None),
+            (4_096, "15ghz", None),
+            (4_096, "5ghz", None),
+        ],
+    )
+    def test_forced_block_sizes(self, block, preset, n_max, monkeypatch):
+        comb = build_comb(cavity_preset(preset), DEFAULT_SOURCE, n_max=n_max)
+        monkeypatch.setattr(hom, "_INTENSITY_BLOCK", block)
+        hom._spectral_intensity.cache_clear()
+        step, k, intensity = hom._spectral_intensity(comb)
+        hom._spectral_intensity.cache_clear()
+        assert block == 1 or k.size % block != 0
+        assert np.array_equal(intensity, _reference_intensity(comb, step, k))
