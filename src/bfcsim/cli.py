@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -47,6 +48,9 @@ from .jsi import scan_correlation_matrix  # noqa: F401
 from .schmidt import schmidt_decompose, time_bin_spectrum_from_visibilities  # noqa: F401
 
 
+# Built on first use and shared: parse_args only reads the tree and returns a fresh
+# namespace, so calls cannot leak options; callers must not add to it.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bfcsim",

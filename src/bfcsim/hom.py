@@ -12,12 +12,16 @@ whose depths decay with the bin index n as
 the closed form for Lorentzian bins.
 
 `simulate_hom_trace` evaluates the interferogram as a plain quadrature
-sum over a sampled spectral intensity, built once per comb.  Two kernels
-compute that same sum: a chirp-z transform (Bluestein's algorithm, three
-FFTs) for uniform delay grids, and the direct cosine-matrix product for
-every other grid, which the tests also use as the reference for the
-chirp-z kernel.  Neither kernel uses the closed form above, so the
-quadrature and the closed form still validate each other.
+sum over a sampled spectral intensity, built once per comb.  The
+quadrature grid ``omega_k = step * k``, k in [-K, K], is symmetric and
+the cosine transform sees only the even part of the intensity, so the
+sum runs over k in [0, K] on the folded samples ``I_0`` and
+``I_k + I_{-k}``.  Two kernels compute that same sum: a chirp-z
+transform (Bluestein's algorithm, three FFTs) for uniform delay grids,
+and the direct cosine-matrix product for every other grid, which the
+tests also use as the reference for the chirp-z kernel.  Neither kernel
+uses the closed form above, so the quadrature and the closed form still
+validate each other.
 """
 
 from __future__ import annotations
@@ -87,8 +91,8 @@ POINTS_PER_LINEWIDTH = 32
 PAD_BINS = 2.0
 
 # Samples per block of the spectral-intensity build (256 KB of scratch).
-# 32,768 and 65,536 time the same; 8,192 and 16,384 are slower on every
-# preset, and a single block of all samples is slower on 5ghz.
+# 32,768 and 65,536 (one block on every preset) time the same; 8,192 and
+# 16,384 are slower on every preset.
 _INTENSITY_BLOCK = 32_768
 
 
@@ -106,10 +110,10 @@ def simulate_hom_trace(
 
     The delay grid picks the kernel.  A grid of at least 3 delays, each
     within 1e-9 steps of ``d0 + j * step``, is summed by a chirp-z
-    transform in O((M + N) log(M + N)) time for M delays and N frequency
-    samples.  Any other grid takes the direct O(M * N) cosine sum.  Both
-    kernels evaluate the same quadrature sum (they agree to ~1e-13) and
-    neither uses the closed-form dip law.
+    transform in O((M + N) log(M + N)) time for M delays and the N = K + 1
+    folded frequency samples k in [0, K].  Any other grid takes the direct
+    O(M * N) cosine sum.  Both kernels evaluate the same quadrature sum
+    (they agree to ~1e-13) and neither uses the closed-form dip law.
     """
     delays = np.atleast_1d(np.asarray(delays_ps, dtype=float))
     if delays.size == 0:
@@ -135,11 +139,18 @@ def simulate_hom_trace(
 
 @functools.lru_cache(maxsize=2)
 def _spectral_intensity(comb: CombSpectrum) -> tuple[float, np.ndarray, np.ndarray]:
-    """Quadrature grid step (rad/s), sample indices k and normalized intensity.
+    """Quadrature grid step (rad/s), sample indices k and folded normalized intensity.
 
-    The samples sit at ``omega_k = step * k`` for k in [-K, K].  Cached per
-    comb (`CombSpectrum` hashes by identity), so the scans of one comb
-    share a build; the arrays are read-only.
+    The quadrature grid ``omega_k = step * k``, k in [-K, K], is symmetric,
+    and ``cos(2 tau omega)`` is even in omega, so the visibility sees only
+    the even part of the intensity I.  The array holds it folded onto the
+    samples k in [0, K]: ``I_0`` at k = 0 and ``I_k + I_{-k}`` after it.
+    Since ``I_{-k}`` is I at ``omega_k`` with bin m weighted by ``w_{-m}``,
+    the fold is the same per-bin sum with weights ``w_m + w_{-m}`` and
+    index 0 halved, exact for any weights.  Normalizing the folded array
+    to sum 1 is normalizing the two-sided one.  Cached per comb
+    (`CombSpectrum` hashes by identity), so the scans of one comb share a
+    build; the arrays are read-only.
 
     The build walks the samples in blocks of `_INTENSITY_BLOCK` and does
     each bin's arithmetic in place in one scratch buffer, so it allocates
@@ -152,23 +163,23 @@ def _spectral_intensity(comb: CombSpectrum) -> tuple[float, np.ndarray, np.ndarr
     """
     hw = comb.half_width_rad_s
     spacing = comb.fsr_rad_s
-    # Symmetric quadrature grid covering every bin plus PAD_BINS of margin;
-    # symmetry keeps the computed trace even in tau to machine precision.
+    # Non-negative half of a grid covering every bin plus PAD_BINS of margin.
     step = 2.0 * hw / POINTS_PER_LINEWIDTH
     half_span = (comb.n_max + PAD_BINS) * spacing
     k_max = int(math.ceil(half_span / step))
-    k = np.arange(-k_max, k_max + 1, dtype=np.int64)
+    k = np.arange(k_max + 1, dtype=np.int64)
     omega = step * k
 
     hw2 = hw * hw
     centres = [m * spacing for m in comb.bins]
+    weights = comb.bin_weights + comb.bin_weights[::-1]
     intensity = np.zeros_like(omega)
     scratch = np.empty(min(_INTENSITY_BLOCK, omega.size))
     for start in range(0, omega.size, _INTENSITY_BLOCK):
         samples = omega[start : start + _INTENSITY_BLOCK]
         acc = intensity[start : start + _INTENSITY_BLOCK]
         line = scratch[: samples.size]
-        for centre, w in zip(centres, comb.bin_weights):
+        for centre, w in zip(centres, weights):
             np.subtract(samples, centre, out=line)
             np.square(line, out=line)
             np.add(line, hw2, out=line)
@@ -176,6 +187,7 @@ def _spectral_intensity(comb: CombSpectrum) -> tuple[float, np.ndarray, np.ndarr
             np.square(line, out=line)
             np.multiply(line, w, out=line)
             acc += line
+    intensity[0] *= 0.5
     intensity /= intensity.sum()
 
     k.setflags(write=False)

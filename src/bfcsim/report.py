@@ -208,7 +208,8 @@ def _take_lock(lock: Path) -> None:
     The pid goes into a private file first, which is then hard-linked to
     `lock`: link(2) fails on an existing name as ``O_EXCL`` does, and the
     lock never exists without its pid.  A kill before the link leaves only
-    an inert ``.bfcsim-pid-*`` file, which blocks nothing.
+    an inert ``.bfcsim-pid-*`` file, which blocks nothing; the next
+    `write_stage` removes it.
     """
     fd, pid_file = tempfile.mkstemp(prefix=_PID_PREFIX, dir=lock.parent)
     try:
@@ -229,9 +230,9 @@ def _take_lock(lock: Path) -> None:
         os.unlink(pid_file)
 
 
-def _owner_is_dead(lock: Path) -> bool:
+def _owner_is_dead(pid_file: Path) -> bool:
     try:
-        os.kill(int(lock.read_text(encoding="utf-8")), 0)
+        os.kill(int(pid_file.read_text(encoding="utf-8")), 0)
     except ProcessLookupError:
         return True
     except (OSError, ValueError, OverflowError):
@@ -257,6 +258,10 @@ def write_stage(out_dir, artifacts: dict) -> Path:
         # Left by a killed run: under the lock no live run is using them.
         for stale in out.glob(_STAGING_PREFIX + "*"):
             shutil.rmtree(stale, ignore_errors=True)
+        # A waiting run's pid file is empty or names a live pid: it stays.
+        for pid_file in out.glob(_PID_PREFIX + "*"):
+            if _owner_is_dead(pid_file):
+                pid_file.unlink(missing_ok=True)
         staging = Path(tempfile.mkdtemp(prefix=_STAGING_PREFIX, dir=out))
         try:
             for name, value in artifacts.items():

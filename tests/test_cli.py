@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import bfcsim.io
-from bfcsim.cli import main
+from bfcsim.cli import build_parser, main
 from bfcsim.report import LOCK_FILENAME
 
 FAST_CONFIG = """\
@@ -273,6 +273,18 @@ class TestSubcommands:
         b = json.loads((out2 / "chsh.json").read_text())
         assert a["s_value"] != b["s_value"]
 
+    def test_consecutive_mains_share_no_state(self, fast_cfg_path, tmp_path):
+        # main() keeps one parser for the process; no option of one call
+        # may reach the next.
+        alone, after, chsh = tmp_path / "alone", tmp_path / "after", tmp_path / "chsh"
+        assert main(["report", "--config", fast_cfg_path, "--out", str(alone)]) == 0
+        argv = ["chsh", "--config", fast_cfg_path, "--out", str(chsh), "--seed", "5"]
+        assert main(argv + ["--visibility", "0.9", "--angles", "0", "45", "22.5", "67.5"]) == 0
+        assert json.loads((chsh / "chsh.json").read_text())["seed"] == 5
+        assert main(["report", "--config", fast_cfg_path, "--out", str(after)]) == 0
+        assert _snapshot(after) == _snapshot(alone)
+        assert build_parser() is build_parser()
+
 
 class TestWriteStage:
     @pytest.mark.parametrize("command", COMMANDS)
@@ -359,6 +371,24 @@ class TestWriteStage:
         assert pid_file.read_text() == f"{killed.pid}\n"
         assert main(["chsh", "--config", fast_cfg_path, "--out", str(out)]) == 0
         assert not (out / LOCK_FILENAME).exists()
+        # The next run removes the dead pid's file.
+        assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS["chsh"])
+
+    @pytest.mark.parametrize(
+        "owner", ["", str(os.getpid()), None], ids=["empty", "live-pid", "unreadable"]
+    )
+    def test_pid_file_of_a_possibly_live_run_survives(self, owner, fast_cfg_path, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        pid_file = out / ".bfcsim-pid-waiting"
+        if owner is None:
+            pid_file.mkdir()  # reading it fails, as for a file without read permission
+        else:
+            pid_file.write_text(owner)
+        assert main(["chsh", "--config", fast_cfg_path, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS["chsh"] + [pid_file.name])
+        if owner is not None:
+            assert pid_file.read_text() == owner
 
 
 class TestRevivalSpacing:
