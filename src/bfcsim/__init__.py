@@ -27,13 +27,10 @@ from .hom import (
     visibility_to_decay_parameter,
 )
 from .jsi import (
-    AccidentalModel,
-    DEFAULT_ACCIDENTAL_MODEL,
     FilterSpec,
     Jsi,
     crosstalk_db,
     filter_bandwidth_hz,
-    ideal_jsi,
     scan_correlation_matrix,
 )
 from .schmidt import (
@@ -53,10 +50,7 @@ from .chsh import (
     ChshResult,
     DEFAULT_ANGLES_DEG,
     FringeScan,
-    correlation_E,
-    correlation_E_error,
     fit_fringe,
-    fringe_rate,
     s_chsh,
     s_fringe_from_visibility,
     simulate_chsh_counts,
@@ -64,6 +58,6 @@ from .chsh import (
     violation_sigmas,
 )
 from .config import ConfigError, RunConfig, load_config, preset_config
-from .report import ReproReport, run_report
+from .report import run_report
 
 __version__ = "0.1.0"

@@ -183,38 +183,18 @@ def _chsh_result(e_values, variances) -> ChshResult:
     return ChshResult(tuple(e_values), s, sigma, violation_sigmas(s, sigma))
 
 
-def s_chsh(
-    visibility: float | None = None,
-    correlations=None,
-    errors=None,
-    angles=DEFAULT_ANGLES_DEG,
-) -> ChshResult:
-    """CHSH S parameter from a fringe visibility or four measured correlations.
+def s_chsh(visibility: float, angles=DEFAULT_ANGLES_DEG) -> ChshResult:
+    """Noiseless CHSH S parameter for a fringe visibility.
 
-    The four correlations are taken (or computed) at (phi1,phi2),
-    (phi1,phi2'), (phi1',phi2), (phi1',phi2').  With a visibility the
-    path is analytic and noiseless, giving S = 2 sqrt(2) V at the default
-    angles; with measured correlations, per-correlation errors propagate
-    in quadrature into s_sigma.
+    The four correlations are computed at (phi1,phi2), (phi1,phi2'),
+    (phi1',phi2), (phi1',phi2'), giving S = 2 sqrt(2) V at the default
+    angles.
     """
-    if (visibility is None) == (correlations is None):
-        raise ValueError("s_chsh: provide exactly one of visibility or correlations")
     pairs = _angle_pairs(angles, "s_chsh")
-    variances = [0.0] * 4
-    if visibility is not None:
-        if not (0.0 <= visibility <= 1.0):
-            raise ValueError("s_chsh: visibility must lie in [0, 1]")
-        e_values = [_analytic_correlation(a, b, visibility) for a, b in pairs]
-    else:
-        e_values = [float(e) for e in correlations]
-        if len(e_values) != 4:
-            raise ValueError("s_chsh: exactly four correlations required")
-        if errors is not None:
-            errs = [float(x) for x in errors]
-            if len(errs) != 4:
-                raise ValueError("s_chsh: exactly four correlation errors required")
-            variances = [x * x for x in errs]
-    return _chsh_result(e_values, variances)
+    if not (0.0 <= visibility <= 1.0):
+        raise ValueError("s_chsh: visibility must lie in [0, 1]")
+    e_values = [_analytic_correlation(a, b, visibility) for a, b in pairs]
+    return _chsh_result(e_values, [0.0] * 4)
 
 
 def s_fringe_from_visibility(v_mean: float) -> float:

@@ -15,16 +15,9 @@ import functools
 import os
 import sys
 
-from . import io as io_mod
 from .chsh import DEFAULT_ANGLES_DEG
-from .config import (
-    RunConfig,
-    SCHEMA_VERSION,
-    TOOL_VERSION,
-    available_presets,
-    load_config,
-    preset_config,
-)
+from .comb import CAVITY_PRESETS
+from .config import RunConfig, SCHEMA_VERSION, TOOL_VERSION, load_config, preset_config
 from .report import (
     StageError,
     chsh_stage,
@@ -67,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a config file")
         p.add_argument(
             "--preset",
-            help=f"cavity preset ({', '.join(available_presets())}); default 45ghz",
+            help=f"cavity preset ({', '.join(sorted(CAVITY_PRESETS))}); default 45ghz",
         )
         p.add_argument("--out", help="output directory (overrides $BFCSIM_OUT and config)")
 
@@ -175,7 +168,7 @@ def _cmd_chsh(cfg: RunConfig, args) -> None:
         **dataclasses.asdict(cfg.chsh),
         "angles_deg": list(angles),
         "s_fringe": s_fringe,
-        **io_mod.chsh_to_dict(result),
+        **dataclasses.asdict(result),
     }
     write_stage(
         cfg.output_dir,

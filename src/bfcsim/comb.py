@@ -131,11 +131,6 @@ class CombSpectrum:
             raise ValueError("CombSpectrum: lineshape parameters must be positive")
         w.setflags(write=False)
 
-    def weight(self, m: int) -> float:
-        if abs(m) > self.n_max:
-            raise ValueError(f"bin index {m} outside [-{self.n_max}, {self.n_max}]")
-        return float(self.bin_weights[m + self.n_max])
-
     @property
     def bins(self) -> np.ndarray:
         return np.arange(-self.n_max, self.n_max + 1)

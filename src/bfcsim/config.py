@@ -24,14 +24,8 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .comb import (
-    CAVITY_PRESETS,
-    CavitySpec,
-    SourceSpec,
-    cavity_preset,
-    default_n_max,
-)
-from .jsi import DEFAULT_ACCIDENTAL_MODEL, FILTER_SHAPES
+from .comb import CavitySpec, SourceSpec, cavity_preset, default_n_max
+from .jsi import FILTER_SHAPES, floor_fraction
 
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = "1"
@@ -104,7 +98,7 @@ class JsiConfig:
             raise ConfigError("[jsi] max_bin must be >= 0")
         if self.pump_power_mw < 0.0:
             raise ConfigError("[jsi] pump_mw must be >= 0")
-        floor = DEFAULT_ACCIDENTAL_MODEL.floor_fraction(self.pump_power_mw)
+        floor = floor_fraction(self.pump_power_mw)
         if floor >= 1.0:
             raise ConfigError(
                 f"[jsi] pump_mw={self.pump_power_mw!r} puts the accidental floor at "
@@ -353,7 +347,3 @@ def load_config(path: str, output_dir: str | None = None) -> RunConfig:
 def preset_config(name: str, output_dir: str | None = None) -> RunConfig:
     """RunConfig for a named cavity preset with all defaults applied."""
     return build_config({"cavity": {"preset": name}}, output_dir=output_dir)
-
-
-def available_presets() -> list[str]:
-    return sorted(CAVITY_PRESETS)

@@ -273,6 +273,12 @@ def visibility_to_decay_parameter(v: float) -> float:
     return 0.5 * (lo + hi)
 
 
+# Dips shallower than this are not reported as revivals.  At low finesse the
+# outer revivals fall to ~1e-8, the quadrature's floor, where a window's
+# minimum is numerical noise rather than a dip.
+REVIVAL_VISIBILITY_FLOOR = 1e-2
+
+
 def _plateau_medians(delays: np.ndarray, coincidence: np.ndarray, period: float) -> dict[int, float]:
     """Median coincidence over the middle half of each inter-dip interval."""
     medians: dict[int, float] = {}
@@ -293,7 +299,7 @@ def locate_revivals(trace: HomTrace) -> list[RevivalRecord]:
     Each candidate window of width half a period is searched for a strict
     interior minimum; the plateau reference for the visibility is the
     median coincidence over the middle half of the flanking inter-dip
-    intervals.
+    intervals.  Dips below `REVIVAL_VISIBILITY_FLOOR` are dropped.
     """
     delays = trace.delays_ps
     c = trace.coincidence
@@ -336,6 +342,8 @@ def locate_revivals(trace: HomTrace) -> list[RevivalRecord]:
             continue
         vis = (c_max - float(local[j])) / c_max
         vis = min(max(vis, 0.0), 1.0)
+        if vis < REVIVAL_VISIBILITY_FLOOR:
+            continue
         records.append(RevivalRecord(n=n, center_ps=float(delays[idx[j]]), visibility=vis))
     return records
 

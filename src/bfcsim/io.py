@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chsh import ChshResult, FringeScan
+from .chsh import FringeScan
 from .hom import HomTrace
 from .jsi import Jsi
 from .schmidt import SchmidtSpectrum
@@ -66,6 +66,8 @@ def jsi_from_csv(path) -> Jsi:
     if col_bins != expected or row_bins != expected:
         raise ValueError(f"{path}: bin indices must run -N..N on both axes")
     values = np.array([[float(x) for x in r[1:]] for r in reader[1:]])
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: matrix cells must be finite")
     total = values.sum()
     if total <= 0.0:
         raise ValueError(f"{path}: matrix has no weight")
@@ -108,12 +110,3 @@ def write_artifact(path, value) -> None:
     else:
         rows = ((r.n, r.center_ps, r.visibility) for r in value)
         export_csv(path, ["n", "center_ps", "visibility"], rows)
-
-
-def chsh_to_dict(result: ChshResult) -> dict:
-    return {
-        "correlations": list(result.correlations),
-        "s_value": result.s_value,
-        "s_sigma": result.s_sigma,
-        "violation_sigmas": result.violation_sigmas,
-    }

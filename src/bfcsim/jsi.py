@@ -45,11 +45,6 @@ class Jsi:
     def bins(self) -> np.ndarray:
         return np.arange(-self.n_max, self.n_max + 1)
 
-    def value_at(self, n_s: int, n_i: int) -> float:
-        if abs(n_s) > self.n_max or abs(n_i) > self.n_max:
-            raise ValueError(f"bin pair ({n_s}, {n_i}) outside +/-{self.n_max}")
-        return float(self.values[n_s + self.n_max, n_i + self.n_max])
-
     def anti_diagonal(self) -> np.ndarray:
         """Entries on the anticorrelation diagonal n_s = -n_i, ordered by n_s."""
         idx = np.arange(2 * self.n_max + 1)
@@ -99,40 +94,21 @@ def ideal_jsi(comb: CombSpectrum) -> Jsi:
     return Jsi(n_max=comb.n_max, values=values, normalized=True)
 
 
-@dataclass(frozen=True)
-class AccidentalModel:
-    """Uniform accidental floor fraction r(P) = a*P + b*P^2 of the peak cell."""
-
-    linear_per_mw: float
-    quadratic_per_mw2: float
-
-    @classmethod
-    def calibrate(
-        cls,
-        anchor1: tuple[float, float],
-        anchor2: tuple[float, float],
-    ) -> "AccidentalModel":
-        """Fit (a, b) so the floor fraction passes through two (power, fraction) anchors."""
-        (p1, r1), (p2, r2) = anchor1, anchor2
-        det = p1 * p2 * p2 - p2 * p1 * p1
-        if det == 0.0:
-            raise ValueError("AccidentalModel: anchors must have distinct nonzero powers")
-        a = (r1 * p2 * p2 - r2 * p1 * p1) / det
-        b = (r2 * p1 - r1 * p2) / det
-        return cls(linear_per_mw=a, quadratic_per_mw2=b)
-
-    def floor_fraction(self, pump_power_mw: float) -> float:
-        if pump_power_mw < 0.0:
-            raise ValueError("pump power must be >= 0")
-        return self.linear_per_mw * pump_power_mw + self.quadratic_per_mw2 * pump_power_mw**2
+# The floor fraction r(P) = a*P + b*P^2 passes through two (power, fraction)
+# anchors, the published cross-talk levels: -11.71 dB at 2 mW and -6.31 dB
+# at 4 mW.
+_P1, _R1 = 2.0, 10.0 ** (-11.71 / 10.0)
+_P2, _R2 = 4.0, 10.0 ** (-6.31 / 10.0)
+_DET = _P1 * _P2 * _P2 - _P2 * _P1 * _P1
+_FLOOR_LINEAR_PER_MW = (_R1 * _P2 * _P2 - _R2 * _P1 * _P1) / _DET
+_FLOOR_QUADRATIC_PER_MW2 = (_R2 * _P1 - _R1 * _P2) / _DET
 
 
-# Anchored to the published cross-talk levels: -11.71 dB at 2 mW and
-# -6.31 dB at 4 mW.
-DEFAULT_ACCIDENTAL_MODEL = AccidentalModel.calibrate(
-    (2.0, 10.0 ** (-11.71 / 10.0)),
-    (4.0, 10.0 ** (-6.31 / 10.0)),
-)
+def floor_fraction(pump_power_mw: float) -> float:
+    """Uniform accidental floor at a pump power, as a fraction of the peak cell."""
+    if pump_power_mw < 0.0:
+        raise ValueError("pump power must be >= 0")
+    return _FLOOR_LINEAR_PER_MW * pump_power_mw + _FLOOR_QUADRATIC_PER_MW2 * pump_power_mw**2
 
 
 def scan_correlation_matrix(
@@ -145,7 +121,7 @@ def scan_correlation_matrix(
     """Filtered coincidence matrix over targets in [-max_bin, max_bin]^2.
 
     Applies the filter pair to the ideal JSI at every target pair, then
-    adds the accidental floor of `DEFAULT_ACCIDENTAL_MODEL`.  The floor is
+    adds the accidental floor of `floor_fraction`.  The floor is
     referenced to the peak diagonal cell of the *measured* matrix, i.e. the
     uniform offset f solves f = r * (signal_peak + f), so the off-diagonal
     to peak-diagonal ratio of the result equals the calibrated fraction r.
@@ -160,7 +136,7 @@ def scan_correlation_matrix(
     t_idl = np.stack([np.atleast_1d(filter_transmission(idl, bins - t, fsr_hz)) for t in targets])
     values = t_sig @ base.values @ t_idl.T
 
-    r = DEFAULT_ACCIDENTAL_MODEL.floor_fraction(pump_power_mw)
+    r = floor_fraction(pump_power_mw)
     if r >= 1.0:
         raise ValueError(f"accidental floor fraction {r:.3f} >= 1; pump power too high")
     if r > 0.0:

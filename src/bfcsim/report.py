@@ -17,7 +17,7 @@ import math
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -167,7 +167,7 @@ def freq_schmidt_stage(
     matrix: Jsi, comb: CombSpectrum | None = None
 ) -> tuple[SchmidtSpectrum, SchmidtSpectrum | None]:
     """Spectrum of the (degraded) matrix, and, given the comb, the ideal spectrum."""
-    degraded = schmidt_decompose(jsa_from_jsi(matrix), basis="frequency")
+    degraded = schmidt_decompose(jsa_from_jsi(matrix))
     ideal = ideal_frequency_spectrum(comb) if comb is not None else None
     return degraded, ideal
 
@@ -275,57 +275,6 @@ def write_stage(out_dir, artifacts: dict) -> Path:
     return out
 
 
-@dataclass
-class ReproReport:
-    cavity_label: str
-    fsr_ghz: float
-    linewidth_ghz: float
-    finesse: float
-    round_trip_ps: float
-    envelope_shape: str
-    n_max: int
-    window_n_max: int
-    revival_count: int
-    revival_spacing_ps: float
-    central_dip_width_ps: float
-    central_visibility: float
-    visibility_table: list[tuple[int, float, float]]
-    k_time_theory: float
-    k_time_fitted: float
-    k_freq_ideal: float
-    k_freq_ideal_reference: float | None
-    k_freq_degraded: float
-    crosstalk_db: float | None
-    n_freq_bins: float
-    n_time_bins: float
-    product_nt_nomega: float
-    product_kt_komega: float
-    fringe_visibility: float
-    s_fringe: float
-    chsh_visibility: float
-    s_chsh_analytic: float
-    s_chsh_simulated: float
-    s_sigma_simulated: float
-    violation_sigmas_simulated: float
-    time_dimensionality: int
-    freq_dimensionality: int
-    total_dimensionality: int
-    config_hash: str
-    tool_version: str = TOOL_VERSION
-    schema_version: str = SCHEMA_VERSION
-    bands: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        out = {}
-        for key, value in self.__dict__.items():
-            if isinstance(value, np.floating):
-                value = float(value)
-            if isinstance(value, list):
-                value = [list(v) if isinstance(v, tuple) else v for v in value]
-            out[key] = value
-        return out
-
-
 def _bands_for(preset: str) -> dict:
     bands = dict(_COMMON_BANDS)
     if preset in _K_TIME_BANDS:
@@ -349,8 +298,8 @@ def _revival_spacing(revivals: list[RevivalRecord]) -> float:
     return (last.center_ps - first.center_ps) / (last.n - first.n)
 
 
-def run_report(config: RunConfig) -> ReproReport:
-    """Execute the full pipeline for one cavity and write all artifacts."""
+def run_report(config: RunConfig) -> dict:
+    """Execute the full pipeline for one cavity, write all artifacts, return report.json's dict."""
     cavity = config.cavity
     comb = comb_stage(config)
     trace, zoom = hom_stage(config, comb)
@@ -363,45 +312,46 @@ def run_report(config: RunConfig) -> ReproReport:
     s_fringe, chsh_analytic, chsh_simulated, fringes = chsh_stage(config)
     counts, dim = dimensionality_stage(config, time_theory.k_number, freq_ideal.k_number)
 
-    spacing = _revival_spacing(revivals)
     central = next((r for r in revivals if r.n == 0), None)
-    report = ReproReport(
-        cavity_label=cavity.label or config.preset_name or "custom",
-        fsr_ghz=cavity.fsr_hz / 1e9,
-        linewidth_ghz=cavity.linewidth_fwhm_hz / 1e9,
-        finesse=cavity.finesse,
-        round_trip_ps=cavity.round_trip_ps,
-        envelope_shape=config.source.envelope_shape,
-        n_max=comb.n_max,
-        window_n_max=window_n,
-        revival_count=len(revivals),
-        revival_spacing_ps=spacing,
-        central_dip_width_ps=dip_width,
-        central_visibility=central.visibility if central else math.nan,
-        visibility_table=[(r.n, r.center_ps, r.visibility) for r in revivals],
-        k_time_theory=time_theory.k_number,
-        k_time_fitted=time_fitted.k_number,
-        k_freq_ideal=freq_ideal.k_number,
-        k_freq_ideal_reference=REFERENCE_IDEAL_K_FREQ.get(config.preset_name),
-        k_freq_degraded=freq_degraded.k_number,
-        crosstalk_db=jsi_sidecar["crosstalk_db"],
-        n_freq_bins=counts.n_freq_bins,
-        n_time_bins=counts.n_time_bins,
-        product_nt_nomega=dim.product_nt_nomega,
-        product_kt_komega=dim.product_kt_komega,
-        fringe_visibility=config.chsh.fringe_visibility,
-        s_fringe=s_fringe,
-        chsh_visibility=config.chsh.chsh_visibility,
-        s_chsh_analytic=chsh_analytic.s_value,
-        s_chsh_simulated=chsh_simulated.s_value,
-        s_sigma_simulated=chsh_simulated.s_sigma,
-        violation_sigmas_simulated=chsh_simulated.violation_sigmas,
-        time_dimensionality=dim.total_dimensionality // dim.polarization_factor,
-        freq_dimensionality=dim.freq_dimensionality,
-        total_dimensionality=dim.total_dimensionality,
-        config_hash=config.config_hash(),
-        bands=_bands_for(config.preset_name),
-    )
+    report = {
+        "cavity_label": cavity.label or config.preset_name or "custom",
+        "fsr_ghz": cavity.fsr_hz / 1e9,
+        "linewidth_ghz": cavity.linewidth_fwhm_hz / 1e9,
+        "finesse": cavity.finesse,
+        "round_trip_ps": cavity.round_trip_ps,
+        "envelope_shape": config.source.envelope_shape,
+        "n_max": comb.n_max,
+        "window_n_max": window_n,
+        "revival_count": len(revivals),
+        "revival_spacing_ps": _revival_spacing(revivals),
+        "central_dip_width_ps": dip_width,
+        "central_visibility": central.visibility if central else math.nan,
+        "visibility_table": [[r.n, r.center_ps, r.visibility] for r in revivals],
+        "k_time_theory": time_theory.k_number,
+        "k_time_fitted": time_fitted.k_number,
+        "k_freq_ideal": freq_ideal.k_number,
+        "k_freq_ideal_reference": REFERENCE_IDEAL_K_FREQ.get(config.preset_name),
+        "k_freq_degraded": freq_degraded.k_number,
+        "crosstalk_db": jsi_sidecar["crosstalk_db"],
+        "n_freq_bins": counts.n_freq_bins,
+        "n_time_bins": counts.n_time_bins,
+        "product_nt_nomega": dim.product_nt_nomega,
+        "product_kt_komega": dim.product_kt_komega,
+        "fringe_visibility": config.chsh.fringe_visibility,
+        "s_fringe": s_fringe,
+        "chsh_visibility": config.chsh.chsh_visibility,
+        "s_chsh_analytic": chsh_analytic.s_value,
+        "s_chsh_simulated": chsh_simulated.s_value,
+        "s_sigma_simulated": chsh_simulated.s_sigma,
+        "violation_sigmas_simulated": chsh_simulated.violation_sigmas,
+        "time_dimensionality": dim.total_dimensionality // dim.polarization_factor,
+        "freq_dimensionality": dim.freq_dimensionality,
+        "total_dimensionality": dim.total_dimensionality,
+        "config_hash": config.config_hash(),
+        "tool_version": TOOL_VERSION,
+        "schema_version": SCHEMA_VERSION,
+        "bands": _bands_for(config.preset_name),
+    }
 
     write_stage(
         config.output_dir,
@@ -418,10 +368,10 @@ def run_report(config: RunConfig) -> ReproReport:
             **{f"chsh_fringe_p1_{int(f.fixed_angle_deg)}.csv": f for f in fringes},
             "chsh.json": {
                 "s_fringe": s_fringe,
-                "analytic": io_mod.chsh_to_dict(chsh_analytic),
-                "simulated": io_mod.chsh_to_dict(chsh_simulated),
+                "analytic": asdict(chsh_analytic),
+                "simulated": asdict(chsh_simulated),
             },
-            "report.json": report.to_dict(),
+            "report.json": report,
             "summary.txt": summary_text(report),
         },
     )
@@ -440,50 +390,51 @@ def _fmt(value, band=None) -> str:
     return text
 
 
-def summary_text(r: ReproReport) -> str:
-    """The report as the human-readable text of `summary.txt`."""
-    b = r.bands
+def summary_text(r: dict) -> str:
+    """The `run_report` dict as the human-readable text of `summary.txt`."""
+    b = r["bands"]
     lines = [
-        f"bfcsim {r.tool_version} reproduction report (config {r.config_hash[:12]})",
+        f"bfcsim {r['tool_version']} reproduction report (config {r['config_hash'][:12]})",
         "",
-        f"cavity {r.cavity_label}: FSR {r.fsr_ghz} GHz, linewidth {r.linewidth_ghz} GHz, "
-        f"finesse {r.finesse:.3f}, round trip {r.round_trip_ps:.3f} ps",
-        f"comb: {2 * r.n_max + 1} bins ({r.envelope_shape} envelope), "
-        f"window-limited time bins +/-{r.window_n_max}",
+        f"cavity {r['cavity_label']}: FSR {r['fsr_ghz']} GHz, linewidth {r['linewidth_ghz']} GHz, "
+        f"finesse {r['finesse']:.3f}, round trip {r['round_trip_ps']:.3f} ps",
+        f"comb: {2 * r['n_max'] + 1} bins ({r['envelope_shape']} envelope), "
+        f"window-limited time bins +/-{r['window_n_max']}",
         "",
         "interferometry:",
-        f"  revival dips: {_fmt(r.revival_count, b.get('revival_count'))}",
-        f"  revival spacing (ps): {_fmt(r.revival_spacing_ps, b.get('revival_spacing_ps'))}",
-        f"  central dip width (ps): {_fmt(r.central_dip_width_ps, b.get('central_dip_width_ps'))}",
-        f"  central visibility: {_fmt(r.central_visibility)}",
+        f"  revival dips: {_fmt(r['revival_count'], b.get('revival_count'))}",
+        f"  revival spacing (ps): {_fmt(r['revival_spacing_ps'], b.get('revival_spacing_ps'))}",
+        "  central dip width (ps): "
+        f"{_fmt(r['central_dip_width_ps'], b.get('central_dip_width_ps'))}",
+        f"  central visibility: {_fmt(r['central_visibility'])}",
         "",
         "schmidt analysis:",
-        f"  K_time theory: {_fmt(r.k_time_theory, b.get('k_time_theory'))}",
-        f"  K_time fitted: {_fmt(r.k_time_fitted)}",
-        f"  K_freq ideal (envelope diagonal): {_fmt(r.k_freq_ideal)}"
+        f"  K_time theory: {_fmt(r['k_time_theory'], b.get('k_time_theory'))}",
+        f"  K_time fitted: {_fmt(r['k_time_fitted'])}",
+        f"  K_freq ideal (envelope diagonal): {_fmt(r['k_freq_ideal'])}"
         + (
-            f"  [published ideal target {r.k_freq_ideal_reference}]"
-            if r.k_freq_ideal_reference
+            f"  [published ideal target {r['k_freq_ideal_reference']}]"
+            if r['k_freq_ideal_reference']
             else ""
         ),
-        f"  K_freq degraded (filters + floor): {_fmt(r.k_freq_degraded)}",
-        f"  crosstalk (dB): {_fmt(r.crosstalk_db)}",
-        f"  N_freq x N_time: {r.n_freq_bins:.3f} x {r.n_time_bins:.3f} "
-        f"= {r.product_nt_nomega:.3f}",
-        f"  K_time x K_freq: {r.product_kt_komega:.3f}",
+        f"  K_freq degraded (filters + floor): {_fmt(r['k_freq_degraded'])}",
+        f"  crosstalk (dB): {_fmt(r['crosstalk_db'])}",
+        f"  N_freq x N_time: {r['n_freq_bins']:.3f} x {r['n_time_bins']:.3f} "
+        f"= {r['product_nt_nomega']:.3f}",
+        f"  K_time x K_freq: {r['product_kt_komega']:.3f}",
         "",
         "bell test:",
-        f"  S_fringe({r.fringe_visibility}): {_fmt(r.s_fringe, b.get('s_fringe'))}",
-        f"  S_chsh analytic({r.chsh_visibility}): "
-        f"{_fmt(r.s_chsh_analytic, b.get('s_chsh_analytic'))}",
-        f"  S_chsh simulated: {r.s_chsh_simulated:.4f} +/- {r.s_sigma_simulated:.4f} "
-        f"({r.violation_sigmas_simulated:.1f} sigma violation)",
+        f"  S_fringe({r['fringe_visibility']}): {_fmt(r['s_fringe'], b.get('s_fringe'))}",
+        f"  S_chsh analytic({r['chsh_visibility']}): "
+        f"{_fmt(r['s_chsh_analytic'], b.get('s_chsh_analytic'))}",
+        f"  S_chsh simulated: {r['s_chsh_simulated']:.4f} +/- {r['s_sigma_simulated']:.4f} "
+        f"({r['violation_sigmas_simulated']:.1f} sigma violation)",
         "",
         "dimensionality:",
-        f"  time-bin: {_fmt(r.time_dimensionality, b.get('time_dimensionality'))}",
-        f"  frequency-bin: {_fmt(r.freq_dimensionality)}",
+        f"  time-bin: {_fmt(r['time_dimensionality'], b.get('time_dimensionality'))}",
+        f"  frequency-bin: {_fmt(r['freq_dimensionality'])}",
         f"  total (with polarization): "
-        f"{_fmt(r.total_dimensionality, b.get('total_dimensionality'))}",
+        f"{_fmt(r['total_dimensionality'], b.get('total_dimensionality'))}",
         "",
     ]
     return "\n".join(lines)

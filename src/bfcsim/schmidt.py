@@ -27,8 +27,6 @@ from .comb import CavitySpec, CombSpectrum, SourceSpec
 from .hom import visibility_to_decay_parameter
 from .jsi import Jsi
 
-SCHMIDT_BASES = ("frequency", "time")
-
 # Published ideal frequency-bin Schmidt numbers for the three cavities,
 # quoted for side-by-side reporting; they come from a derivation outside
 # this package's scope and are not reproduced by the envelope-weighted
@@ -46,14 +44,11 @@ class SchmidtSpectrum:
 
     eigenvalues: np.ndarray
     k_number: float
-    basis: str
     bin_indices: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         lam = np.asarray(self.eigenvalues, dtype=float)
         object.__setattr__(self, "eigenvalues", lam)
-        if self.basis not in SCHMIDT_BASES:
-            raise ValueError(f"SchmidtSpectrum: basis must be one of {SCHMIDT_BASES}")
         if lam.ndim != 1 or lam.size == 0:
             raise ValueError("SchmidtSpectrum: eigenvalues must be a nonempty 1-d array")
         if float(lam.min()) < -1e-14:
@@ -107,9 +102,7 @@ class DimensionalityReport:
 
 
 def _spectrum_from_weights(
-    weights: np.ndarray,
-    basis: str,
-    bin_indices: np.ndarray | None = None,
+    weights: np.ndarray, bin_indices: np.ndarray | None = None
 ) -> SchmidtSpectrum:
     lam = np.asarray(weights, dtype=float)
     total = lam.sum()
@@ -120,7 +113,7 @@ def _spectrum_from_weights(
     lam = lam[order]
     idx = None if bin_indices is None else np.asarray(bin_indices)[order]
     k = 1.0 / float(np.sum(lam * lam))
-    return SchmidtSpectrum(eigenvalues=lam, k_number=k, basis=basis, bin_indices=idx)
+    return SchmidtSpectrum(eigenvalues=lam, k_number=k, bin_indices=idx)
 
 
 def jsa_from_jsi(jsi) -> np.ndarray:
@@ -139,7 +132,7 @@ def jsa_from_jsi(jsi) -> np.ndarray:
     return amp / norm
 
 
-def schmidt_decompose(jsa: np.ndarray, basis: str = "frequency") -> SchmidtSpectrum:
+def schmidt_decompose(jsa: np.ndarray) -> SchmidtSpectrum:
     """Schmidt spectrum of an amplitude matrix via singular values.
 
     Eigenvalues are the squared singular values normalized to 1, making
@@ -152,7 +145,7 @@ def schmidt_decompose(jsa: np.ndarray, basis: str = "frequency") -> SchmidtSpect
     if not np.any(a):
         raise ValueError("schmidt_decompose: zero matrix rejected")
     s = np.linalg.svd(a, compute_uv=False)
-    return _spectrum_from_weights(s * s, basis=basis)
+    return _spectrum_from_weights(s * s)
 
 
 def time_bin_eigenvalues(cavity: CavitySpec, n_max: int) -> SchmidtSpectrum:
@@ -161,7 +154,7 @@ def time_bin_eigenvalues(cavity: CavitySpec, n_max: int) -> SchmidtSpectrum:
         raise ValueError("time_bin_eigenvalues: n_max must be >= 0")
     n = np.arange(-n_max, n_max + 1)
     weights = np.exp(-2.0 * math.pi * np.abs(n) / cavity.finesse)
-    return _spectrum_from_weights(weights, basis="time", bin_indices=n)
+    return _spectrum_from_weights(weights, bin_indices=n)
 
 
 def fit_decay_parameter(visibility_points) -> float:
@@ -195,7 +188,7 @@ def time_bin_spectrum_from_visibilities(visibility_points, n_max: int) -> Schmid
     rate = fit_decay_parameter(visibility_points)
     n = np.arange(-n_max, n_max + 1)
     weights = np.exp(-2.0 * rate * np.abs(n))
-    return _spectrum_from_weights(weights, basis="time", bin_indices=n)
+    return _spectrum_from_weights(weights, bin_indices=n)
 
 
 def window_limited_n_max(cavity: CavitySpec, delay_window_ps: float) -> int:
@@ -247,6 +240,4 @@ def ideal_frequency_spectrum(comb: CombSpectrum) -> SchmidtSpectrum:
     square roots of the bin weights, so the eigenvalues are the weights
     themselves; computed directly rather than through an SVD.
     """
-    return _spectrum_from_weights(
-        comb.bin_weights.copy(), basis="frequency", bin_indices=comb.bins
-    )
+    return _spectrum_from_weights(comb.bin_weights.copy(), bin_indices=comb.bins)

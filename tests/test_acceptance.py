@@ -20,7 +20,6 @@ from bfcsim import (
     central_dip_width,
     crosstalk_db,
     dip_visibility_closed_form,
-    ideal_jsi,
     jsa_from_jsi,
     locate_revivals,
     s_chsh,
@@ -32,6 +31,7 @@ from bfcsim import (
     violation_sigmas,
 )
 from bfcsim.config import preset_config
+from bfcsim.jsi import ideal_jsi
 from bfcsim.report import run_report
 from bfcsim.schmidt import ideal_frequency_spectrum
 
@@ -155,12 +155,13 @@ def test_criterion_6_chsh_values():
 def test_criterion_7_dimensionality_report(tmp_path):
     config = preset_config("45ghz", output_dir=str(tmp_path / "report45"))
     report = run_report(config)
-    ok = report.total_dimensionality == 648 and report.time_dimensionality == 324
+    ok = report["total_dimensionality"] == 648 and report["time_dimensionality"] == 324
     _criterion(
         7,
         "45.32 GHz pipeline dimensionality",
         ok,
-        f"total={report.total_dimensionality} (648), time-bin={report.time_dimensionality} (324)",
+        f"total={report['total_dimensionality']} (648), "
+        f"time-bin={report['time_dimensionality']} (324)",
     )
 
 

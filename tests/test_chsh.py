@@ -8,16 +8,14 @@ import pytest
 from bfcsim import (
     ChshResult,
     FringeScan,
-    correlation_E,
-    correlation_E_error,
     fit_fringe,
-    fringe_rate,
     s_chsh,
     s_fringe_from_visibility,
     simulate_chsh_counts,
     simulate_fringe_scan,
     violation_sigmas,
 )
+from bfcsim.chsh import correlation_E, correlation_E_error, fringe_rate
 
 ANGLES = np.arange(0.0, 360.0, 10.0)
 
@@ -146,18 +144,6 @@ class TestSParameter:
         assert violation_sigmas(2.686, 0.037) == pytest.approx(18.5, abs=0.1)
         assert violation_sigmas(1.9, 0.05) == 0.0
         assert violation_sigmas(2.5, 0.0) == math.inf
-
-    def test_from_measured_correlations(self):
-        inv = 1.0 / math.sqrt(2.0)
-        result = s_chsh(correlations=[-inv, -inv, -inv, inv], errors=[0.02] * 4)
-        assert result.s_value == pytest.approx(2 * math.sqrt(2), abs=1e-9)
-        assert result.s_sigma == pytest.approx(0.04, rel=1e-9)
-
-    def test_requires_exactly_one_input(self):
-        with pytest.raises(ValueError):
-            s_chsh()
-        with pytest.raises(ValueError):
-            s_chsh(visibility=0.5, correlations=[0, 0, 0, 0])
 
 
 class TestSimulatedChsh:

@@ -202,6 +202,16 @@ class TestSubcommands:
         assert code == 0
         assert (out2 / "jsi_matrix.csv").exists()
 
+    @pytest.mark.parametrize("command", ["jsi", "schmidt"])
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_matrix_cell_rejected(self, fast_cfg_path, tmp_path, command, cell):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(f"bin,-1,0,1\n-1,0,0,1\n0,0,{cell},0\n1,1,0,0\n")
+        out = tmp_path / "out"
+        argv = [command, "--config", fast_cfg_path, "--out", str(out), "--input", str(matrix)]
+        assert main(argv) == 1
+        assert not out.exists()
+
     def test_schmidt_from_visibilities(self, fast_cfg_path, tmp_path):
         vis = tmp_path / "vis.csv"
         vis.write_text("n,visibility\n1,0.9946\n2,0.9797\n3,0.9575\n")
@@ -392,17 +402,31 @@ class TestWriteStage:
 
 
 class TestRevivalSpacing:
-    def test_spacing_counts_n_steps_across_missing_dips(self, tmp_path):
-        # Finesse 3: some |n| >= 25 have no dip, so n skips values.
+    def test_spacing_counts_n_steps_across_missing_dips(self):
+        # A window whose minimum falls on its edge has no dip, so n skips values.
+        from bfcsim.hom import RevivalRecord
+        from bfcsim.report import _revival_spacing
+
+        ns = [-3, -1, 0, 2, 3]
+        centers = [-33.1, -11.03, 0.0, 22.05, 33.08]
+        records = [RevivalRecord(n, c, 0.5) for n, c in zip(ns, centers)]
+        assert ns[-1] - ns[0] > len(ns) - 1
+        assert _revival_spacing(records) == pytest.approx(11.03, abs=0.05)
+
+    def test_finesse_3_keeps_only_dips_above_the_floor(self, tmp_path):
+        # The outer revivals fall to ~1e-8, the quadrature's floor; only |n| <= 6 are dips.
+        from bfcsim.hom import REVIVAL_VISIBILITY_FLOOR
+
         cfg = tmp_path / "f3.cfg"
         cfg.write_text("[cavity] fsr_ghz=45, linewidth_ghz=15\n")
         out = tmp_path / "o"
         assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
-        ns = [row[0] for row in report["visibility_table"]]
-        assert ns[-1] - ns[0] > len(ns) - 1
+        assert all(v >= REVIVAL_VISIBILITY_FLOOR for _, _, v in report["visibility_table"])
+        wide_step_ps = 0.2
         half_round_trip = report["round_trip_ps"] / 2
-        assert report["revival_spacing_ps"] == pytest.approx(half_round_trip, abs=0.05)
+        assert report["revival_spacing_ps"] == pytest.approx(half_round_trip, abs=wide_step_ps)
+        assert report["k_time_fitted"] == pytest.approx(report["k_time_theory"], rel=0.01)
 
     def test_contiguous_n_keeps_the_mean_of_differences(self):
         from bfcsim.hom import RevivalRecord
@@ -457,7 +481,7 @@ class TestReportDeterminism:
         out = tmp_path / "rt"
         report = run_report(load_config(fast_cfg_path, output_dir=str(out)))
         payload = json.loads((out / "report.json").read_text())
-        assert payload == report.to_dict()
+        assert payload == report
         assert payload["total_dimensionality"] == 2 * int(payload["k_time_theory"]) ** 2
         assert payload["config_hash"]
 

@@ -54,14 +54,16 @@ class TestBuildComb:
         with pytest.warns(UserWarning):
             comb = build_comb(cavity_45, src, n_max=30)
         expected = math.exp(-4 * math.log(2) * 45.32**2 / 245.0**2)
-        assert comb.weight(1) / comb.weight(0) == pytest.approx(expected, rel=1e-12)
+        w, n = comb.bin_weights, comb.n_max
+        assert w[n + 1] / w[n] == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.9094, abs=5e-4)
 
     def test_weights_normalized_and_symmetric(self, comb_45, comb_15, comb_5):
         for comb in (comb_45, comb_15, comb_5):
             assert abs(comb.bin_weights.sum() - 1.0) <= 1e-12
             assert comb.bin_weights.min() >= 0.0
-            assert comb.weight(2) == comb.weight(-2)
+            n = comb.n_max
+            assert comb.bin_weights[n + 2] == comb.bin_weights[n - 2]
 
     def test_default_n_max_spans_three_bandwidths(self, cavity_45, cavity_15, cavity_5):
         src = SourceSpec()

@@ -6,18 +6,15 @@ import numpy as np
 import pytest
 
 from bfcsim import (
-    DEFAULT_ACCIDENTAL_MODEL,
-    AccidentalModel,
     FilterSpec,
     Jsi,
     SourceSpec,
     build_comb,
     crosstalk_db,
     filter_bandwidth_hz,
-    ideal_jsi,
     scan_correlation_matrix,
 )
-from bfcsim.jsi import filter_transmission
+from bfcsim.jsi import filter_transmission, floor_fraction, ideal_jsi
 
 
 @pytest.fixture(scope="module")
@@ -34,14 +31,15 @@ class TestIdealJsi:
         comb = build_comb(cavity_45, SourceSpec(phase_matching_fwhm_hz=1e15), 1)
         jsi = ideal_jsi(comb)
         for n in (-1, 0, 1):
-            assert jsi.value_at(n, -n) == pytest.approx(1.0 / 3.0, abs=1e-8)
+            assert jsi.values[n + 1, -n + 1] == pytest.approx(1.0 / 3.0, abs=1e-8)
 
     def test_gaussian_envelope_ratio(self, cavity_45):
         src = SourceSpec(envelope_shape="gaussian")
         jsi = ideal_jsi(build_comb(cavity_45, src))
         expected = math.exp(-4 * math.log(2) * (2 * 45.32) ** 2 / 245.0**2)
         assert expected == pytest.approx(0.684, abs=1e-3)
-        assert jsi.value_at(2, -2) / jsi.value_at(0, 0) == pytest.approx(expected, rel=1e-12)
+        n = jsi.n_max
+        assert jsi.values[n + 2, n - 2] / jsi.values[n, n] == pytest.approx(expected, rel=1e-12)
 
     def test_off_anticorrelation_exactly_zero(self, comb_45):
         jsi = ideal_jsi(comb_45)
@@ -49,7 +47,7 @@ class TestIdealJsi:
         for n_s in range(-n, n + 1):
             for n_i in range(-n, n + 1):
                 if n_s + n_i != 0:
-                    assert jsi.value_at(n_s, n_i) == 0.0
+                    assert jsi.values[n_s + n, n_i + n] == 0.0
 
     def test_normalized(self, comb_15):
         assert ideal_jsi(comb_15).values.sum() == pytest.approx(1.0, abs=1e-12)
@@ -92,16 +90,18 @@ class TestScanCells:
     def test_delta_filters_sample_matrix(self, comb_45):
         jsi = ideal_jsi(comb_45)
         scan = scan_correlation_matrix(comb_45, DELTA, DELTA, comb_45.n_max)
-        assert scan.value_at(2, -2) == pytest.approx(jsi.value_at(2, -2), rel=1e-12)
+        n = comb_45.n_max
+        assert scan.values[n + 2, n - 2] == pytest.approx(jsi.values[n + 2, n - 2], rel=1e-12)
 
     def test_delta_filters_mismatch_is_zero(self, comb_45):
         scan = scan_correlation_matrix(comb_45, DELTA, DELTA, comb_45.n_max)
-        assert scan.value_at(1, 0) == 0.0
+        n = comb_45.n_max
+        assert scan.values[n + 1, n] == 0.0
 
     def test_finite_filters_suppress_mismatch(self, comb_45):
         filt = FilterSpec(fwhm_hz=filter_bandwidth_hz(300.0))
         scan = scan_correlation_matrix(comb_45, filt, filt, 2)
-        assert 0.0 < scan.value_at(1, 0) < scan.value_at(1, -1)
+        assert 0.0 < scan.values[3, 2] < scan.values[3, 1]
 
     def test_out_of_range_target(self, comb_45):
         with pytest.raises(ValueError):
@@ -124,13 +124,14 @@ class TestScanCells:
             idl_mass = sum(
                 float(filter_transmission(filt, -m - b, cavity_45.fsr_hz)) for b in targets
             )
-            recovered = comb.weight(m) * (sig_mass / norm) * (idl_mass / norm)
-            assert recovered == pytest.approx(comb.weight(m), abs=1e-9)
+            weight = comb.bin_weights[m + comb.n_max]
+            recovered = weight * (sig_mass / norm) * (idl_mass / norm)
+            assert recovered == pytest.approx(weight, abs=1e-9)
 
 
 class TestAccidentalModel:
     def test_calibration_anchors(self):
-        floor = DEFAULT_ACCIDENTAL_MODEL.floor_fraction
+        floor = floor_fraction
         assert floor(0.0) == 0.0
         assert floor(2.0) == pytest.approx(10 ** (-11.71 / 10), rel=1e-12)
         assert floor(4.0) == pytest.approx(10 ** (-6.31 / 10), rel=1e-12)
@@ -139,12 +140,7 @@ class TestAccidentalModel:
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
-            DEFAULT_ACCIDENTAL_MODEL.floor_fraction(-1.0)
-
-    def test_custom_calibration(self):
-        model = AccidentalModel.calibrate((1.0, 0.1), (2.0, 0.3))
-        assert model.floor_fraction(1.0) == pytest.approx(0.1, rel=1e-12)
-        assert model.floor_fraction(2.0) == pytest.approx(0.3, rel=1e-12)
+            floor_fraction(-1.0)
 
 
 class TestCrosstalk:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bfcsim import (
     DEFAULT_SOURCE,
@@ -11,7 +12,6 @@ from bfcsim import (
     bin_counts,
     dimensionality_report,
     dip_visibility_closed_form,
-    ideal_jsi,
     jsa_from_jsi,
     scan_correlation_matrix,
     schmidt_decompose,
@@ -19,6 +19,7 @@ from bfcsim import (
     time_bin_spectrum_from_visibilities,
     window_limited_n_max,
 )
+from bfcsim.jsi import ideal_jsi
 from bfcsim.schmidt import SchmidtSpectrum, fit_decay_parameter, ideal_frequency_spectrum
 
 
@@ -48,7 +49,7 @@ class TestJsaFromJsi:
         amp = jsa_from_jsi(jsi)
         n = jsi.n_max
         got = amp[2 + n, n - 2] / amp[n, n]
-        want = math.sqrt(jsi.value_at(2, -2) / jsi.value_at(0, 0))
+        want = math.sqrt(jsi.values[n + 2, n - 2] / jsi.values[n, n])
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_zero_matrix_rejected(self):
@@ -105,6 +106,30 @@ class TestSchmidtDecompose:
         spec = schmidt_decompose(jsa_from_jsi(ideal_jsi(comb_45)))
         expected = np.sort(comb_45.bin_weights)[::-1]
         assert np.max(np.abs(spec.eigenvalues - expected)) < 1e-10
+
+
+@st.composite
+def _intensity_matrices(draw):
+    """Non-negative matrices, many cells exactly zero, with at least one positive cell."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    cell = st.one_of(st.just(0.0), st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False))
+    cells = draw(st.lists(cell, min_size=rows * cols, max_size=rows * cols))
+    values = np.array(cells).reshape(rows, cols)
+    values[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] += draw(
+        st.floats(1e-6, 1e6)
+    )
+    return values
+
+
+@settings(max_examples=30, deadline=None)
+@given(_intensity_matrices())
+def test_schmidt_spectrum_invariants(values):
+    jsa = jsa_from_jsi(values)
+    spec = schmidt_decompose(jsa)
+    lam = spec.eigenvalues
+    assert abs(float(lam.sum()) - 1.0) <= 1e-10
+    assert np.all(np.diff(lam) <= 0.0)
+    assert 1.0 - 1e-9 <= spec.k_number <= np.linalg.matrix_rank(jsa) + 1e-9
 
 
 class TestTimeBinEigenvalues:
@@ -239,12 +264,12 @@ class TestProductAgreement:
 class TestSchmidtSpectrumType:
     def test_normalization_enforced(self):
         with pytest.raises(ValueError, match="sum to 1"):
-            SchmidtSpectrum(np.array([0.6, 0.3]), k_number=2.0, basis="frequency")
+            SchmidtSpectrum(np.array([0.6, 0.3]), k_number=2.0)
 
     def test_k_consistency_enforced(self):
         with pytest.raises(ValueError, match="k_number"):
-            SchmidtSpectrum(np.array([0.5, 0.5]), k_number=3.0, basis="frequency")
+            SchmidtSpectrum(np.array([0.5, 0.5]), k_number=3.0)
 
     def test_sorted_enforced(self):
         with pytest.raises(ValueError, match="descending"):
-            SchmidtSpectrum(np.array([0.3, 0.7]), k_number=1.7241, basis="time")
+            SchmidtSpectrum(np.array([0.3, 0.7]), k_number=1.7241)
