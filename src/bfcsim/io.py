@@ -14,20 +14,34 @@ from .jsi import Jsi
 from .schmidt import SchmidtSpectrum
 
 
-def export_csv(path, header: list[str], rows) -> None:
-    """Write rows as CSV with a header line.
+def export_csv(path, header: list[str], columns) -> None:
+    """Write equal-length 1-D columns as CSV under a header line.
 
-    Cells are written as they are, so floats must be float64: each is
-    written in its shortest form that reads back exactly.  `write_artifact`
-    builds its rows with ``.tolist()``, which yields Python ``int`` and
-    ``float`` far faster than converting cell by cell.
+    Integer columns are written with `str`, float columns as float64 in the
+    shortest form that reads back exactly (`repr`).  Each distinct float bit
+    pattern of the table is formatted once, so ``-0.0`` stays apart from
+    ``0.0``.  Header cells are written as they are and must not need
+    quoting.  Columns of unequal length raise `ValueError`.
     """
     path = Path(path)
+    columns = [np.asarray(c) for c in columns]
+    n_rows = columns[0].size if columns else 0
+    if any(c.shape != (n_rows,) for c in columns):
+        raise ValueError(f"{path}: CSV columns must be 1-D and of equal length")
+    floats = [c for c in columns if c.dtype.kind == "f"]
+    if floats:
+        bits = np.concatenate(floats).astype(np.float64, copy=False).view(np.uint64)
+        patterns, inverse = np.unique(bits, return_inverse=True)
+        texts = np.array([repr(v) for v in patterns.view(np.float64).tolist()], dtype=object)
+        float_cells = iter(texts[inverse].reshape(len(floats), n_rows).tolist())
+    cells = [
+        next(float_cells) if c.dtype.kind == "f" else list(map(str, c.tolist()))
+        for c in columns
+    ]
+    text = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
     try:
         with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.write(text)
     except OSError as exc:
         raise RuntimeError(f"failed writing CSV {path}: {exc}") from exc
 
@@ -43,29 +57,46 @@ def export_json(path, obj) -> None:
         raise RuntimeError(f"failed writing JSON {path}: {exc}") from exc
 
 
-def _read_csv(path) -> list[list[str]]:
+def _read_lines(path) -> list[str]:
+    """The non-blank lines of a UTF-8 text file, whatever its line ends."""
     try:
-        with Path(path).open("r", encoding="utf-8", newline="") as fh:
-            return list(csv.reader(fh))
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise RuntimeError(f"failed reading CSV {path}: {exc}") from exc
+    return [line for line in text.split("\n") if line]
 
 
 def jsi_from_csv(path) -> Jsi:
-    """Load a matrix in the `write_artifact` layout; weights are renormalized."""
-    reader = _read_csv(path)
-    if len(reader) < 2 or len(reader[0]) < 2 or reader[0][0] != "bin":
+    """Load a matrix in the `write_artifact` layout; weights are renormalized.
+
+    The header is ``bin`` and then the idler bin labels; each row is a
+    signal bin label and then its cells.  Labels are integers running
+    -N..N on both axes.  Cells are parsed by `np.loadtxt`, correctly
+    rounded like `float`.  Blank lines are skipped, and CRLF line ends,
+    quoted cells and spaces around cells are accepted.  A short or ragged
+    row, a non-finite cell or a matrix with no weight raises `ValueError`.
+    """
+    lines = _read_lines(path)
+    header = next(csv.reader(lines[:1]), [])
+    if len(lines) < 2 or len(header) < 2 or header[0] != "bin":
         raise ValueError(f"{path}: expected a 'bin'-headed matrix CSV")
-    col_bins = [int(x) for x in reader[0][1:]]
-    row_bins = [int(r[0]) for r in reader[1:]]
+    try:
+        col_bins = [int(x) for x in header[1:]]
+        # Row labels go through `int`, as the column labels do.
+        cells = np.loadtxt(
+            lines[1:], delimiter=",", quotechar='"', comments=None, ndmin=2, converters={0: int}
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     size = len(col_bins)
-    if len(row_bins) != size:
-        raise ValueError(f"{path}: matrix must be square, got {len(row_bins)}x{size}")
+    if cells.shape != (size, size + 1):
+        rows, cols = cells.shape
+        raise ValueError(f"{path}: matrix must be square, got {rows}x{cols - 1}")
     n_max = size // 2
     expected = list(range(-n_max, n_max + 1))
-    if col_bins != expected or row_bins != expected:
+    if col_bins != expected or cells[:, 0].tolist() != expected:
         raise ValueError(f"{path}: bin indices must run -N..N on both axes")
-    values = np.array([[float(x) for x in r[1:]] for r in reader[1:]])
+    values = cells[:, 1:]
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{path}: matrix cells must be finite")
     total = values.sum()
@@ -75,11 +106,14 @@ def jsi_from_csv(path) -> Jsi:
 
 
 def visibilities_from_csv(path) -> list[tuple[int, float]]:
-    """Load ``n,visibility`` rows for a time-bin Schmidt fit."""
-    reader = _read_csv(path)
-    if not reader or [h.strip() for h in reader[0][:2]] != ["n", "visibility"]:
+    """Load ``n,visibility`` rows for a time-bin Schmidt fit; blank lines are skipped."""
+    rows = list(csv.reader(_read_lines(path)))
+    if not rows or [h.strip() for h in rows[0][:2]] != ["n", "visibility"]:
         raise ValueError(f"{path}: expected header 'n,visibility'")
-    return [(int(r[0]), float(r[1])) for r in reader[1:] if r]
+    width = len(rows[0])
+    if any(len(r) != width for r in rows[1:]):
+        raise ValueError(f"{path}: every row must have the header's {width} cells")
+    return [(int(r[0]), float(r[1])) for r in rows[1:]]
 
 
 def write_artifact(path, value) -> None:
@@ -92,21 +126,18 @@ def write_artifact(path, value) -> None:
     elif isinstance(value, str):
         Path(path).write_text(value, encoding="utf-8")
     elif isinstance(value, HomTrace):
-        rows = zip(value.delays_ps.tolist(), value.coincidence.tolist())
-        export_csv(path, ["delay_ps", "coincidence"], rows)
+        export_csv(path, ["delay_ps", "coincidence"], [value.delays_ps, value.coincidence])
     elif isinstance(value, Jsi):
         # A header row and a leading column of signal/idler bin indices.
-        bins = value.bins.tolist()
-        rows = ([n] + row.tolist() for n, row in zip(bins, value.values))
-        export_csv(path, ["bin"] + [str(b) for b in bins], rows)
+        bins = value.bins
+        export_csv(path, ["bin", *map(str, bins.tolist())], [bins, *value.values.T])
     elif isinstance(value, SchmidtSpectrum):
         # n is the bin label if the spectrum has them, else the rank.
         labels = value.bin_indices
-        labels = range(value.eigenvalues.size) if labels is None else labels.tolist()
-        export_csv(path, ["n", "eigenvalue"], zip(labels, value.eigenvalues.tolist()))
+        labels = np.arange(value.eigenvalues.size) if labels is None else labels
+        export_csv(path, ["n", "eigenvalue"], [labels, value.eigenvalues])
     elif isinstance(value, FringeScan):
-        rows = zip(value.scan_angles_deg.tolist(), value.counts.tolist())
-        export_csv(path, ["phi2_deg", "counts"], rows)
+        export_csv(path, ["phi2_deg", "counts"], [value.scan_angles_deg, value.counts])
     else:
-        rows = ((r.n, r.center_ps, r.visibility) for r in value)
-        export_csv(path, ["n", "center_ps", "visibility"], rows)
+        fields = ["n", "center_ps", "visibility"]
+        export_csv(path, fields, [[getattr(r, f) for r in value] for f in fields])

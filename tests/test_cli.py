@@ -296,6 +296,59 @@ class TestSubcommands:
         assert build_parser() is build_parser()
 
 
+def _cells(text: str, fmt: str) -> str:
+    """Every cell of every line after the header through ``fmt``."""
+    header, *rows = text.splitlines()
+    rows = [",".join(fmt.format(cell) for cell in row.split(",")) for row in rows]
+    return "\n".join([header, *rows]) + "\n"
+
+
+class TestMeasuredInputFiles:
+    """`--input` and `--visibilities` files written in other CSV dialects, and broken ones."""
+
+    MATRIX = "bin,-1,0,1\n-1,0.05,0.15,0.8\n0,0.1,0.7,0.2\n1,0.75,0.2,0.05\n"
+    VISIBILITIES = "n,visibility\n1,0.9946\n2,0.9797\n3,0.9575\n"
+    # (command, input flag, plain file)
+    INPUTS = {
+        "jsi-input": ("jsi", "--input", MATRIX),
+        "schmidt-input": ("schmidt", "--input", MATRIX),
+        "schmidt-visibilities": ("schmidt", "--visibilities", VISIBILITIES),
+    }
+    DIALECTS = {
+        "trailing-blank-line": lambda text: text + "\n",
+        "crlf": lambda text: text.replace("\n", "\r\n"),
+        "quoted-cells": lambda text: _cells(text, '"{}"'),
+        "spaced-cells": lambda text: _cells(text, " {} "),
+    }
+
+    def _run(self, fast_cfg_path, tmp_path, kind, text, out) -> int:
+        command, flag, _ = self.INPUTS[kind]
+        path = tmp_path / "input.csv"
+        path.write_text(text, newline="")
+        return main([command, "--config", fast_cfg_path, "--out", str(out), flag, str(path)])
+
+    @pytest.mark.parametrize("dialect", DIALECTS)
+    @pytest.mark.parametrize("kind", INPUTS)
+    def test_dialect_gives_the_plain_file_output(self, fast_cfg_path, tmp_path, kind, dialect):
+        plain = self.INPUTS[kind][2]
+        assert self._run(fast_cfg_path, tmp_path, kind, plain, tmp_path / "plain") == 0
+        variant = self.DIALECTS[dialect](plain)
+        assert variant != plain
+        assert self._run(fast_cfg_path, tmp_path, kind, variant, tmp_path / "variant") == 0
+        assert _snapshot(tmp_path / "variant") == _snapshot(tmp_path / "plain")
+
+    @pytest.mark.parametrize("row", ["ragged", "short"])
+    @pytest.mark.parametrize("kind", INPUTS)
+    def test_ragged_or_short_row_is_exit_1(self, fast_cfg_path, tmp_path, capsys, kind, row):
+        lines = self.INPUTS[kind][2].splitlines(keepends=True)
+        cells = lines[2].rstrip("\n").split(",")
+        lines[2] = ",".join(cells + ["0.1"] if row == "ragged" else cells[:1]) + "\n"
+        out = tmp_path / "out"
+        assert self._run(fast_cfg_path, tmp_path, kind, "".join(lines), out) == 1
+        assert "input.csv" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestWriteStage:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_success_lists_exactly_the_artifacts(self, command, fast_cfg_path, tmp_path):

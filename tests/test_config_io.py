@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bfcsim import ConfigError, load_config, preset_config
 from bfcsim.comb import ENVELOPE_SHAPES
@@ -283,6 +283,17 @@ class TestRoundTrips:
         with pytest.raises(ValueError):
             jsi_from_csv(path)
 
+    @pytest.mark.parametrize(
+        "row",
+        ["0.0,1,0", "0,1_0,0", "0,1,0,0,0", "0,1", '"0",,1'],
+        ids=["float-label", "underscore-cell", "ragged", "short", "empty-cell"],
+    )
+    def test_jsi_csv_rejection_names_the_path(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"bin,-1,0,1\n-1,0,0,1\n{row}\n1,1,0,0\n")
+        with pytest.raises(ValueError, match="bad.csv"):
+            jsi_from_csv(path)
+
     def test_trace_csv_layout(self, tmp_path, comb_45):
         from bfcsim import simulate_hom_trace
 
@@ -422,7 +433,56 @@ def test_jsi_csv_reads_back_exactly(tmp_path_factory, values):
 @given(st.lists(st.tuples(st.integers(-(2**63), 2**63 - 1), st.floats(allow_nan=False))))
 def test_visibility_points_read_back_exactly(tmp_path_factory, points):
     path = tmp_path_factory.getbasetemp() / "round_trip_visibilities.csv"
-    export_csv(path, ["n", "visibility"], points)
+    export_csv(path, ["n", "visibility"], [[n for n, _ in points], [v for _, v in points]])
     back = visibilities_from_csv(path)
     assert back == points
     assert [math.copysign(1.0, v) for _, v in back] == [math.copysign(1.0, v) for _, v in points]
+
+
+def _csv_writer_bytes(header, columns) -> bytes:
+    """The reference: `csv.writer` over rows of Python ints and floats."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*(c.tolist() for c in columns)))
+    return buf.getvalue().encode("utf-8")
+
+
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+_SPECIAL_FLOATS = [
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+    5e-324, -5e-324, 2.225073858507201e-308,  # subnormals
+    2.2250738585072014e-308, 1.7976931348623157e308,  # smallest normal, largest
+]
+
+
+@st.composite
+def _csv_columns(draw):
+    n_rows = draw(st.integers(0, 12))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            columns.append(np.array(draw(st.lists(_INT64, min_size=n_rows, max_size=n_rows))))
+            continue
+        # A small pool makes repeated values, within a column and across columns, common.
+        pool = draw(st.lists(st.floats() | st.sampled_from(_SPECIAL_FLOATS), min_size=1))
+        cells = st.sampled_from(pool) | st.floats()
+        columns.append(np.array(draw(st.lists(cells, min_size=n_rows, max_size=n_rows)), float))
+    return columns
+
+
+@given(_csv_columns())
+@example([np.array([0.0, -0.0, 0.0, -0.0]), np.array([-0.0, math.nan, -math.nan, 0.0])])
+@example([np.array([2**63 - 1, -(2**63), 0]), np.array([5e-324, -5e-324, math.inf])])
+def test_export_csv_bytes_match_the_csv_writer(tmp_path_factory, columns):
+    path = tmp_path_factory.getbasetemp() / "oracle.csv"
+    header = [f"c{i}" for i in range(len(columns))]
+    export_csv(path, header, columns)
+    assert path.read_bytes() == _csv_writer_bytes(header, columns)
+
+
+def test_export_csv_rejects_unequal_columns(tmp_path):
+    path = tmp_path / "unequal.csv"
+    with pytest.raises(ValueError, match="equal length"):
+        export_csv(path, ["a", "b"], [np.arange(3), np.zeros(2)])
+    assert not path.exists()
