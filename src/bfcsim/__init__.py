@@ -57,7 +57,5 @@ from .chsh import (
     simulate_fringe_scan,
     violation_sigmas,
 )
-from .config import ConfigError, RunConfig, load_config, preset_config
+from .config import TOOL_VERSION as __version__, ConfigError, RunConfig, load_config, preset_config
 from .report import run_report
-
-__version__ = "0.1.0"

@@ -110,7 +110,6 @@ class CombSpectrum:
     bin_weights: np.ndarray
     half_width_rad_s: float
     fsr_rad_s: float
-    label: str = ""
 
     def __post_init__(self) -> None:
         w = np.asarray(self.bin_weights, dtype=float)
@@ -193,7 +192,6 @@ def build_comb(cavity: CavitySpec, source: SourceSpec, n_max: int | None = None)
         bin_weights=w,
         half_width_rad_s=cavity.half_width_rad_s,
         fsr_rad_s=cavity.fsr_rad_s,
-        label=cavity.label,
     )
 
 

@@ -10,9 +10,9 @@ The config format is a flat sectioned key-value text, e.g.::
     [output] dir="out"
 
 Pairs may follow the section tag on the same line (comma-separated) or
-appear on their own lines.  Unknown sections or keys are errors.  Each
-setting's default and range check live on the dataclass that holds it;
-a key missing from the file takes that default.
+appear on their own lines.  Unknown sections or keys are errors.  A key
+missing from the file takes the default of the dataclass field it sets;
+its range check is in its `_FIELDS` row.
 """
 
 from __future__ import annotations
@@ -39,18 +39,67 @@ class ConfigError(ValueError):
     """Config file failed to parse or validate."""
 
 
-def _require_finite(section: str, **values: float) -> None:
-    for key, value in values.items():
-        if not math.isfinite(value):
-            raise ConfigError(f"[{section}] {key} must be finite, got {value!r}")
+# File key -> (dataclass field, conversion, rule) per section.  A number
+# scales float() of the value into the field's unit; `str` and `int` fields
+# take the value as written.  A rule is a `_RULES` text or the allowed strings;
+# `[cavity]` and `[source]` have none, as CavitySpec and SourceSpec check theirs.
+_FIELDS = {
+    "cavity": {
+        "fsr_ghz": ("fsr_hz", 1e9, None),
+        "linewidth_ghz": ("linewidth_fwhm_hz", 1e9, None),
+        "label": ("label", str, None),
+    },
+    "source": {
+        "bpm_ghz": ("phase_matching_fwhm_hz", 1e9, None),
+        "envelope": ("envelope_shape", str, None),
+        "pump_mw": ("pump_power_mw", 1.0, None),
+        "wavelength_nm": ("degenerate_wavelength_nm", 1.0, None),
+    },
+    "comb": {"n_max": ("n_max", int, ">= 0")},
+    "hom": {
+        "window_ps": ("window_ps", 1.0, "> 0"),
+        "step_ps": ("step_ps", 1.0, "> 0"),
+        "accidentals": ("accidental_fraction", 1.0, "in [0, 1)"),
+    },
+    "jsi": {
+        "filter_fwhm_pm": ("filter_fwhm_pm", 1.0, ">= 0"),
+        "filter_shape": ("filter_shape", str, FILTER_SHAPES),
+        "max_bin": ("max_bin", int, ">= 0"),
+        "pump_mw": ("pump_power_mw", 1.0, ">= 0"),
+    },
+    "chsh": {
+        "fringe_visibility": ("fringe_visibility", 1.0, "in [0, 1]"),
+        "chsh_visibility": ("chsh_visibility", 1.0, "in [0, 1]"),
+        "integration": ("integration", 1.0, "> 0"),
+        "seed": ("seed", int, ">= 0"),
+    },
+    "output": {"dir": ("output_dir", str, None)},
+}
+
+_RULES = {
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    "in [0, 1)": lambda v: 0 <= v < 1,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+}
 
 
-def _require_integer(section: str, **values) -> None:
-    for key, value in values.items():
-        if isinstance(value, float):
-            _require_finite(section, **{key: value})
-        if not isinstance(value, int):
-            raise ConfigError(f"[{section}] {key} must be an integer, got {value!r}")
+def _check(obj, section: str) -> None:
+    """Hold each field of `obj` to its `_FIELDS` row: finite, integer, then the rule."""
+    for key, (name, convert, rule) in _FIELDS[section].items():
+        value = getattr(obj, name)
+        if value is None:  # RunConfig.n_max: the comb's default
+            continue
+        if (isinstance(convert, float) or isinstance(value, float)) and not math.isfinite(value):
+            must = "finite"
+        elif convert is int and not isinstance(value, int):
+            must = "an integer"
+        elif isinstance(rule, tuple):
+            must = None if value in rule else f"one of {rule}"
+        else:
+            must = None if _RULES[rule](value) else rule
+        if must:
+            raise ConfigError(f"[{section}] {key} must be {must}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -60,16 +109,7 @@ class HomConfig:
     accidental_fraction: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite(
-            "hom",
-            window_ps=self.window_ps,
-            step_ps=self.step_ps,
-            accidentals=self.accidental_fraction,
-        )
-        if self.window_ps <= 0.0 or self.step_ps <= 0.0:
-            raise ConfigError("[hom] window_ps and step_ps must be positive")
-        if not (0.0 <= self.accidental_fraction < 1.0):
-            raise ConfigError("[hom] accidentals must lie in [0, 1)")
+        _check(self, "hom")
         n_delays = 2.0 * self.window_ps / self.step_ps + 1.0
         if n_delays > MAX_HOM_DELAYS:
             raise ConfigError(
@@ -86,18 +126,7 @@ class JsiConfig:
     pump_power_mw: float = 2.0
 
     def __post_init__(self) -> None:
-        _require_finite("jsi", filter_fwhm_pm=self.filter_fwhm_pm, pump_mw=self.pump_power_mw)
-        _require_integer("jsi", max_bin=self.max_bin)
-        if self.filter_fwhm_pm < 0.0:
-            raise ConfigError("[jsi] filter_fwhm_pm must be >= 0")
-        if self.filter_shape not in FILTER_SHAPES:
-            raise ConfigError(
-                f"[jsi] filter_shape must be one of {FILTER_SHAPES}, got {self.filter_shape!r}"
-            )
-        if self.max_bin < 0:
-            raise ConfigError("[jsi] max_bin must be >= 0")
-        if self.pump_power_mw < 0.0:
-            raise ConfigError("[jsi] pump_mw must be >= 0")
+        _check(self, "jsi")
         floor = floor_fraction(self.pump_power_mw)
         if floor >= 1.0:
             raise ConfigError(
@@ -114,23 +143,7 @@ class ChshConfig:
     seed: int = 12345
 
     def __post_init__(self) -> None:
-        _require_finite(
-            "chsh",
-            fringe_visibility=self.fringe_visibility,
-            chsh_visibility=self.chsh_visibility,
-            integration=self.integration,
-        )
-        _require_integer("chsh", seed=self.seed)
-        for name, v in (
-            ("fringe_visibility", self.fringe_visibility),
-            ("chsh_visibility", self.chsh_visibility),
-        ):
-            if not (0.0 <= v <= 1.0):
-                raise ConfigError(f"[chsh] {name} must lie in [0, 1]")
-        if self.integration <= 0.0:
-            raise ConfigError("[chsh] integration must be > 0")
-        if self.seed < 0:
-            raise ConfigError(f"[chsh] seed must be >= 0, got {self.seed!r}")
+        _check(self, "chsh")
 
 
 @dataclass(frozen=True)
@@ -145,8 +158,7 @@ class RunConfig:
     preset_name: str = ""
 
     def __post_init__(self) -> None:
-        if self.n_max is not None and (not isinstance(self.n_max, int) or self.n_max < 0):
-            raise ConfigError("[comb] n_max must be a nonnegative integer")
+        _check(self, "comb")
         # The report locates revival dips and fits the time-bin spectrum,
         # both of which need the dips at +/- one period inside the scan.
         period = 0.5 * self.cavity.round_trip_ps
@@ -173,42 +185,6 @@ class RunConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-# File key -> (dataclass field, conversion) per section.  A number scales
-# float() of the value into the field's unit; `str` and `int` fields take
-# the value as written, and the dataclass checks integers.
-_FIELDS = {
-    "cavity": {
-        "fsr_ghz": ("fsr_hz", 1e9),
-        "linewidth_ghz": ("linewidth_fwhm_hz", 1e9),
-        "label": ("label", str),
-    },
-    "source": {
-        "bpm_ghz": ("phase_matching_fwhm_hz", 1e9),
-        "envelope": ("envelope_shape", str),
-        "pump_mw": ("pump_power_mw", 1.0),
-        "wavelength_nm": ("degenerate_wavelength_nm", 1.0),
-    },
-    "comb": {"n_max": ("n_max", int)},
-    "hom": {
-        "window_ps": ("window_ps", 1.0),
-        "step_ps": ("step_ps", 1.0),
-        "accidentals": ("accidental_fraction", 1.0),
-    },
-    "jsi": {
-        "filter_fwhm_pm": ("filter_fwhm_pm", 1.0),
-        "filter_shape": ("filter_shape", str),
-        "max_bin": ("max_bin", int),
-        "pump_mw": ("pump_power_mw", 1.0),
-    },
-    "chsh": {
-        "fringe_visibility": ("fringe_visibility", 1.0),
-        "chsh_visibility": ("chsh_visibility", 1.0),
-        "integration": ("integration", 1.0),
-        "seed": ("seed", int),
-    },
-    "output": {"dir": ("output_dir", str)},
-}
-
 _KNOWN_KEYS = {section: set(keys) for section, keys in _FIELDS.items()}
 _KNOWN_KEYS["cavity"].add("preset")
 
@@ -227,14 +203,11 @@ def _parse_value(raw: str, line_no: int, key: str):
     raw = raw.strip()
     if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "\"'":
         return raw[1:-1]
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
+    for number in (int, float):
+        try:
+            return number(raw)
+        except ValueError:
+            pass
     if re.fullmatch(r"[\w.+-]+", raw):
         return raw
     raise ConfigError(f"line {line_no}: cannot parse value {raw!r} for key {key!r}")
@@ -274,15 +247,18 @@ def _fields(sections: dict[str, dict], section: str) -> dict:
     """The section's file keys as dataclass fields, converted; absent keys are left out."""
     out = {}
     for key, value in sections.get(section, {}).items():
-        name, convert = _FIELDS[section][key]
+        if key == "preset":  # [cavity]'s, which build_config reads
+            continue
+        name, convert, _ = _FIELDS[section][key]
         if isinstance(convert, float):
             try:
-                number = float(value)
+                value = float(value)
             except ValueError:
                 raise ConfigError(f"[{section}] {key} must be a number, got {value!r}") from None
             # CavitySpec and SourceSpec accept inf and nan.
-            _require_finite(section, **{key: number})
-            value = number * convert
+            if not math.isfinite(value):
+                raise ConfigError(f"[{section}] {key} must be finite, got {value!r}")
+            value *= convert
         elif convert is str:
             value = str(value)
         out[name] = value
@@ -292,8 +268,6 @@ def _fields(sections: dict[str, dict], section: str) -> dict:
 def _construct(section: str, cls, kwargs: dict):
     try:
         return cls(**kwargs)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"[{section}] {exc}") from exc
 
@@ -308,7 +282,7 @@ def build_config(sections: dict[str, dict], output_dir: str | None = None) -> Ru
         if "fsr_ghz" in cav or "linewidth_ghz" in cav:
             raise ConfigError("[cavity] give either preset or fsr_ghz/linewidth_ghz, not both")
         preset_name = str(cav["preset"]).lower()
-        cavity = cavity_preset(preset_name)
+        cavity = dataclasses.replace(cavity_preset(preset_name), **_fields(sections, "cavity"))
     else:
         if "fsr_ghz" not in cav or "linewidth_ghz" not in cav:
             raise ConfigError("[cavity] requires both fsr_ghz and linewidth_ghz (or a preset)")
@@ -326,9 +300,9 @@ def build_config(sections: dict[str, dict], output_dir: str | None = None) -> Ru
     return RunConfig(
         cavity=cavity,
         source=source,
-        hom=_construct("hom", HomConfig, _fields(sections, "hom")),
-        jsi=_construct("jsi", JsiConfig, jsi),
-        chsh=_construct("chsh", ChshConfig, _fields(sections, "chsh")),
+        hom=HomConfig(**_fields(sections, "hom")),
+        jsi=JsiConfig(**jsi),
+        chsh=ChshConfig(**_fields(sections, "chsh")),
         preset_name=preset_name,
         **run,
     )

@@ -125,16 +125,20 @@ def scan_correlation_matrix(
     referenced to the peak diagonal cell of the *measured* matrix, i.e. the
     uniform offset f solves f = r * (signal_peak + f), so the off-diagonal
     to peak-diagonal ratio of the result equals the calibrated fraction r.
+
+    The ideal JSI holds weight only at (m, -m), so ``t_sig @ ideal_jsi(comb).values``
+    is the signal transmission reversed along the bins times the reversed weights:
+    every other term of that product is an exact +0.0, and the dense
+    (2N+1)^2 matrix is never built.
     """
     if max_bin < 0 or max_bin > comb.n_max:
         raise ValueError(f"scan range +/-{max_bin} outside the comb's +/-{comb.n_max} bins")
-    base = ideal_jsi(comb)
     fsr_hz = comb.fsr_rad_s / (2.0 * math.pi)
     targets = np.arange(-max_bin, max_bin + 1)
-    bins = base.bins
-    t_sig = np.stack([np.atleast_1d(filter_transmission(sig, bins - t, fsr_hz)) for t in targets])
-    t_idl = np.stack([np.atleast_1d(filter_transmission(idl, bins - t, fsr_hz)) for t in targets])
-    values = t_sig @ base.values @ t_idl.T
+    offsets = comb.bins[None, :] - targets[:, None]
+    t_sig = filter_transmission(sig, offsets, fsr_hz)
+    t_idl = filter_transmission(idl, offsets, fsr_hz)
+    values = (t_sig[:, ::-1] * comb.bin_weights[::-1]) @ t_idl.T
 
     r = floor_fraction(pump_power_mw)
     if r >= 1.0:

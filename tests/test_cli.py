@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bfcsim
 import bfcsim.io
 from bfcsim.cli import build_parser, main
 from bfcsim.report import LOCK_FILENAME
@@ -92,6 +94,12 @@ class TestExitCodes:
         assert exc.value.code == 0
         assert "bfcsim 0.1.0" in capsys.readouterr().out
 
+    def test_package_version_is_the_pyproject_version(self):
+        # Python 3.10 has no tomllib; the [project] version is one plain line.
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        (version,) = re.findall(r'^version = "([^"]+)"$', pyproject, flags=re.MULTILINE)
+        assert version == bfcsim.__version__
+
     def test_validation_error_is_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("[cavity] fsr_ghz=1.0, linewidth_ghz=2.0\n")
@@ -128,6 +136,17 @@ class TestExitCodes:
             ('[jsi] filter_shape="box"', "filter_shape must be one of"),
             ('[hom] window_ps="abc"', "[hom] window_ps must be a number"),
             ("[hom] step_ps=1e-7", "at most 1000000 are allowed"),
+            ("[hom] step_ps=0", "[hom] step_ps must be > 0, got 0.0"),
+            ("[hom] accidentals=1", "[hom] accidentals must be in [0, 1), got 1.0"),
+            ("[jsi] filter_fwhm_pm=-1e-9", "[jsi] filter_fwhm_pm must be >= 0, got -1e-09"),
+            ("[jsi] max_bin=-1", "[jsi] max_bin must be >= 0, got -1"),
+            ("[jsi] pump_mw=-1", "[jsi] pump_mw must be >= 0, got -1.0"),
+            (
+                "[chsh] fringe_visibility=1.0000001",
+                "[chsh] fringe_visibility must be in [0, 1], got 1.0000001",
+            ),
+            ("[chsh] integration=0", "[chsh] integration must be > 0, got 0.0"),
+            ("[comb] n_max=-1", "[comb] n_max must be >= 0, got -1"),
         ],
     )
     def test_bad_config_is_exit_1_before_any_output(
@@ -140,11 +159,25 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["chsh", "report"])
-    def test_negative_seed_flag_is_exit_1_before_any_output(self, command, tmp_path, capsys):
+    # --visibility and --integration belong to chsh alone.
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["chsh", "--seed", "-1"], "seed must be >= 0"),
+            (["report", "--seed", "-1"], "seed must be >= 0"),
+            (
+                ["chsh", "--visibility", "1.0000001"],
+                "[chsh] fringe_visibility must be in [0, 1], got 1.0000001",
+            ),
+            (["chsh", "--visibility", "nan"], "[chsh] fringe_visibility must be finite, got nan"),
+            (["chsh", "--integration", "0"], "[chsh] integration must be > 0, got 0.0"),
+        ],
+        ids=["chsh-seed", "report-seed", "visibility", "visibility-nan", "integration"],
+    )
+    def test_bad_flag_is_exit_1_before_any_output(self, argv, message, tmp_path, capsys):
         out = tmp_path / "o"
-        assert main([command, "--seed", "-1", "--out", str(out)]) == 1
-        assert "seed must be >= 0" in capsys.readouterr().err
+        assert main([*argv, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["hom", "jsi", "schmidt"])
@@ -526,6 +559,14 @@ class TestReportDeterminism:
         assert main(["report", "--config", fast_cfg_path, "--out", str(out1)]) == 0
         assert main(["report", "--config", fast_cfg_path, "--out", str(out2)]) == 0
         assert self._digest_dir(out1) == self._digest_dir(out2)
+
+    def test_label_next_to_a_preset_names_the_cavity(self, tmp_path):
+        cfg = tmp_path / "labelled.cfg"
+        cfg.write_text(FAST_CONFIG.replace('preset="45ghz"', 'preset="45ghz", label="mycav"'))
+        out = tmp_path / "lab"
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["cavity_label"] == "mycav"
+        assert "cavity mycav:" in (out / "summary.txt").read_text()
 
     def test_report_json_round_trips(self, fast_cfg_path, tmp_path):
         from bfcsim.config import load_config

@@ -15,6 +15,7 @@ from hypothesis import example, given, strategies as st
 from bfcsim import ConfigError, load_config, preset_config
 from bfcsim.comb import ENVELOPE_SHAPES
 from bfcsim.config import (
+    _FIELDS,
     MAX_HOM_DELAYS,
     ChshConfig,
     HomConfig,
@@ -166,6 +167,21 @@ class TestConfigParsing:
             with pytest.raises(ConfigError) as exc:
                 build_config(parse_config_text(f'[cavity] preset="45ghz"\n{line}\n'))
             assert str(exc.value) == message
+
+    def test_readme_key_table_states_every_rule(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = {}
+        for line in readme.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            m = re.fullmatch(r"`\[(\w+)\]`", cells[0])
+            if m and len(cells) == 5:
+                rows[m.group(1), cells[1].strip("`")] = cells[4]
+        for section, keys in _FIELDS.items():
+            for key, (_, _, rule) in keys.items():
+                assert (section, key) in rows, (section, key)
+                if rule is not None:
+                    text = rule if isinstance(rule, str) else f"one of {rule}"
+                    assert f"`{text}`" in rows[section, key], (section, key)
 
     def test_delay_grid_budget(self):
         # 2 * 500 / 0.001 + 1 = 1,000,001 delays, one past the budget.

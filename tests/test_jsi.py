@@ -1,11 +1,14 @@
 """Joint spectral intensity: ideal structure, filter smearing, accidental floor."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bfcsim import (
+    CavitySpec,
     FilterSpec,
     Jsi,
     SourceSpec,
@@ -14,7 +17,7 @@ from bfcsim import (
     filter_bandwidth_hz,
     scan_correlation_matrix,
 )
-from bfcsim.jsi import filter_transmission, floor_fraction, ideal_jsi
+from bfcsim.jsi import FILTER_SHAPES, filter_transmission, floor_fraction, ideal_jsi
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +27,42 @@ def flat_comb(cavity_45):
 
 
 DELTA = FilterSpec(fwhm_hz=0.0)
+
+
+def _dense_scan(comb, sig, idl, max_bin, pump_power_mw):
+    """The scan as per-target filter rows around the dense ideal JSI: the reference."""
+    fsr_hz = comb.fsr_rad_s / (2.0 * math.pi)
+    targets = np.arange(-max_bin, max_bin + 1)
+    rows = [np.atleast_1d(filter_transmission(sig, comb.bins - t, fsr_hz)) for t in targets]
+    cols = [np.atleast_1d(filter_transmission(idl, comb.bins - t, fsr_hz)) for t in targets]
+    values = np.stack(rows) @ ideal_jsi(comb).values @ np.stack(cols).T
+    r = floor_fraction(pump_power_mw)
+    if r > 0.0:
+        idx = np.arange(2 * max_bin + 1)
+        values = values + r / (1.0 - r) * float(values[idx, idx[::-1]].max())
+    return values / values.sum()
+
+
+@st.composite
+def _scans(draw):
+    fsr_hz = draw(st.floats(1e9, 1e11))
+    cavity = CavitySpec(fsr_hz=fsr_hz, linewidth_fwhm_hz=fsr_hz / draw(st.floats(1.5, 100.0)))
+    source = SourceSpec(
+        phase_matching_fwhm_hz=draw(st.floats(1e10, 1e12)),
+        envelope_shape=draw(st.sampled_from(["gaussian", "sinc_squared"])),
+    )
+    # Within build_comb's span limit, so no test draws its warning.
+    span = int(5.0 * source.phase_matching_fwhm_hz / fsr_hz)
+    comb = build_comb(cavity, source, n_max=draw(st.integers(0, min(span, 40))))
+    filters = [
+        FilterSpec(
+            fwhm_hz=draw(st.just(0.0) | st.floats(1e8, 1e11)),
+            shape=draw(st.sampled_from(FILTER_SHAPES)),
+        )
+        for _ in range(2)
+    ]
+    max_bin = draw(st.integers(0, comb.n_max))
+    return comb, *filters, max_bin, draw(st.floats(0.0, 8.5))
 
 
 class TestIdealJsi:
@@ -207,6 +246,36 @@ class TestScanCorrelationMatrix:
     def test_normalized_output(self, comb_45):
         scan = scan_correlation_matrix(comb_45, DELTA, DELTA, 2, pump_power_mw=2.0)
         assert scan.values.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        ("preset", "fwhm_pm", "max_bin"), [("45", 300.0, 2), ("15", 100.0, 8), ("5", 100.0, 9)]
+    )
+    @pytest.mark.parametrize("shape", FILTER_SHAPES)
+    def test_presets_equal_the_dense_formula(self, request, preset, fwhm_pm, max_bin, shape):
+        comb = request.getfixturevalue(f"comb_{preset}")
+        filt = FilterSpec(fwhm_hz=filter_bandwidth_hz(fwhm_pm), shape=shape)
+        for pump in (0.0, 2.0):
+            scan = scan_correlation_matrix(comb, filt, filt, max_bin, pump_power_mw=pump)
+            assert np.array_equal(scan.values, _dense_scan(comb, filt, filt, max_bin, pump))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_scans())
+    def test_equals_the_dense_formula(self, case):
+        comb, sig, idl, max_bin, pump = case
+        scan = scan_correlation_matrix(comb, sig, idl, max_bin, pump_power_mw=pump)
+        assert np.array_equal(scan.values, _dense_scan(comb, sig, idl, max_bin, pump))
+
+    def test_memory_does_not_grow_with_the_comb(self, cavity_5):
+        # The dense ideal JSI of this comb is 4001^2 floats, 128 MB.
+        comb = build_comb(cavity_5, SourceSpec(phase_matching_fwhm_hz=5e12), n_max=2000)
+        filt = FilterSpec(fwhm_hz=filter_bandwidth_hz(100.0))
+        tracemalloc.start()
+        try:
+            scan_correlation_matrix(comb, filt, filt, 2, pump_power_mw=2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
 
 class TestJsiType:
