@@ -127,12 +127,20 @@ class JsiConfig:
 
     def __post_init__(self) -> None:
         _check(self, "jsi")
-        floor = floor_fraction(self.pump_power_mw)
-        if floor >= 1.0:
-            raise ConfigError(
-                f"[jsi] pump_mw={self.pump_power_mw!r} puts the accidental floor at "
-                f"{floor:.3f} of the peak cell; it must stay below 1"
-            )
+        _check_floor("jsi", self.pump_power_mw)
+
+
+def _check_floor(section: str, pump_mw: float) -> None:
+    """The accidental floor at the JSI pump power must stay below the peak cell."""
+    try:
+        floor = floor_fraction(pump_mw)
+    except OverflowError:  # the quadratic term of a pump past ~1e154 mW
+        floor = math.inf
+    if floor >= 1.0:
+        raise ConfigError(
+            f"[{section}] pump_mw={pump_mw!r} puts the accidental floor at "
+            f"{floor:.3f} of the peak cell; it must stay below 1"
+        )
 
 
 @dataclass(frozen=True)
@@ -167,6 +175,11 @@ class RunConfig:
                 f"[hom] window_ps={self.hom.window_ps!r} is shorter than one revival "
                 f"period ({period:.4f} ps, half the cavity round trip)"
             )
+        try:
+            self.resolved_n_max()
+        except OverflowError:  # int(inf): 3 bpm / fsr is past the float range
+            bpm_ghz = self.source.phase_matching_fwhm_hz / 1e9
+            raise ConfigError(f"[source] bpm_ghz={bpm_ghz!r} overflows the comb half-count") from None
 
     def resolved_n_max(self) -> int:
         return self.n_max if self.n_max is not None else default_n_max(self.cavity, self.source)
@@ -258,6 +271,8 @@ def _fields(sections: dict[str, dict], section: str) -> dict:
             # CavitySpec and SourceSpec accept inf and nan.
             if not math.isfinite(value):
                 raise ConfigError(f"[{section}] {key} must be finite, got {value!r}")
+            if not math.isfinite(value * convert):
+                raise ConfigError(f"[{section}] {key} must be finite in SI units, got {value!r}")
             value *= convert
         elif convert is str:
             value = str(value)
@@ -289,10 +304,13 @@ def build_config(sections: dict[str, dict], output_dir: str | None = None) -> Ru
         cavity = _construct("cavity", CavitySpec, _fields(sections, "cavity"))
 
     source = _construct("source", SourceSpec, _fields(sections, "source"))
+    jsi = _fields(sections, "jsi")
+    if "pump_power_mw" not in jsi:  # the JSI scan takes the source's pump
+        _check_floor("source", source.pump_power_mw)
     jsi = {
         "pump_power_mw": source.pump_power_mw,
         **_JSI_PRESET_DEFAULTS.get(preset_name, {}),
-        **_fields(sections, "jsi"),
+        **jsi,
     }
     run = {**_fields(sections, "comb"), **_fields(sections, "output")}
     if output_dir:

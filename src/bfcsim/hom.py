@@ -3,30 +3,25 @@
 For a frequency-anticorrelated pure two-photon state the balanced
 beamsplitter coincidence rate is ``C(tau) = 1 - V(tau)`` with ``V`` the
 normalized cosine transform of the biphoton spectral intensity at
-``2 * Omega * tau``.  The comb structure turns the single dip at zero
-delay into a train of revival dips spaced half a round-trip time apart,
-whose depths decay with the bin index n as
+``2 * tau``.  With Lorentzian bins of half-width g at spacing Omega and
+weights w_m, that transform is closed:
 
-    V_n = exp(-|n| pi/F) * (1 + |n| pi/F),
+    V(tau) = E(tau) * (1 + 2g|tau|) * exp(-2g|tau|),
+    E(tau) = sum_m w_m cos(2 m Omega tau),
 
-the closed form for Lorentzian bins.
+the transform of one squared Lorentzian line times the comb factor E.
+E = 1 at the revival dips, spaced half a round-trip time apart, so their
+depths decay with the index n as ``V_n = exp(-|n| pi/F) * (1 + |n| pi/F)``.
 
-`simulate_hom_trace` evaluates the interferogram as a plain quadrature
-sum over a sampled spectral intensity, built once per comb.  The
-quadrature grid ``omega_k = step * k``, k in [-K, K], is symmetric and
-the cosine transform sees only the even part of the intensity, so the
-sum runs over k in [0, K] on the folded samples ``I_0`` and
-``I_k + I_{-k}``.  Two kernels compute that same sum: a chirp-z
-transform (Bluestein's algorithm, three FFTs) for uniform delay grids,
-and the direct cosine-matrix product for every other grid, which the
-tests also use as the reference for the chirp-z kernel.  Neither kernel
-uses the closed form above, so the quadrature and the closed form still
-validate each other.
+`simulate_hom_trace` evaluates V in this closed form on any delay grid,
+summing E by Clenshaw's recurrence.  `quadrature_visibility` is its
+independent oracle: a trapezoidal quadrature of the cosine transform
+over a sampled spectral intensity, which never uses the closed form.
+The two differ by the intensity mass the quadrature's span cuts off.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -81,39 +76,20 @@ class RevivalRecord:
     visibility: float
 
 
-# A delay grid is uniform, and takes the chirp-z kernel, when every delay
-# lies within this many grid steps of ``d0 + j * step``.
-_UNIFORM_GRID_RTOL = 1e-9
-
-# The quadrature samples the spectral intensity this many times per cavity
-# linewidth, out to this many bins past the outermost comb bin.
+# The quadrature oracle samples the spectral intensity this many times per
+# cavity linewidth, out to this many bins past the outermost comb bin.
 POINTS_PER_LINEWIDTH = 32
 PAD_BINS = 2.0
-
-# Samples per block of the spectral-intensity build (256 KB of scratch).
-# 32,768 and 65,536 (one block on every preset) time the same; 8,192 and
-# 16,384 are slower on every preset.
-_INTENSITY_BLOCK = 32_768
 
 
 def simulate_hom_trace(
     comb: CombSpectrum, delays_ps, *, accidental_fraction: float = 0.0
 ) -> HomTrace:
-    """Numeric interferogram oracle over an explicit delay grid (ps).
+    """Interferogram over an explicit delay grid (ps), in closed form.
 
-    The biphoton spectral intensity is the squared Lorentzian line
-    profile summed over bins with the comb weights; the visibility is its
-    normalized cosine transform, a trapezoidal quadrature on a grid of
-    `POINTS_PER_LINEWIDTH` samples per cavity linewidth that spans the
-    comb plus `PAD_BINS` bins on each side.  An optional uniform
-    accidental floor rescales V -> V * (1 - a).
-
-    The delay grid picks the kernel.  A grid of at least 3 delays, each
-    within 1e-9 steps of ``d0 + j * step``, is summed by a chirp-z
-    transform in O((M + N) log(M + N)) time for M delays and the N = K + 1
-    folded frequency samples k in [0, K].  Any other grid takes the direct
-    O(M * N) cosine sum.  Both kernels evaluate the same quadrature sum
-    (they agree to ~1e-13) and neither uses the closed-form dip law.
+    ``V = E(tau) (1 + 2g|tau|) e^{-2g|tau|}`` (see the module docstring),
+    with E summed by `_comb_factor` in O(M * n_max) time for M delays.  An
+    optional uniform accidental floor rescales V -> V * (1 - a).
     """
     delays = np.atleast_1d(np.asarray(delays_ps, dtype=float))
     if delays.size == 0:
@@ -123,120 +99,63 @@ def simulate_hom_trace(
     if not (0.0 <= accidental_fraction < 1.0):
         raise ValueError("simulate_hom_trace: accidental_fraction must be in [0, 1)")
 
-    step, k, intensity = _spectral_intensity(comb)
-    delay_step = _uniform_step(delays)
-    if delay_step is None:
-        visibility = _direct_visibility(step * k, intensity, delays * 1e-12)
-    else:
-        visibility = _chirp_z_visibility(
-            step, k, intensity, delays[0] * 1e-12, delay_step * 1e-12, delays.size
-        )
-
-    coincidence = 1.0 - (1.0 - accidental_fraction) * visibility
-    coincidence = np.clip(coincidence, 0.0, None)
+    tau = np.abs(delays) * 1e-12
+    g = comb.half_width_rad_s
+    visibility = _comb_factor(comb, tau) * (1.0 + 2.0 * g * tau) * np.exp(-2.0 * g * tau)
+    coincidence = np.clip(1.0 - (1.0 - accidental_fraction) * visibility, 0.0, None)
     return HomTrace(delays_ps=delays, coincidence=coincidence, comb=comb)
 
 
-@functools.lru_cache(maxsize=2)
-def _spectral_intensity(comb: CombSpectrum) -> tuple[float, np.ndarray, np.ndarray]:
-    """Quadrature grid step (rad/s), sample indices k and folded normalized intensity.
+def _comb_factor(comb: CombSpectrum, tau: np.ndarray) -> np.ndarray:
+    """``E = sum_m w_m cos(2 m Omega tau)``, normalized to E(0) = 1.
 
-    The quadrature grid ``omega_k = step * k``, k in [-K, K], is symmetric,
-    and ``cos(2 tau omega)`` is even in omega, so the visibility sees only
-    the even part of the intensity I.  The array holds it folded onto the
-    samples k in [0, K]: ``I_0`` at k = 0 and ``I_k + I_{-k}`` after it.
-    Since ``I_{-k}`` is I at ``omega_k`` with bin m weighted by ``w_{-m}``,
-    the fold is the same per-bin sum with weights ``w_m + w_{-m}`` and
-    index 0 halved, exact for any weights.  Normalizing the folded array
-    to sum 1 is normalizing the two-sided one.  Cached per comb
-    (`CombSpectrum` hashes by identity), so the scans of one comb share a
-    build; the arrays are read-only.
+    cos is even, so E is the cosine series ``sum_{m >= 0} c_m cos(m theta)``
+    in ``theta = 2 Omega tau`` with ``c_0 = w_0`` and ``c_m = w_m + w_{-m}``,
+    exact for any weights.  As ``cos(m theta) = T_m(x)`` at
+    ``x = cos(theta)``, Clenshaw's recurrence (C. W. Clenshaw, Math. Tables
+    Aids Comput. 9, 1955) sums it from the top with one cosine per delay:
+    ``b_m = c_m + 2x b_{m+1} - b_{m+2}``, then ``E = c_0 + x b_1 - b_2``.
+    """
+    n = comb.n_max
+    c = comb.bin_weights[n:] + comb.bin_weights[n::-1]
+    c[0] *= 0.5
+    c /= c.sum()
+    x = np.cos(2.0 * comb.fsr_rad_s * tau)
+    two_x = 2.0 * x
+    b1 = b2 = np.zeros_like(x)
+    for c_m in c[:0:-1]:
+        b1, b2 = c_m + two_x * b1 - b2, b1
+    return c[0] + x * b1 - b2
 
-    The build walks the samples in blocks of `_INTENSITY_BLOCK` and does
-    each bin's arithmetic in place in one scratch buffer, so it allocates
-    no per-bin temporaries and each block stays in cache across the bins.
-    Every sample still sees the same IEEE operations, in the same bin
-    order, as the plain loop ``intensity += w * (1 / (hw^2 + (omega -
-    m spacing)^2))^2``, so the array is bit-identical to it (the tests keep
-    that loop as the reference).  It must stay so: both HOM kernels and
-    every report artifact are pinned byte for byte to this array.
+
+def quadrature_visibility(comb: CombSpectrum, delays_ps) -> np.ndarray:
+    """V at each delay (ps) by trapezoidal quadrature: the closed form's oracle.
+
+    The spectral intensity, squared Lorentzian lines with the comb weights,
+    is sampled at ``omega_k = step * k``, k in [-K, K]: `POINTS_PER_LINEWIDTH`
+    samples per linewidth over the comb plus `PAD_BINS` bins each side.  As
+    ``cos(2 tau omega)`` is even, the direct cosine sum runs over k >= 0 on
+    ``I_0`` and ``I_k + I_{-k}``: the per-bin sum with weights
+    ``w_m + w_{-m}`` and index 0 halved, exact for any weights.
     """
     hw = comb.half_width_rad_s
     spacing = comb.fsr_rad_s
-    # Non-negative half of a grid covering every bin plus PAD_BINS of margin.
     step = 2.0 * hw / POINTS_PER_LINEWIDTH
-    half_span = (comb.n_max + PAD_BINS) * spacing
-    k_max = int(math.ceil(half_span / step))
-    k = np.arange(k_max + 1, dtype=np.int64)
-    omega = step * k
-
-    hw2 = hw * hw
-    centres = [m * spacing for m in comb.bins]
-    weights = comb.bin_weights + comb.bin_weights[::-1]
+    omega = step * np.arange(int(math.ceil((comb.n_max + PAD_BINS) * spacing / step)) + 1)
     intensity = np.zeros_like(omega)
-    scratch = np.empty(min(_INTENSITY_BLOCK, omega.size))
-    for start in range(0, omega.size, _INTENSITY_BLOCK):
-        samples = omega[start : start + _INTENSITY_BLOCK]
-        acc = intensity[start : start + _INTENSITY_BLOCK]
-        line = scratch[: samples.size]
-        for centre, w in zip(centres, weights):
-            np.subtract(samples, centre, out=line)
-            np.square(line, out=line)
-            np.add(line, hw2, out=line)
-            np.divide(1.0, line, out=line)
-            np.square(line, out=line)
-            np.multiply(line, w, out=line)
-            acc += line
+    for m, w in zip(comb.bins, comb.bin_weights + comb.bin_weights[::-1]):
+        intensity += w * np.square(1.0 / (hw * hw + np.square(omega - m * spacing)))
     intensity[0] *= 0.5
     intensity /= intensity.sum()
 
-    k.setflags(write=False)
-    intensity.setflags(write=False)
-    return step, k, intensity
-
-
-def _uniform_step(delays: np.ndarray) -> float | None:
-    """Step of a uniform grid of at least 3 delays, else None."""
-    if delays.size < 3:
-        return None
-    step = (delays[-1] - delays[0]) / (delays.size - 1)
-    ideal = delays[0] + step * np.arange(delays.size)
-    if np.max(np.abs(delays - ideal)) > _UNIFORM_GRID_RTOL * step:
-        return None
-    return float(step)
-
-
-def _direct_visibility(omega: np.ndarray, intensity: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """``sum_k I_k cos(2 tau_j omega_k)`` as blocked cosine-matrix products."""
+    tau = np.atleast_1d(np.asarray(delays_ps, dtype=float)) * 1e-12
+    two_omega = 2.0 * omega
     visibility = np.empty(tau.size)
     block = max(1, 4_000_000 // omega.size)
     for i in range(0, tau.size, block):
-        chunk = tau[i : i + block]
-        visibility[i : i + block] = np.cos(2.0 * np.outer(chunk, omega)) @ intensity
+        phase = np.outer(tau[i : i + block], two_omega)
+        visibility[i : i + block] = np.cos(phase, out=phase) @ intensity
     return visibility
-
-
-def _chirp_z_visibility(
-    step: float, k: np.ndarray, intensity: np.ndarray, tau0: float, tau_step: float, m: int
-) -> np.ndarray:
-    """``sum_k I_k cos(2 tau_j omega_k)`` at ``tau_j = tau0 + j tau_step``, j < m.
-
-    With ``omega_k = step * k`` the phase is ``2 step tau0 k + a j k``,
-    ``a = 2 step tau_step``.  Bluestein's identity
-    ``j k = (j^2 + k^2 - (j - k)^2) / 2`` turns the sum over k into a
-    convolution with the chirp ``exp(-i a l^2 / 2)`` over every lag
-    ``l = j - k``, done with FFTs of a power-of-two length.  Squares are
-    taken in int64, so each chirp phase is rounded once.
-    """
-    a = 2.0 * step * tau_step
-    j = np.arange(m, dtype=np.int64)
-    lags = np.arange(-k[-1], m - k[0], dtype=np.int64)
-    size = 1 << int(lags.size - 1).bit_length()
-    weighted = intensity * np.exp(1j * (2.0 * step * tau0 * k + 0.5 * a * (k * k)))
-    chirp = np.exp(-0.5j * a * (lags * lags))
-    conv = np.fft.ifft(np.fft.fft(weighted, size) * np.fft.fft(chirp, size))
-    # Lag j - k sits at chirp index j - k + k[-1], so output j lands at j + k.size - 1.
-    return (np.exp(0.5j * a * (j * j)) * conv[k.size - 1 : k.size - 1 + m]).real
 
 
 def dip_visibility_closed_form(n: int, cavity: CavitySpec) -> float:
@@ -274,8 +193,9 @@ def visibility_to_decay_parameter(v: float) -> float:
 
 
 # Dips shallower than this are not reported as revivals.  At low finesse the
-# outer revivals fall to ~1e-8, the quadrature's floor, where a window's
-# minimum is numerical noise rather than a dip.
+# outer revivals fall to ~1e-8, below the plateau ripple that the comb's hard
+# bin cutoff leaves (~1e-6 at finesse 3), where a window's minimum is ripple
+# rather than a dip.
 REVIVAL_VISIBILITY_FLOOR = 1e-2
 
 

@@ -1,9 +1,12 @@
-"""Shared fixtures: preset combs and the expensive wide delay scans."""
+"""Shared fixtures: preset combs, their wide delay scans and quadrature-oracle values."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from bfcsim import DEFAULT_SOURCE, build_comb, cavity_preset, simulate_hom_trace
+from bfcsim.hom import quadrature_visibility
 
 WIDE_STEP_PS = 0.2
 WIDE_WINDOW_PS = 340.0
@@ -62,3 +65,40 @@ def trace_5(comb_5):
 def zoom_trace_45(comb_45):
     delays = np.arange(-12.0, 12.0 + 0.0025, 0.005)
     return simulate_hom_trace(comb_45, delays)
+
+
+def _wide_sample(period, seed):
+    """Seeded 200 wide-grid indices plus the index nearest each revival centre."""
+    rng = np.random.default_rng(seed)
+    d = _wide_delays()
+    n = np.arange(np.ceil(d[0] / period), np.floor(d[-1] / period) + 1)
+    centres = np.abs(d[:, None] - n * period).argmin(axis=0)
+    return np.union1d(rng.choice(d.size, 200, replace=False), centres)
+
+
+def _oracle(comb, seed):
+    """The quadrature oracle's visibility on the zoom grid and on a seeded wide sample."""
+    zoom_delays = np.arange(-12.0, 12.0 + 0.01, 0.02)
+    wide_idx = _wide_sample(0.5 * comb.round_trip_ps, seed)
+    return SimpleNamespace(
+        comb=comb,
+        zoom_delays=zoom_delays,
+        zoom=quadrature_visibility(comb, zoom_delays),
+        wide_idx=wide_idx,
+        wide=quadrature_visibility(comb, _wide_delays()[wide_idx]),
+    )
+
+
+@pytest.fixture(scope="session")
+def oracle_45(comb_45):
+    return _oracle(comb_45, 45)
+
+
+@pytest.fixture(scope="session")
+def oracle_15(comb_15):
+    return _oracle(comb_15, 15)
+
+
+@pytest.fixture(scope="session")
+def oracle_5(comb_5):
+    return _oracle(comb_5, 5)

@@ -381,6 +381,13 @@ class TestMeasuredInputFiles:
         assert "input.csv" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_n_is_exit_1(self, fast_cfg_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        text = "n,visibility\n1,0.99\n2,0.98\n1,0.5\n"
+        assert self._run(fast_cfg_path, tmp_path, "schmidt-visibilities", text, out) == 1
+        assert "input.csv: n=1 is on more than one row" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestWriteStage:
     @pytest.mark.parametrize("command", COMMANDS)
@@ -500,7 +507,7 @@ class TestRevivalSpacing:
         assert _revival_spacing(records) == pytest.approx(11.03, abs=0.05)
 
     def test_finesse_3_keeps_only_dips_above_the_floor(self, tmp_path):
-        # The outer revivals fall to ~1e-8, the quadrature's floor; only |n| <= 6 are dips.
+        # The outer revivals fall to ~1e-8, below the plateau ripple; only |n| <= 6 are dips.
         from bfcsim.hom import REVIVAL_VISIBILITY_FLOOR
 
         cfg = tmp_path / "f3.cfg"

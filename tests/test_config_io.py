@@ -108,6 +108,7 @@ class TestConfigParsing:
                 "[hom] step_ps=nan",
                 "[hom] accidentals=nan",
                 "[source] bpm_ghz=inf",
+                "[source] bpm_ghz=1e300",  # finite, but not in Hz
                 "[source] pump_mw=nan",
                 "[source] wavelength_nm=inf",
                 "[jsi] filter_fwhm_pm=inf",
@@ -123,8 +124,8 @@ class TestConfigParsing:
         ],
     )
     def test_non_finite_values_rejected(self, text):
-        key, value = re.search(r"(\w+)=(inf|nan|\d+\.\d+)", text).groups()
-        message = "must be finite" if value in ("inf", "nan") else "must be an integer"
+        key, value = re.search(r"(\w+)=(inf|nan|1e300|\d+\.\d+)", text).groups()
+        message = "must be finite" if value in ("inf", "nan", "1e300") else "must be an integer"
         with pytest.raises(ConfigError, match=f"{key} {message}"):
             build_config(parse_config_text(text + "\n"))
 
@@ -150,6 +151,18 @@ class TestConfigParsing:
             build_config(parse_config_text(text))
         ok = build_config(parse_config_text('[cavity] preset="45ghz"\n[jsi] pump_mw=8.5\n'))
         assert ok.jsi.pump_power_mw == 8.5
+        # The floor's quadratic term overflows past ~1e154 mW.  The JSI pump
+        # defaults to the source's, and the error names the key it came from.
+        for line in ("[jsi] pump_mw=1e300", "[source] pump_mw=1e300"):
+            message = re.escape(line.replace("=1e300", "=1e+300")) + " puts the accidental floor"
+            with pytest.raises(ConfigError, match=message + " at inf"):
+                build_config(parse_config_text(f'[cavity] preset="45ghz"\n{line}\n'))
+
+    def test_comb_half_count_past_the_float_range_rejected(self):
+        # 1e308 Hz is finite; three times it over the FSR is not.
+        text = '[cavity] preset="45ghz"\n[source] bpm_ghz=1e299\n'
+        with pytest.raises(ConfigError, match=r"bpm_ghz=1e\+299 overflows the comb half-count"):
+            build_config(parse_config_text(text))
 
     def test_window_shorter_than_revival_period_rejected(self):
         # 45ghz revival period: 11.03 ps.

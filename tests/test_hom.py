@@ -1,4 +1,4 @@
-"""Interferometry: quadrature oracle, closed-form visibility, revival location."""
+"""Interferometry: the HOM trace, closed-form visibility, revival location."""
 
 import math
 

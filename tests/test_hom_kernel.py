@@ -1,235 +1,56 @@
-"""HOM kernels against their oracles.
+"""The closed-form HOM kernel against its oracles.
 
-Chirp-z vs direct sum, folded vs two-sided quadrature, blocked vs plain
-intensity build, and traces vs the closed form.
+Kernel vs the quadrature oracle and vs a direct cosine sum of the closed
+form, and the folded quadrature vs the two-sided one it replaces.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bfcsim import DEFAULT_SOURCE, CombSpectrum, build_comb, cavity_preset, hom, simulate_hom_trace
+from bfcsim import (
+    DEFAULT_SOURCE,
+    CavitySpec,
+    CombSpectrum,
+    SourceSpec,
+    build_comb,
+    hom,
+    simulate_hom_trace,
+)
+from bfcsim.hom import quadrature_visibility
 
-# Chirp-z vs direct on the same quadrature; measured gap is ~1e-13.
-KERNEL_TOL = 1e-10
+# |C - direct cosine sum of the closed form|: the kernel sums the same
+# series by a recurrence; the measured gap is <= 6e-14 on the presets.
+DIRECT_TOL = 1e-12
 
-WIDE = np.arange(-340.0, 340.0 + 0.1, 0.2)
-ZOOM = np.arange(-12.0, 12.0 + 0.01, 0.02)
-
-
-def _direct_coincidence(comb, delays, accidental_fraction=0.0):
-    step, k, intensity = hom._spectral_intensity(comb)
-    visibility = hom._direct_visibility(step * k, intensity, delays * 1e-12)
-    return np.clip(1.0 - (1.0 - accidental_fraction) * visibility, 0.0, None)
-
-
-def _wide_sample(trace, seed):
-    """Seeded 200 wide-grid indices plus the sample nearest each revival centre."""
-    rng = np.random.default_rng(seed)
-    d = trace.delays_ps
-    period = trace.revival_period_ps
-    n = np.arange(np.ceil(d[0] / period), np.floor(d[-1] / period) + 1)
-    centres = np.abs(d[:, None] - n * period).argmin(axis=0)
-    return np.union1d(rng.choice(d.size, 200, replace=False), centres)
-
-
-class TestChirpZMatchesDirect:
-    def test_zoom_grid_45ghz_in_full(self, comb_45):
-        trace = simulate_hom_trace(comb_45, ZOOM)
-        gap = np.max(np.abs(trace.coincidence - _direct_coincidence(comb_45, ZOOM)))
-        assert gap <= KERNEL_TOL
-
-    @pytest.mark.parametrize(
-        ("fixture", "seed"), [("trace_45", 45), ("trace_15", 15), ("trace_5", 5)]
-    )
-    def test_wide_grid_sample(self, fixture, seed, request):
-        trace = request.getfixturevalue(fixture)
-        assert np.array_equal(trace.delays_ps, WIDE)
-        idx = _wide_sample(trace, seed)
-        direct = _direct_coincidence(trace.comb, WIDE[idx])
-        assert np.max(np.abs(trace.coincidence[idx] - direct)) <= KERNEL_TOL
-
-    def test_accidental_floor(self, comb_15):
-        a = 0.015
-        trace = simulate_hom_trace(comb_15, ZOOM, accidental_fraction=a)
-        gap = np.max(np.abs(trace.coincidence - _direct_coincidence(comb_15, ZOOM, a)))
-        assert gap <= KERNEL_TOL
-        assert trace.coincidence[ZOOM.size // 2] == pytest.approx(a, abs=1e-9)
-
-    def test_nonuniform_grid_takes_direct_path(self, comb_5, monkeypatch):
-        grid = 30.0 * np.linspace(-1.0, 1.0, 401) ** 3  # dense near the central dip
-        assert hom._uniform_step(grid) is None
-
-        def fail(*args, **kwargs):
-            raise AssertionError("chirp-z kernel used on a non-uniform grid")
-
-        monkeypatch.setattr(hom, "_chirp_z_visibility", fail)
-        trace = simulate_hom_trace(comb_5, grid)
-        assert np.array_equal(trace.coincidence, _direct_coincidence(comb_5, grid))
-
-
-def _two_sided_coincidence(comb, delays):
-    """The unfolded quadrature: a direct sum over k in [-K, K] with bin weights w_m."""
-    step, k, _ = hom._spectral_intensity(comb)
-    omega = step * np.arange(-k[-1], k[-1] + 1)
-    hw = comb.half_width_rad_s
-    intensity = np.zeros_like(omega)
-    for m, w in zip(comb.bins, comb.bin_weights):
-        intensity += w / np.square(hw * hw + np.square(omega - m * comb.fsr_rad_s))
-    intensity /= intensity.sum()
-    tau = delays * 1e-12
-    rows = max(1, 2_000_000 // omega.size)
-    visibility = np.concatenate(
-        [
-            np.cos(2.0 * np.outer(tau[i : i + rows], omega)) @ intensity
-            for i in range(0, tau.size, rows)
-        ]
-    )
-    return np.clip(1.0 - visibility, 0.0, None)
-
-
-class TestFoldedQuadrature:
-    """The folded sum over k >= 0 against the two-sided sum it replaces."""
-
-    @pytest.mark.parametrize(
-        ("fixture", "seed"), [("trace_45", 45), ("trace_15", 15), ("trace_5", 5)]
-    )
-    def test_zoom_and_wide_sample(self, fixture, seed, request):
-        trace = request.getfixturevalue(fixture)
-        comb = trace.comb
-        zoom = simulate_hom_trace(comb, ZOOM)
-        assert np.max(np.abs(zoom.coincidence - _two_sided_coincidence(comb, ZOOM))) <= KERNEL_TOL
-        idx = _wide_sample(trace, seed)
-        two_sided = _two_sided_coincidence(comb, WIDE[idx])
-        assert np.max(np.abs(trace.coincidence[idx] - two_sided)) <= KERNEL_TOL
-
-    def test_nonuniform_grid(self, comb_5):
-        grid = 30.0 * np.linspace(-1.0, 1.0, 401) ** 3
-        assert hom._uniform_step(grid) is None
-        trace = simulate_hom_trace(comb_5, grid)
-        gap = np.max(np.abs(trace.coincidence - _two_sided_coincidence(comb_5, grid)))
-        assert gap <= KERNEL_TOL
-
-
-class TestUniformityRule:
-    def test_arange_and_linspace_are_uniform(self):
-        assert hom._uniform_step(WIDE) == pytest.approx(0.2, rel=1e-12)
-        assert hom._uniform_step(ZOOM) == pytest.approx(0.02, rel=1e-12)
-        assert hom._uniform_step(np.linspace(-30.0, 30.0, 301)) == pytest.approx(0.2, rel=1e-12)
-
-    def test_one_moved_delay_is_not_uniform(self):
-        grid = np.linspace(-30.0, 30.0, 301)
-        grid[137] += 1e-6 * 0.2
-        assert hom._uniform_step(grid) is None
-
-    @pytest.mark.parametrize("grid", [[0.0], [-1.0, 2.5]])
-    def test_short_grids_take_direct_path(self, comb_45, grid):
-        delays = np.array(grid)
-        assert hom._uniform_step(delays) is None
-        trace = simulate_hom_trace(comb_45, delays)
-        assert np.array_equal(trace.coincidence, _direct_coincidence(comb_45, delays))
-
-
-class TestSpectralIntensity:
-    def test_shared_per_comb_and_read_only(self, comb_45):
-        first = hom._spectral_intensity(comb_45)
-        assert hom._spectral_intensity(comb_45) is first
-        step, k, intensity = first
-        assert intensity.sum() == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValueError):
-            intensity[0] = 0.0
-        with pytest.raises(ValueError):
-            k[0] = 0
-
-    def test_distinct_combs_do_not_collide(self, comb_45, cavity_45):
-        narrow = build_comb(cavity_45, DEFAULT_SOURCE, n_max=3)
-        _, k_narrow, _ = hom._spectral_intensity(narrow)
-        _, k_full, _ = hom._spectral_intensity(comb_45)
-        assert k_narrow.size < k_full.size
-
-
-def _reference_intensity(comb, step, k, weights=None):
-    """The folded build as a plain per-bin loop, with a fresh temporary per step.
-
-    Sums over k >= 0 with bin weights ``w_m + w_{-m}`` (or `weights`) and
-    halves k = 0.
-    """
-    hw = comb.half_width_rad_s
-    omega = step * k
-    if weights is None:
-        weights = comb.bin_weights + comb.bin_weights[::-1]
-    intensity = np.zeros_like(omega)
-    for m, w in zip(comb.bins, weights):
-        line = 1.0 / (hw * hw + np.square(omega - m * comb.fsr_rad_s))
-        intensity += w * np.square(line)
-    intensity[0] *= 0.5
-    return intensity / intensity.sum()
-
-
-class TestBlockedIntensityIsBitIdentical:
-    @pytest.mark.parametrize("fixture", ["comb_45", "comb_15", "comb_5"])
-    def test_presets(self, fixture, request):
-        comb = request.getfixturevalue(fixture)
-        step, k, intensity = hom._spectral_intensity(comb)
-        assert k[0] == 0
-        assert np.array_equal(intensity, _reference_intensity(comb, step, k))
-
-    def test_asymmetric_weights_fold_as_w_m_plus_w_minus_m(self, cavity_45):
-        # Weights uneven in m by 8e-13, inside the 1e-12 CombSpectrum allows.
-        w = build_comb(cavity_45, DEFAULT_SOURCE, n_max=4).bin_weights.copy()
-        w[0] += 4e-13
-        w[-1] -= 4e-13
-        comb = CombSpectrum(
-            n_max=4,
-            bin_weights=w,
-            half_width_rad_s=cavity_45.half_width_rad_s,
-            fsr_rad_s=cavity_45.fsr_rad_s,
-        )
-        assert not np.array_equal(comb.bin_weights, comb.bin_weights[::-1])
-        step, k, intensity = hom._spectral_intensity(comb)
-        assert np.array_equal(intensity, _reference_intensity(comb, step, k))
-        # A build that doubled each weight instead would differ.
-        doubled = _reference_intensity(comb, step, k, 2.0 * comb.bin_weights)
-        assert not np.array_equal(intensity, doubled)
-
-    # (block, preset, n_max): single-sample blocks, and ragged last blocks on
-    # narrow 45ghz combs (a Python-level step per few samples) and the presets.
-    @pytest.mark.parametrize(
-        ("block", "preset", "n_max"),
-        [
-            (1, "45ghz", 1),
-            (7, "45ghz", 2),
-            (7, "45ghz", 3),
-            (4_096, "45ghz", None),
-            (4_096, "15ghz", None),
-            (4_096, "5ghz", None),
-        ],
-    )
-    def test_forced_block_sizes(self, block, preset, n_max, monkeypatch):
-        comb = build_comb(cavity_preset(preset), DEFAULT_SOURCE, n_max=n_max)
-        monkeypatch.setattr(hom, "_INTENSITY_BLOCK", block)
-        hom._spectral_intensity.cache_clear()
-        step, k, intensity = hom._spectral_intensity(comb)
-        hom._spectral_intensity.cache_clear()
-        assert block == 1 or k.size % block != 0
-        assert np.array_equal(intensity, _reference_intensity(comb, step, k))
-
-
-# |C - closed form| allowed on every checked delay, on top of the span
+# |C - quadrature oracle| allowed on every checked delay, on top of the span
 # truncation bound below; on the presets the gap is <= ~8e-9.
 CLOSED_FORM_TOL = 1e-6
 
+# Folded vs two-sided quadrature: the same sum, measured gap ~1e-13.
+FOLD_TOL = 1e-10
 
-def _closed_form_coincidence(comb, delays_ps):
+WIDE = np.arange(-340.0, 340.0 + 0.1, 0.2)
+CUBIC = 30.0 * np.linspace(-1.0, 1.0, 401) ** 3  # dense near the central dip
+
+
+def _closed_form_coincidence(comb, delays_ps, weights=None):
     """``C = 1 - sum_m w_m cos(2 m Omega tau) (1 + 2g|tau|) e^{-2g|tau|}``.
 
-    The coincidence of Lorentzian comb bins, with ``Omega`` the FSR and
-    ``g = pi * linewidth`` the half-width, both angular.
+    The coincidence of Lorentzian comb bins as a direct two-sided sum over
+    m, with ``Omega`` the FSR and ``g = pi * linewidth`` the half-width,
+    both angular; `weights` replaces the comb's w_m.
     """
     tau = np.asarray(delays_ps, dtype=float) * 1e-12
     g = comb.half_width_rad_s
+    w = comb.bin_weights if weights is None else weights
     envelope = (1.0 + 2.0 * g * np.abs(tau)) * np.exp(-2.0 * g * np.abs(tau))
     phases = 2.0 * comb.fsr_rad_s * np.outer(tau, comb.bins)
-    return 1.0 - (np.cos(phases) @ comb.bin_weights) * envelope
+    return 1.0 - (np.cos(phases) @ w) * envelope
+
+
+def _oracle_coincidence(visibility, accidental_fraction=0.0):
+    return np.clip(1.0 - (1.0 - accidental_fraction) * visibility, 0.0, None)
 
 
 def _truncation_allowance(comb):
@@ -249,18 +70,233 @@ def _truncation_allowance(comb):
     return 2.0 * eps / (1.0 - eps)
 
 
+def _oracle_tol(comb):
+    return CLOSED_FORM_TOL + _truncation_allowance(comb)
+
+
+@pytest.fixture(scope="module")
+def cubic_5(comb_5):
+    """The 5ghz quadrature oracle on the non-uniform `CUBIC` grid."""
+    return quadrature_visibility(comb_5, CUBIC)
+
+
+# Each preset's wide trace, and the seed of its wide sample (see `oracle_<seed>`).
+PRESETS = [("trace_45", 45), ("trace_15", 15), ("trace_5", 5)]
+
+
+class TestKernelMatchesOracle:
+    def test_zoom_grid_45ghz_in_full(self, oracle_45):
+        trace = simulate_hom_trace(oracle_45.comb, oracle_45.zoom_delays)
+        gap = np.max(np.abs(trace.coincidence - _oracle_coincidence(oracle_45.zoom)))
+        assert gap <= _oracle_tol(oracle_45.comb)
+
+    @pytest.mark.parametrize(("fixture", "seed"), PRESETS)
+    def test_wide_grid_sample(self, fixture, seed, request):
+        trace = request.getfixturevalue(fixture)
+        oracle = request.getfixturevalue(f"oracle_{seed}")
+        assert np.array_equal(trace.delays_ps, WIDE)
+        c = trace.coincidence[oracle.wide_idx]
+        assert np.max(np.abs(c - _oracle_coincidence(oracle.wide))) <= _oracle_tol(trace.comb)
+
+    def test_accidental_floor(self, oracle_15):
+        a = 0.015
+        trace = simulate_hom_trace(oracle_15.comb, oracle_15.zoom_delays, accidental_fraction=a)
+        gap = np.max(np.abs(trace.coincidence - _oracle_coincidence(oracle_15.zoom, a)))
+        assert gap <= _oracle_tol(oracle_15.comb)
+        assert trace.coincidence[trace.delays_ps.size // 2] == pytest.approx(a, abs=1e-9)
+
+    def test_nonuniform_grid(self, comb_5, cubic_5):
+        trace = simulate_hom_trace(comb_5, CUBIC)
+        gap = np.max(np.abs(trace.coincidence - _oracle_coincidence(cubic_5)))
+        assert gap <= _oracle_tol(comb_5)
+
+    @pytest.mark.parametrize("grid", [[0.0], [-1.0, 2.5]])
+    def test_short_grids(self, comb_45, grid):
+        trace = simulate_hom_trace(comb_45, np.array(grid))
+        oracle = _oracle_coincidence(quadrature_visibility(comb_45, np.array(grid)))
+        assert np.max(np.abs(trace.coincidence - oracle)) <= _oracle_tol(comb_45)
+
+
+def _two_sided_coincidence(comb, delays):
+    """The unfolded quadrature: a direct sum over k in [-K, K] with bin weights w_m."""
+    hw = comb.half_width_rad_s
+    step = 2.0 * hw / hom.POINTS_PER_LINEWIDTH
+    k_max = int(np.ceil((comb.n_max + hom.PAD_BINS) * comb.fsr_rad_s / step))
+    omega = step * np.arange(-k_max, k_max + 1)
+    intensity = np.zeros_like(omega)
+    for m, w in zip(comb.bins, comb.bin_weights):
+        intensity += w / np.square(hw * hw + np.square(omega - m * comb.fsr_rad_s))
+    intensity /= intensity.sum()
+    tau = delays * 1e-12
+    rows = max(1, 2_000_000 // omega.size)
+    visibility = np.empty(tau.size)
+    for i in range(0, tau.size, rows):
+        phase = np.outer(tau[i : i + rows], 2.0 * omega)
+        visibility[i : i + rows] = np.cos(phase, out=phase) @ intensity
+    return np.clip(1.0 - visibility, 0.0, None)
+
+
+class TestFoldedQuadrature:
+    """The oracle's folded sum over k >= 0 against the two-sided sum it replaces."""
+
+    @pytest.mark.parametrize(("fixture", "seed"), PRESETS)
+    def test_zoom_and_wide_sample(self, fixture, seed, request):
+        comb = request.getfixturevalue(fixture).comb
+        oracle = request.getfixturevalue(f"oracle_{seed}")
+        two_sided = _two_sided_coincidence(comb, oracle.zoom_delays)
+        assert np.max(np.abs(_oracle_coincidence(oracle.zoom) - two_sided)) <= FOLD_TOL
+        two_sided = _two_sided_coincidence(comb, WIDE[oracle.wide_idx])
+        assert np.max(np.abs(_oracle_coincidence(oracle.wide) - two_sided)) <= FOLD_TOL
+
+    def test_nonuniform_grid(self, comb_5, cubic_5):
+        gap = np.max(np.abs(_oracle_coincidence(cubic_5) - _two_sided_coincidence(comb_5, CUBIC)))
+        assert gap <= FOLD_TOL
+
+
+class TestAsymmetricWeights:
+    def test_fold_as_w_m_plus_w_minus_m(self, cavity_45):
+        # Weights uneven in m by 8e-13, inside the 1e-12 CombSpectrum allows.
+        w = build_comb(cavity_45, DEFAULT_SOURCE, n_max=4).bin_weights.copy()
+        w[0] += 4e-13
+        w[-1] -= 4e-13
+        comb = CombSpectrum(
+            n_max=4,
+            bin_weights=w,
+            half_width_rad_s=cavity_45.half_width_rad_s,
+            fsr_rad_s=cavity_45.fsr_rad_s,
+        )
+        assert not np.array_equal(comb.bin_weights, comb.bin_weights[::-1])
+        # A third of a revival period: the outermost bins' cosines are far from 1.
+        tau = np.linspace(0.0, 0.5 * comb.round_trip_ps / 3.0, 64) * 1e-12
+        cosines = np.cos(2.0 * comb.fsr_rad_s * np.outer(tau, comb.bins))
+
+        # A fold that doubled each w_m for m > 0 instead would move the comb
+        # factor by up to 8e-13, well above the gap allowed below.
+        doubled = np.concatenate((np.zeros(4), [w[4]], 2.0 * w[5:]))
+        assert np.max(np.abs(cosines @ doubled - cosines @ w)) > 4e-13
+        assert np.max(np.abs(hom._comb_factor(comb, tau) - cosines @ w)) <= 1e-14
+
+        delays = tau * 1e12
+        oracle = _oracle_coincidence(quadrature_visibility(comb, delays))
+        assert np.max(np.abs(oracle - _two_sided_coincidence(comb, delays))) <= 1e-14
+
+
 class TestTraceMatchesClosedForm:
-    @pytest.mark.parametrize(
-        ("fixture", "seed"), [("trace_45", 45), ("trace_15", 15), ("trace_5", 5)]
-    )
+    """The kernel against the direct cosine sum of the same closed form."""
+
+    @pytest.mark.parametrize(("fixture", "seed"), PRESETS)
     def test_wide_sample_and_revival_centres(self, fixture, seed, request):
         trace = request.getfixturevalue(fixture)
-        idx = _wide_sample(trace, seed)
+        idx = request.getfixturevalue(f"oracle_{seed}").wide_idx
         closed = _closed_form_coincidence(trace.comb, trace.delays_ps[idx])
-        gap = np.max(np.abs(trace.coincidence[idx] - closed))
-        assert gap <= CLOSED_FORM_TOL + _truncation_allowance(trace.comb)
+        assert np.max(np.abs(trace.coincidence[idx] - closed)) <= DIRECT_TOL
 
     def test_zoom_45ghz_in_full(self, zoom_trace_45):
         closed = _closed_form_coincidence(zoom_trace_45.comb, zoom_trace_45.delays_ps)
-        gap = np.max(np.abs(zoom_trace_45.coincidence - closed))
-        assert gap <= CLOSED_FORM_TOL + _truncation_allowance(zoom_trace_45.comb)
+        assert np.max(np.abs(zoom_trace_45.coincidence - closed)) <= DIRECT_TOL
+
+
+COMBS = ["comb_45", "comb_15", "comb_5"]
+
+
+class TestKernelIdentities:
+    """Properties the closed form has exactly, held by the kernel to rounding."""
+
+    @pytest.mark.parametrize("ghz", [45, 15, 5])
+    def test_revival_dips_equal_closed_form(self, ghz, request):
+        # At tau = n * period every cos(2 m Omega tau) is 1, so E = 1 and
+        # the dip is V_n = exp(-|n| pi/F) (1 + |n| pi/F).
+        comb = request.getfixturevalue(f"comb_{ghz}")
+        cavity = request.getfixturevalue(f"cavity_{ghz}")
+        n = np.arange(-10, 11)
+        c = simulate_hom_trace(comb, n * (0.5 * comb.round_trip_ps)).coincidence
+        expected = [1.0 - hom.dip_visibility_closed_form(k, cavity) for k in n]
+        assert np.max(np.abs(c - expected)) <= DIRECT_TOL
+
+    @pytest.mark.parametrize("fixture", COMBS)
+    def test_even_in_delay(self, fixture, request):
+        comb = request.getfixturevalue(fixture)
+        positive = np.linspace(0.01, 1.5 * comb.round_trip_ps, 500)
+        c = simulate_hom_trace(comb, np.concatenate((-positive[::-1], positive))).coincidence
+        assert np.array_equal(c, c[::-1])
+
+    @pytest.mark.parametrize("fixture", COMBS)
+    def test_comb_factor_has_the_revival_period(self, fixture, request):
+        comb = request.getfixturevalue(fixture)
+        period = 0.5 * comb.round_trip_ps * 1e-12
+        tau = np.linspace(0.0, period, 300)
+        shifted = hom._comb_factor(comb, tau + period)
+        assert np.max(np.abs(shifted - hom._comb_factor(comb, tau))) <= DIRECT_TOL
+
+    def test_single_bin_comb_is_one_squared_lorentzian(self, cavity_45):
+        comb = build_comb(cavity_45, DEFAULT_SOURCE, n_max=0)
+        delays = np.linspace(-20.0, 20.0, 401)
+        x = 2.0 * comb.half_width_rad_s * np.abs(delays) * 1e-12
+        expected = 1.0 - (1.0 + x) * np.exp(-x)
+        c = simulate_hom_trace(comb, delays).coincidence
+        assert np.max(np.abs(c - expected)) <= 1e-15
+
+    def test_recurrence_error_within_n_max_squared_eps(self, cavity_5):
+        # Flat weights are the hardest case: no tail decays, and Clenshaw's
+        # rounding grows as n_max**2 * eps near cos(2 Omega tau) = +-1
+        # (measured 7.4e-12 here, 7.3e-10 at n_max = 10,000).
+        n_max = 1000
+        w = np.full(2 * n_max + 1, 1.0 / (2 * n_max + 1))
+        comb = CombSpectrum(
+            n_max=n_max,
+            bin_weights=w,
+            half_width_rad_s=cavity_5.half_width_rad_s,
+            fsr_rad_s=cavity_5.fsr_rad_s,
+        )
+        tau = np.linspace(0.0, 0.5 * comb.round_trip_ps, 201) * 1e-12
+        direct = np.cos(2.0 * comb.fsr_rad_s * np.outer(tau, comb.bins)) @ w
+        gap = np.max(np.abs(hom._comb_factor(comb, tau) - direct))
+        assert gap <= n_max**2 * np.finfo(float).eps
+
+
+class TestQuadratureOracle:
+    """The oracle's own invariants, independent of the closed form."""
+
+    @pytest.mark.parametrize("fixture", COMBS)
+    def test_unit_visibility_at_zero_delay(self, fixture, request):
+        comb = request.getfixturevalue(fixture)
+        assert quadrature_visibility(comb, [0.0])[0] == pytest.approx(1.0, abs=1e-14)
+
+    def test_even_in_delay(self, comb_45):
+        positive = np.linspace(0.01, 12.0, 100)
+        v = quadrature_visibility(comb_45, np.concatenate((-positive[::-1], positive)))
+        assert np.max(np.abs(v - v[::-1])) <= 1e-14
+
+    def test_row_blocks_do_not_change_values(self, comb_45):
+        # 500 delays span several of the cosine sum's row blocks; pieces of
+        # 100 cut them elsewhere.
+        delays = np.linspace(-12.0, 12.0, 500)
+        pieces = [quadrature_visibility(comb_45, delays[i : i + 100]) for i in range(0, 500, 100)]
+        gap = np.max(np.abs(quadrature_visibility(comb_45, delays) - np.concatenate(pieces)))
+        assert gap <= 1e-14
+
+
+@st.composite
+def _combs(draw):
+    """Cavities and sources over the ranges of the benchmark's HOM sweep."""
+    fsr_ghz = draw(st.floats(5.0, 45.0))
+    finesse = draw(st.floats(3.0, 40.0))
+    source = SourceSpec(
+        phase_matching_fwhm_hz=draw(st.floats(100.0, 400.0)) * 1e9,
+        envelope_shape=draw(st.sampled_from(["gaussian", "sinc_squared"])),
+    )
+    return build_comb(CavitySpec(fsr_ghz * 1e9, fsr_ghz * 1e9 / finesse), source)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_combs())
+def test_kernel_matches_direct_sum_and_oracle(comb):
+    period = 0.5 * comb.round_trip_ps
+    delays = np.linspace(-3.5 * period, 3.5 * period, 701)
+    c = simulate_hom_trace(comb, delays).coincidence
+    assert np.max(np.abs(c - _closed_form_coincidence(comb, delays))) <= DIRECT_TOL
+
+    centres = period * np.arange(-3, 4)
+    c = simulate_hom_trace(comb, centres).coincidence
+    oracle = _oracle_coincidence(quadrature_visibility(comb, centres))
+    assert np.max(np.abs(c - oracle)) <= _oracle_tol(comb)
