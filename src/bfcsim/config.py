@@ -268,11 +268,10 @@ def _fields(sections: dict[str, dict], section: str) -> dict:
                 value = float(value)
             except ValueError:
                 raise ConfigError(f"[{section}] {key} must be a number, got {value!r}") from None
-            # CavitySpec and SourceSpec accept inf and nan.
-            if not math.isfinite(value):
-                raise ConfigError(f"[{section}] {key} must be finite, got {value!r}")
+            # CavitySpec and SourceSpec accept inf and nan; a huge value can
+            # also overflow on conversion to SI units.
             if not math.isfinite(value * convert):
-                raise ConfigError(f"[{section}] {key} must be finite in SI units, got {value!r}")
+                raise ConfigError(f"[{section}] {key} must be finite, got {value!r}")
             value *= convert
         elif convert is str:
             value = str(value)

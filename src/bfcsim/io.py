@@ -106,14 +106,24 @@ def jsi_from_csv(path) -> Jsi:
 
 
 def visibilities_from_csv(path) -> list[tuple[int, float]]:
-    """Load ``n,visibility`` rows for a time-bin Schmidt fit; blank lines are skipped."""
+    """Load ``n,visibility`` rows for a time-bin Schmidt fit; blank lines are skipped.
+
+    Each n may be on one row only.
+    """
     rows = list(csv.reader(_read_lines(path)))
     if not rows or [h.strip() for h in rows[0][:2]] != ["n", "visibility"]:
         raise ValueError(f"{path}: expected header 'n,visibility'")
     width = len(rows[0])
     if any(len(r) != width for r in rows[1:]):
         raise ValueError(f"{path}: every row must have the header's {width} cells")
-    return [(int(r[0]), float(r[1])) for r in rows[1:]]
+    points, seen = [], set()
+    for r in rows[1:]:
+        n = int(r[0])
+        if n in seen:
+            raise ValueError(f"{path}: n={n} is on more than one row")
+        seen.add(n)
+        points.append((n, float(r[1])))
+    return points
 
 
 def write_artifact(path, value) -> None:

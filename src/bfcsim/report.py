@@ -123,17 +123,12 @@ def time_schmidt_stage(
     """Window-limited bin count, closed-form spectrum, and (given points) the fitted one.
 
     ``visibility_points`` is a list of ``(n, visibility)`` or the path of a
-    CSV holding them, which must give each n once.
+    CSV holding them.
     """
     window_n = window_limited_n_max(config.cavity, config.hom.window_ps)
     theory = time_bin_eigenvalues(config.cavity, window_n)
     if isinstance(visibility_points, (str, os.PathLike)):
-        path = visibility_points
-        visibility_points = io_mod.visibilities_from_csv(path)
-        ns = [n for n, _ in visibility_points]
-        if len(set(ns)) < len(ns):
-            repeated = next(n for i, n in enumerate(ns) if n in ns[:i])
-            raise ValueError(f"{path}: n={repeated} is on more than one row")
+        visibility_points = io_mod.visibilities_from_csv(visibility_points)
     fitted = None
     if visibility_points is not None:
         fitted = time_bin_spectrum_from_visibilities(visibility_points, window_n)

@@ -349,6 +349,9 @@ class TestRoundTrips:
         bad.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
             visibilities_from_csv(bad)
+        bad.write_text("n,visibility\n1,0.99\n1,0.5\n")
+        with pytest.raises(ValueError, match="bad.csv: n=1 is on more than one row"):
+            visibilities_from_csv(bad)
 
     def test_jsi_type_guard_round_trip(self, tmp_path):
         values = np.zeros((3, 3))
@@ -459,7 +462,13 @@ def test_jsi_csv_reads_back_exactly(tmp_path_factory, values):
     assert np.array_equal(back.values, values / values.sum())
 
 
-@given(st.lists(st.tuples(st.integers(-(2**63), 2**63 - 1), st.floats(allow_nan=False))))
+# Each n once: the format rejects a repeated n (test_visibilities_csv).
+@given(
+    st.lists(
+        st.tuples(st.integers(-(2**63), 2**63 - 1), st.floats(allow_nan=False)),
+        unique_by=lambda point: point[0],
+    )
+)
 def test_visibility_points_read_back_exactly(tmp_path_factory, points):
     path = tmp_path_factory.getbasetemp() / "round_trip_visibilities.csv"
     export_csv(path, ["n", "visibility"], [[n for n, _ in points], [v for _, v in points]])

@@ -34,19 +34,18 @@ WIDE = np.arange(-340.0, 340.0 + 0.1, 0.2)
 CUBIC = 30.0 * np.linspace(-1.0, 1.0, 401) ** 3  # dense near the central dip
 
 
-def _closed_form_coincidence(comb, delays_ps, weights=None):
+def _closed_form_coincidence(comb, delays_ps):
     """``C = 1 - sum_m w_m cos(2 m Omega tau) (1 + 2g|tau|) e^{-2g|tau|}``.
 
     The coincidence of Lorentzian comb bins as a direct two-sided sum over
     m, with ``Omega`` the FSR and ``g = pi * linewidth`` the half-width,
-    both angular; `weights` replaces the comb's w_m.
+    both angular.
     """
     tau = np.asarray(delays_ps, dtype=float) * 1e-12
     g = comb.half_width_rad_s
-    w = comb.bin_weights if weights is None else weights
     envelope = (1.0 + 2.0 * g * np.abs(tau)) * np.exp(-2.0 * g * np.abs(tau))
     phases = 2.0 * comb.fsr_rad_s * np.outer(tau, comb.bins)
-    return 1.0 - (np.cos(phases) @ w) * envelope
+    return 1.0 - (np.cos(phases) @ comb.bin_weights) * envelope
 
 
 def _oracle_coincidence(visibility, accidental_fraction=0.0):
