@@ -34,10 +34,8 @@ from .jsi import (
     scan_correlation_matrix,
 )
 from .schmidt import (
-    BinCounts,
     DimensionalityReport,
     SchmidtSpectrum,
-    bin_counts,
     dimensionality_report,
     ideal_frequency_spectrum,
     jsa_from_jsi,

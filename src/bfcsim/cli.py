@@ -146,7 +146,7 @@ def _cmd_schmidt(cfg: RunConfig, args) -> None:
     _, theory, fitted = time_schmidt_stage(cfg, args.visibilities)
     time_spec = fitted if fitted is not None else theory
     freq_spec, _ = freq_schmidt_stage(_matrix(cfg, args)[0])
-    _, dim = dimensionality_stage(cfg, time_spec.k_number, freq_spec.k_number)
+    dim = dimensionality_stage(cfg, time_spec.k_number, freq_spec.k_number)
     write_stage(
         cfg.output_dir,
         {

@@ -34,6 +34,10 @@ SCHEMA_VERSION = "1"
 # delays; the default grid has 3,401.
 MAX_HOM_DELAYS = 1_000_000
 
+# Largest HOM kernel cost a config may ask for: wide-grid delays times the
+# n_max + 1 terms of the comb factor.  5ghz at the delay cap is 1.47e8.
+MAX_HOM_WORK = 150_000_000
+
 
 class ConfigError(ValueError):
     """Config file failed to parse or validate."""
@@ -175,11 +179,20 @@ class RunConfig:
                 f"[hom] window_ps={self.hom.window_ps!r} is shorter than one revival "
                 f"period ({period:.4f} ps, half the cavity round trip)"
             )
+        bpm_ghz = self.source.phase_matching_fwhm_hz / 1e9
         try:
-            self.resolved_n_max()
+            n_max = self.resolved_n_max()
         except OverflowError:  # int(inf): 3 bpm / fsr is past the float range
-            bpm_ghz = self.source.phase_matching_fwhm_hz / 1e9
             raise ConfigError(f"[source] bpm_ghz={bpm_ghz!r} overflows the comb half-count") from None
+        n_delays = 2.0 * self.hom.window_ps / self.hom.step_ps + 1.0
+        if n_max + 1 > MAX_HOM_WORK / n_delays:  # int vs float: exact for any n_max
+            key = f"[comb] n_max={n_max!r}"
+            if self.n_max is None:
+                key = f"[source] bpm_ghz={bpm_ghz!r} (n_max {float(n_max):.4g})"
+            raise ConfigError(
+                f"{key} with {n_delays:.4g} HOM delays asks for more than {MAX_HOM_WORK} "
+                f"delay-bin terms; this grid allows n_max <= {int(MAX_HOM_WORK / n_delays) - 1}"
+            )
 
     def resolved_n_max(self) -> int:
         return self.n_max if self.n_max is not None else default_n_max(self.cavity, self.source)

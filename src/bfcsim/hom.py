@@ -133,19 +133,16 @@ def quadrature_visibility(comb: CombSpectrum, delays_ps) -> np.ndarray:
 
     The spectral intensity, squared Lorentzian lines with the comb weights,
     is sampled at ``omega_k = step * k``, k in [-K, K]: `POINTS_PER_LINEWIDTH`
-    samples per linewidth over the comb plus `PAD_BINS` bins each side.  As
-    ``cos(2 tau omega)`` is even, the direct cosine sum runs over k >= 0 on
-    ``I_0`` and ``I_k + I_{-k}``: the per-bin sum with weights
-    ``w_m + w_{-m}`` and index 0 halved, exact for any weights.
+    samples per linewidth over the comb plus `PAD_BINS` bins each side.
     """
     hw = comb.half_width_rad_s
     spacing = comb.fsr_rad_s
     step = 2.0 * hw / POINTS_PER_LINEWIDTH
-    omega = step * np.arange(int(math.ceil((comb.n_max + PAD_BINS) * spacing / step)) + 1)
+    k_max = int(math.ceil((comb.n_max + PAD_BINS) * spacing / step))
+    omega = step * np.arange(-k_max, k_max + 1)
     intensity = np.zeros_like(omega)
-    for m, w in zip(comb.bins, comb.bin_weights + comb.bin_weights[::-1]):
+    for m, w in zip(comb.bins, comb.bin_weights):
         intensity += w * np.square(1.0 / (hw * hw + np.square(omega - m * spacing)))
-    intensity[0] *= 0.5
     intensity /= intensity.sum()
 
     tau = np.atleast_1d(np.asarray(delays_ps, dtype=float)) * 1e-12

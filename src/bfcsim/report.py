@@ -12,6 +12,7 @@ timestamps enter any artifact, so repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import fcntl
 import functools
 import math
 import os
@@ -32,7 +33,6 @@ from .jsi import FilterSpec, Jsi, crosstalk_db, filter_bandwidth_hz, scan_correl
 from .schmidt import (
     REFERENCE_IDEAL_K_FREQ,
     SchmidtSpectrum,
-    bin_counts,
     dimensionality_report,
     ideal_frequency_spectrum,
     jsa_from_jsi,
@@ -42,9 +42,7 @@ from .schmidt import (
     window_limited_n_max,
 )
 
-LOCK_FILENAME = ".bfcsim.lock"
 _STAGING_PREFIX = ".bfcsim-staging-"
-_PID_PREFIX = ".bfcsim-pid-"
 
 # Acceptance bands for headline numbers, keyed by cavity preset where they
 # are preset-specific.
@@ -197,71 +195,34 @@ def chsh_stage(config: RunConfig, angles=DEFAULT_ANGLES_DEG):
 
 @_stage("dimensionality")
 def dimensionality_stage(config: RunConfig, k_time: float, k_freq: float):
-    """Bin counts and the dimensionality report for the given Schmidt numbers."""
-    counts = bin_counts(config.cavity, config.source)
-    return counts, dimensionality_report(k_time, k_freq, counts)
-
-
-def _take_lock(lock: Path) -> None:
-    """Create `lock` holding this process's pid; reclaim it once if its owner is dead.
-
-    The pid goes into a private file first, which is then hard-linked to
-    `lock`: link(2) fails on an existing name as ``O_EXCL`` does, and the
-    lock never exists without its pid.  A kill before the link leaves only
-    an inert ``.bfcsim-pid-*`` file, which blocks nothing; the next
-    `write_stage` removes it.
-    """
-    fd, pid_file = tempfile.mkstemp(prefix=_PID_PREFIX, dir=lock.parent)
-    try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()}\n")
-        for attempt in range(2):
-            try:
-                os.link(pid_file, lock)
-                return
-            except FileExistsError:
-                if attempt or not _owner_is_dead(lock):
-                    raise RuntimeError(
-                        f"output directory {lock.parent} is locked by another run "
-                        f"(remove {lock} if stale)"
-                    ) from None
-                lock.unlink(missing_ok=True)
-    finally:
-        os.unlink(pid_file)
-
-
-def _owner_is_dead(pid_file: Path) -> bool:
-    try:
-        os.kill(int(pid_file.read_text(encoding="utf-8")), 0)
-    except ProcessLookupError:
-        return True
-    except (OSError, ValueError, OverflowError):
-        pass  # no pid in it: held; not ours to signal: alive
-    return False
+    """The dimensionality report for the given Schmidt numbers."""
+    return dimensionality_report(k_time, k_freq, config.cavity, config.source)
 
 
 @_stage("write")
 def write_stage(out_dir, artifacts: dict) -> Path:
     """Put every artifact of one command into `out_dir`, or leave it as it was.
 
-    ``artifacts`` maps file names to values (see `io.write_artifact`).  Under
-    `LOCK_FILENAME`, every file is written into a private staging directory
-    inside `out_dir` and then renamed into place, so a failed write leaves
-    the earlier files untouched and a killed run leaves no half-written
-    artifact.  This is the only place a command touches the output directory.
+    ``artifacts`` maps file names to values (see `io.write_artifact`).  The
+    run holds an exclusive flock(2) on `out_dir` itself; a second run exits
+    at once, and the kernel frees the lock when its holder exits or is
+    killed, so no lock file exists.  Under the lock, every file is written
+    into a private staging directory inside `out_dir` and then renamed into
+    place, so a failed write leaves the earlier files untouched and a killed
+    run leaves no half-written artifact.  This is the only place a command
+    touches the output directory.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lock = out / LOCK_FILENAME
-    _take_lock(lock)
+    fd = os.open(out, os.O_RDONLY)
     try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise RuntimeError(f"output directory {out} is locked by another run") from None
         # Left by a killed run: under the lock no live run is using them.
         for stale in out.glob(_STAGING_PREFIX + "*"):
             shutil.rmtree(stale, ignore_errors=True)
-        # A waiting run's pid file is empty or names a live pid: it stays.
-        for pid_file in out.glob(_PID_PREFIX + "*"):
-            if _owner_is_dead(pid_file):
-                pid_file.unlink(missing_ok=True)
         staging = Path(tempfile.mkdtemp(prefix=_STAGING_PREFIX, dir=out))
         try:
             for name, value in artifacts.items():
@@ -271,7 +232,7 @@ def write_stage(out_dir, artifacts: dict) -> Path:
         finally:
             shutil.rmtree(staging, ignore_errors=True)
     finally:
-        lock.unlink(missing_ok=True)
+        os.close(fd)
     return out
 
 
@@ -310,7 +271,7 @@ def run_report(config: RunConfig) -> dict:
     scan, jsi_sidecar = jsi_stage(config, comb)
     freq_degraded, freq_ideal = freq_schmidt_stage(scan, comb)
     s_fringe, chsh_analytic, chsh_simulated, fringes = chsh_stage(config)
-    counts, dim = dimensionality_stage(config, time_theory.k_number, freq_ideal.k_number)
+    dim = dimensionality_stage(config, time_theory.k_number, freq_ideal.k_number)
 
     central = next((r for r in revivals if r.n == 0), None)
     report = {
@@ -333,8 +294,8 @@ def run_report(config: RunConfig) -> dict:
         "k_freq_ideal_reference": REFERENCE_IDEAL_K_FREQ.get(config.preset_name),
         "k_freq_degraded": freq_degraded.k_number,
         "crosstalk_db": jsi_sidecar["crosstalk_db"],
-        "n_freq_bins": counts.n_freq_bins,
-        "n_time_bins": counts.n_time_bins,
+        "n_freq_bins": dim.n_freq_bins,
+        "n_time_bins": dim.n_time_bins,
         "product_nt_nomega": dim.product_nt_nomega,
         "product_kt_komega": dim.product_kt_komega,
         "fringe_visibility": config.chsh.fringe_visibility,

@@ -73,14 +73,6 @@ class SchmidtSpectrum:
 
 
 @dataclass(frozen=True)
-class BinCounts:
-    """Usable mode counts: frequency bins and time bins."""
-
-    n_freq_bins: float
-    n_time_bins: float
-
-
-@dataclass(frozen=True)
 class DimensionalityReport:
     k_time: float
     k_freq: float
@@ -198,34 +190,28 @@ def window_limited_n_max(cavity: CavitySpec, delay_window_ps: float) -> int:
     return int(delay_window_ps / (0.5 * cavity.round_trip_ps))
 
 
-def bin_counts(cavity: CavitySpec, source: SourceSpec) -> BinCounts:
-    """Frequency-bin and time-bin counts for a cavity/source pair.
-
-    The frequency-bin count is the phase-matching bandwidth over the FSR;
-    the time-bin count within an inverse cavity linewidth equals the
-    finesse.
-    """
-    n_freq = source.phase_matching_fwhm_hz / cavity.fsr_hz
-    n_time = cavity.finesse
-    return BinCounts(n_freq_bins=n_freq, n_time_bins=n_time)
-
-
-def dimensionality_report(k_time: float, k_freq: float, counts: BinCounts) -> DimensionalityReport:
+def dimensionality_report(
+    k_time: float, k_freq: float, cavity: CavitySpec, source: SourceSpec
+) -> DimensionalityReport:
     """Hilbert-space dimensionality summary.
 
     The headline number is ``2 * floor(k_time)^2``: squared because the
     time-bin state is bipartite, doubled by the polarization subspace,
     floored because fractional Schmidt modes do not add a usable
     dimension.  ``floor(k_freq)^2`` is reported for the frequency basis.
+    The usable mode counts sit beside it: the frequency-bin count is the
+    phase-matching bandwidth over the FSR, and the time-bin count within an
+    inverse cavity linewidth equals the finesse.
     """
     if k_time < 1.0 or k_freq < 1.0:
         raise ValueError("dimensionality_report: Schmidt numbers must be >= 1")
+    n_freq = source.phase_matching_fwhm_hz / cavity.fsr_hz
     return DimensionalityReport(
         k_time=k_time,
         k_freq=k_freq,
-        n_time_bins=counts.n_time_bins,
-        n_freq_bins=counts.n_freq_bins,
-        product_nt_nomega=counts.n_time_bins * counts.n_freq_bins,
+        n_time_bins=cavity.finesse,
+        n_freq_bins=n_freq,
+        product_nt_nomega=cavity.finesse * n_freq,
         product_kt_komega=k_time * k_freq,
         polarization_factor=2,
         total_dimensionality=2 * int(k_time) ** 2,

@@ -1,9 +1,12 @@
 """CLI subcommands, exit codes, determinism of the report pipeline."""
 
+import contextlib
+import fcntl
 import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +17,6 @@ import pytest
 import bfcsim
 import bfcsim.io
 from bfcsim.cli import build_parser, main
-from bfcsim.report import LOCK_FILENAME
 
 FAST_CONFIG = """\
 [cavity] preset="45ghz"
@@ -61,19 +63,28 @@ main(["chsh", "--config", sys.argv[1], "--out", sys.argv[2], "--seed", "8"])
 """
 
 
-# A chsh run killed after writing its pid file, before linking it to the lock.
-KILLED_BEFORE_LINK = """\
-import os, sys
-from bfcsim.cli import main
-os.link = lambda src, dst: os._exit(9)
-main(["chsh", "--config", sys.argv[1], "--out", sys.argv[2]])
+# Takes the lock a run takes on the directory argv[1], says so, and waits to be killed.
+HOLDER = """\
+import fcntl, os, sys, time
+fcntl.flock(os.open(sys.argv[1], os.O_RDONLY), fcntl.LOCK_EX)
+print("held", flush=True)
+time.sleep(600)
 """
 
 
-def _dead_pid() -> int:
-    child = subprocess.Popen([sys.executable, "-c", "pass"])
-    child.wait()
-    return child.pid
+def _child_env() -> dict:
+    return {**os.environ, "PYTHONPATH": str(Path(bfcsim.io.__file__).parents[1])}
+
+
+@contextlib.contextmanager
+def _locked(path: Path):
+    """Hold the lock of a run on `path`; BlockingIOError if another holds it."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        yield
+    finally:
+        os.close(fd)
 
 
 def _snapshot(path: Path) -> dict:
@@ -108,15 +119,16 @@ class TestExitCodes:
         assert "fsr_hz > linewidth_fwhm_hz" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", COMMANDS)
-    @pytest.mark.parametrize("owner", ["", str(os.getpid())], ids=["empty", "live-pid"])
-    def test_locked_output_is_exit_2(self, command, owner, fast_cfg_path, tmp_path, capsys):
+    def test_locked_output_is_exit_2(self, command, fast_cfg_path, tmp_path, capsys):
         out = tmp_path / "locked"
         out.mkdir()
-        (out / LOCK_FILENAME).write_text(owner)
-        code = main([command, "--config", fast_cfg_path, "--out", str(out)])
+        (out / "chsh.json").write_text("{}")
+        before = _snapshot(out)
+        with _locked(out):
+            code = main([command, "--config", fast_cfg_path, "--out", str(out)])
         assert code == 2
-        assert "locked" in capsys.readouterr().err
-        assert [p.name for p in out.iterdir()] == [LOCK_FILENAME]
+        assert "is locked by another run" in capsys.readouterr().err
+        assert _snapshot(out) == before
 
     def test_unknown_preset_is_exit_1(self, tmp_path, capsys):
         code = main(["hom", "--preset", "7ghz", "--out", str(tmp_path / "o")])
@@ -147,6 +159,7 @@ class TestExitCodes:
             ),
             ("[chsh] integration=0", "[chsh] integration must be > 0, got 0.0"),
             ("[comb] n_max=-1", "[comb] n_max must be >= 0, got -1"),
+            ("[source] bpm_ghz=1e290", "[source] bpm_ghz=1e+290 (n_max 6.62e+288)"),
         ],
     )
     def test_bad_config_is_exit_1_before_any_output(
@@ -394,9 +407,7 @@ class TestWriteStage:
     def test_success_lists_exactly_the_artifacts(self, command, fast_cfg_path, tmp_path):
         out = tmp_path / "o"
         out.mkdir()
-        # What a killed run leaves: its lock, holding the pid of a reaped
-        # child, and its staging directory. Neither blocks the next run.
-        (out / LOCK_FILENAME).write_text(f"{_dead_pid()}\n")
+        # What a killed run leaves: its staging directory, which the next run removes.
         (out / ".bfcsim-staging-killed").mkdir()
         (out / ".bfcsim-staging-killed" / "chsh.json").write_text("{")
         assert main([command, "--config", fast_cfg_path, "--out", str(out)]) == 0
@@ -410,14 +421,12 @@ class TestWriteStage:
         before = _snapshot(out)
         # The fringe CSVs are staged; the process dies before writing chsh.json.
         killed = subprocess.Popen(
-            [sys.executable, "-c", KILLED_RUN, fast_cfg_path, str(out)],
-            env={**os.environ, "PYTHONPATH": str(Path(bfcsim.io.__file__).parents[1])},
+            [sys.executable, "-c", KILLED_RUN, fast_cfg_path, str(out)], env=_child_env()
         )
         assert killed.wait(timeout=60) == 9
         assert {n: (out / n).read_bytes() for n in before} == before
-        staging, lock = sorted(set(p.name for p in out.iterdir()) - set(before))
-        assert staging.startswith(".bfcsim-staging-") and lock == LOCK_FILENAME
-        assert (out / LOCK_FILENAME).read_text() == f"{killed.pid}\n"
+        (staging,) = set(p.name for p in out.iterdir()) - set(before)
+        assert staging.startswith(".bfcsim-staging-")
         assert main(["chsh", "--config", fast_cfg_path, "--out", str(out)]) == 0
         assert _snapshot(out) == before
 
@@ -443,55 +452,66 @@ class TestWriteStage:
         assert main([command, "--config", str(reseeded), "--out", str(out)]) == 2
         assert "stage 'write' failed: disk full" in capsys.readouterr().err
         assert _snapshot(out) == before
+        with _locked(out):  # the failed run let go of its lock
+            pass
 
-    def test_failure_before_the_lock_link_leaves_no_lock(
-        self, fast_cfg_path, tmp_path, monkeypatch, capsys
-    ):
+    def test_killed_lock_holder_blocks_nothing(self, fast_cfg_path, tmp_path, capsys):
         out = tmp_path / "o"
-
-        def link(src, dst):
-            assert Path(src).read_text() == f"{os.getpid()}\n"  # the pid is written
-            raise RuntimeError("killed before link")
-
-        monkeypatch.setattr(os, "link", link)
-        assert main(["chsh", "--config", fast_cfg_path, "--out", str(out)]) == 2
-        assert "killed before link" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
-        monkeypatch.undo()
-        assert main(["chsh", "--config", fast_cfg_path, "--out", str(out)]) == 0
-        assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS["chsh"])
-
-    def test_kill_before_the_lock_link_blocks_nothing(self, fast_cfg_path, tmp_path):
-        out = tmp_path / "o"
-        killed = subprocess.Popen(
-            [sys.executable, "-c", KILLED_BEFORE_LINK, fast_cfg_path, str(out)],
-            env={**os.environ, "PYTHONPATH": str(Path(bfcsim.io.__file__).parents[1])},
+        out.mkdir()
+        holder = subprocess.Popen(
+            [sys.executable, "-c", HOLDER, str(out)], stdout=subprocess.PIPE, text=True
         )
-        assert killed.wait(timeout=60) == 9
-        # No lock: only the pid file, already holding the pid.
-        (pid_file,) = out.iterdir()
-        assert pid_file.name.startswith(".bfcsim-pid-")
-        assert pid_file.read_text() == f"{killed.pid}\n"
+        try:
+            assert holder.stdout.readline() == "held\n"
+            assert main(["chsh", "--config", fast_cfg_path, "--out", str(out)]) == 2
+            assert "is locked by another run" in capsys.readouterr().err
+        finally:
+            holder.kill()
+            holder.communicate(timeout=60)
+        assert holder.returncode == -signal.SIGKILL
+        # The kernel freed the lock with the process: no file to remove by hand.
         assert main(["chsh", "--config", fast_cfg_path, "--out", str(out)]) == 0
-        assert not (out / LOCK_FILENAME).exists()
-        # The next run removes the dead pid's file.
         assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS["chsh"])
 
     @pytest.mark.parametrize(
-        "owner", ["", str(os.getpid()), None], ids=["empty", "live-pid", "unreadable"]
+        ("name", "owner"),
+        [
+            (".bfcsim.lock", f"{os.getpid()}\n"),
+            (".bfcsim.lock", ""),
+            (".bfcsim-pid-waiting", f"{os.getpid()}\n"),
+        ],
+        ids=["live-pid", "empty", "pid-file"],
     )
-    def test_pid_file_of_a_possibly_live_run_survives(self, owner, fast_cfg_path, tmp_path):
+    def test_old_lock_file_is_inert(self, name, owner, fast_cfg_path, tmp_path):
+        # Earlier versions locked with a `.bfcsim.lock` holding the owner's pid,
+        # written first to a `.bfcsim-pid-*` file. Neither blocks or is touched.
         out = tmp_path / "o"
         out.mkdir()
-        pid_file = out / ".bfcsim-pid-waiting"
-        if owner is None:
-            pid_file.mkdir()  # reading it fails, as for a file without read permission
-        else:
-            pid_file.write_text(owner)
+        (out / name).write_text(owner)
         assert main(["chsh", "--config", fast_cfg_path, "--out", str(out)]) == 0
-        assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS["chsh"] + [pid_file.name])
-        if owner is not None:
-            assert pid_file.read_text() == owner
+        assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS["chsh"] + [name])
+        assert (out / name).read_text() == owner
+
+    def test_two_runs_at_once(self, fast_cfg_path, tmp_path):
+        solo, out = tmp_path / "solo", tmp_path / "o"
+        assert main(["report", "--config", fast_cfg_path, "--out", str(solo)]) == 0
+        argv = [sys.executable, "-m", "bfcsim.cli", "report", "--config", fast_cfg_path]
+        argv += ["--out", str(out)]
+        runs = [
+            subprocess.Popen(
+                argv,
+                env=_child_env(),
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for _ in range(2)
+        ]
+        errors = [run.communicate(timeout=120)[1] for run in runs]
+        for run, err in zip(runs, errors):
+            assert run.returncode == 0 or (run.returncode == 2 and "locked" in err), err
+        assert 0 in [run.returncode for run in runs]
+        assert _snapshot(out) == _snapshot(solo)
 
 
 class TestRevivalSpacing:
@@ -558,7 +578,6 @@ class TestReportDeterminism:
         return {
             p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(path.iterdir())
-            if p.name != LOCK_FILENAME
         }
 
     def test_repeat_runs_byte_identical(self, fast_cfg_path, tmp_path):
@@ -586,8 +605,8 @@ class TestReportDeterminism:
         assert payload["total_dimensionality"] == 2 * int(payload["k_time_theory"]) ** 2
         assert payload["config_hash"]
 
-    def test_lock_released_after_run(self, tmp_path):
-        fast = tmp_path / "f.cfg"
-        fast.write_text(FAST_CONFIG)
-        assert main(["report", "--config", str(fast), "--out", str(tmp_path / "lk")]) == 0
-        assert not (tmp_path / "lk" / LOCK_FILENAME).exists()
+    def test_lock_released_after_run(self, fast_cfg_path, tmp_path):
+        out = tmp_path / "lk"
+        assert main(["report", "--config", fast_cfg_path, "--out", str(out)]) == 0
+        with _locked(out):
+            pass

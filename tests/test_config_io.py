@@ -17,6 +17,7 @@ from bfcsim.comb import ENVELOPE_SHAPES
 from bfcsim.config import (
     _FIELDS,
     MAX_HOM_DELAYS,
+    MAX_HOM_WORK,
     ChshConfig,
     HomConfig,
     JsiConfig,
@@ -202,6 +203,32 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="1e\\+06 delays; at most 1000000"):
             HomConfig(window_ps=500.0, step_ps=0.001)
         assert HomConfig(window_ps=499.0, step_ps=0.001).step_ps == 0.001
+
+    @pytest.mark.parametrize(
+        ("lines", "message"),
+        [
+            # 1,001 comb terms at 998,001 delays: 1.0e9, over 6x the budget (2.7 s).
+            (
+                "[comb] n_max=1000\n[hom] window_ps=499, step_ps=0.001",
+                "[comb] n_max=1000 with 9.98e+05 HOM delays",
+            ),
+            # Finite, but its default n_max of ~6.6e288 bins fails late in stage 'comb'.
+            ("[source] bpm_ghz=1e290", "[source] bpm_ghz=1e+290 (n_max 6.62e+288) with 3401"),
+        ],
+        ids=["n_max", "bpm_ghz"],
+    )
+    def test_hom_work_budget(self, lines, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            build_config(parse_config_text(f'[cavity] preset="45ghz"\n{lines}\n'))
+
+    @pytest.mark.parametrize("preset", ["45ghz", "15ghz", "5ghz"])
+    def test_every_preset_fits_the_hom_work_budget_at_the_delay_cap(self, preset):
+        # 2 * 500 / 0.001 + 1 delays, just under MAX_HOM_DELAYS; 5ghz: 147 terms, 1.47e8.
+        text = f'[cavity] preset="{preset}"\n[hom] window_ps=499.9995, step_ps=0.001\n'
+        cfg = build_config(parse_config_text(text))
+        n_delays = 2 * cfg.hom.window_ps / cfg.hom.step_ps + 1
+        assert MAX_HOM_DELAYS - 1 <= n_delays <= MAX_HOM_DELAYS
+        assert n_delays * (cfg.resolved_n_max() + 1) <= MAX_HOM_WORK
 
     def test_hash_stable_and_scientific(self, tmp_path):
         a = preset_config("45ghz", output_dir=str(tmp_path / "a"))

@@ -1,7 +1,7 @@
 """The closed-form HOM kernel against its oracles.
 
 Kernel vs the quadrature oracle and vs a direct cosine sum of the closed
-form, and the folded quadrature vs the two-sided one it replaces.
+form.
 """
 
 import numpy as np
@@ -26,9 +26,6 @@ DIRECT_TOL = 1e-12
 # |C - quadrature oracle| allowed on every checked delay, on top of the span
 # truncation bound below; on the presets the gap is <= ~8e-9.
 CLOSED_FORM_TOL = 1e-6
-
-# Folded vs two-sided quadrature: the same sum, measured gap ~1e-13.
-FOLD_TOL = 1e-10
 
 WIDE = np.arange(-340.0, 340.0 + 0.1, 0.2)
 CUBIC = 30.0 * np.linspace(-1.0, 1.0, 401) ** 3  # dense near the central dip
@@ -116,42 +113,6 @@ class TestKernelMatchesOracle:
         assert np.max(np.abs(trace.coincidence - oracle)) <= _oracle_tol(comb_45)
 
 
-def _two_sided_coincidence(comb, delays):
-    """The unfolded quadrature: a direct sum over k in [-K, K] with bin weights w_m."""
-    hw = comb.half_width_rad_s
-    step = 2.0 * hw / hom.POINTS_PER_LINEWIDTH
-    k_max = int(np.ceil((comb.n_max + hom.PAD_BINS) * comb.fsr_rad_s / step))
-    omega = step * np.arange(-k_max, k_max + 1)
-    intensity = np.zeros_like(omega)
-    for m, w in zip(comb.bins, comb.bin_weights):
-        intensity += w / np.square(hw * hw + np.square(omega - m * comb.fsr_rad_s))
-    intensity /= intensity.sum()
-    tau = delays * 1e-12
-    rows = max(1, 2_000_000 // omega.size)
-    visibility = np.empty(tau.size)
-    for i in range(0, tau.size, rows):
-        phase = np.outer(tau[i : i + rows], 2.0 * omega)
-        visibility[i : i + rows] = np.cos(phase, out=phase) @ intensity
-    return np.clip(1.0 - visibility, 0.0, None)
-
-
-class TestFoldedQuadrature:
-    """The oracle's folded sum over k >= 0 against the two-sided sum it replaces."""
-
-    @pytest.mark.parametrize(("fixture", "seed"), PRESETS)
-    def test_zoom_and_wide_sample(self, fixture, seed, request):
-        comb = request.getfixturevalue(fixture).comb
-        oracle = request.getfixturevalue(f"oracle_{seed}")
-        two_sided = _two_sided_coincidence(comb, oracle.zoom_delays)
-        assert np.max(np.abs(_oracle_coincidence(oracle.zoom) - two_sided)) <= FOLD_TOL
-        two_sided = _two_sided_coincidence(comb, WIDE[oracle.wide_idx])
-        assert np.max(np.abs(_oracle_coincidence(oracle.wide) - two_sided)) <= FOLD_TOL
-
-    def test_nonuniform_grid(self, comb_5, cubic_5):
-        gap = np.max(np.abs(_oracle_coincidence(cubic_5) - _two_sided_coincidence(comb_5, CUBIC)))
-        assert gap <= FOLD_TOL
-
-
 class TestAsymmetricWeights:
     def test_fold_as_w_m_plus_w_minus_m(self, cavity_45):
         # Weights uneven in m by 8e-13, inside the 1e-12 CombSpectrum allows.
@@ -174,10 +135,6 @@ class TestAsymmetricWeights:
         doubled = np.concatenate((np.zeros(4), [w[4]], 2.0 * w[5:]))
         assert np.max(np.abs(cosines @ doubled - cosines @ w)) > 4e-13
         assert np.max(np.abs(hom._comb_factor(comb, tau) - cosines @ w)) <= 1e-14
-
-        delays = tau * 1e12
-        oracle = _oracle_coincidence(quadrature_visibility(comb, delays))
-        assert np.max(np.abs(oracle - _two_sided_coincidence(comb, delays))) <= 1e-14
 
 
 class TestTraceMatchesClosedForm:

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from bfcsim import (
     DEFAULT_SOURCE,
     FilterSpec,
-    bin_counts,
     dimensionality_report,
     dip_visibility_closed_form,
     jsa_from_jsi,
@@ -193,26 +192,24 @@ class TestVisibilityFit:
             time_bin_spectrum_from_visibilities([(1, 0.9)], 10)
 
 
+def _bin_product(cavity) -> float:
+    """N_time x N_freq of the default source in `cavity`."""
+    return dimensionality_report(1.0, 1.0, cavity, DEFAULT_SOURCE).product_nt_nomega
+
+
 class TestBinCounts:
     def test_45ghz_counts(self, cavity_45):
-        counts = bin_counts(cavity_45, DEFAULT_SOURCE)
-        assert counts.n_freq_bins == pytest.approx(245.0 / 45.32, rel=1e-12)
-        assert counts.n_freq_bins == pytest.approx(5.41, abs=0.01)
-        assert counts.n_time_bins == pytest.approx(29.05, abs=0.01)
+        report = dimensionality_report(1.0, 1.0, cavity_45, DEFAULT_SOURCE)
+        assert report.n_freq_bins == pytest.approx(245.0 / 45.32, rel=1e-12)
+        assert report.n_freq_bins == pytest.approx(5.41, abs=0.01)
+        assert report.n_time_bins == pytest.approx(29.05, abs=0.01)
+        assert report.product_nt_nomega == report.n_time_bins * report.n_freq_bins
 
     def test_product_matches_between_similar_linewidths(self, cavity_45, cavity_15):
-        c45 = bin_counts(cavity_45, DEFAULT_SOURCE)
-        c15 = bin_counts(cavity_15, DEFAULT_SOURCE)
-        p45 = c45.n_freq_bins * c45.n_time_bins
-        p15 = c15.n_freq_bins * c15.n_time_bins
-        assert abs(p15 / p45 - 1.0) <= 0.15
+        assert abs(_bin_product(cavity_15) / _bin_product(cavity_45) - 1.0) <= 0.15
 
     def test_narrow_linewidth_triples_product(self, cavity_45, cavity_5):
-        c45 = bin_counts(cavity_45, DEFAULT_SOURCE)
-        c5 = bin_counts(cavity_5, DEFAULT_SOURCE)
-        p45 = c45.n_freq_bins * c45.n_time_bins
-        p5 = c5.n_freq_bins * c5.n_time_bins
-        assert 2.5 <= p5 / p45 <= 4.0
+        assert 2.5 <= _bin_product(cavity_5) / _bin_product(cavity_45) <= 4.0
 
     def test_window_limited_n_max(self, cavity_45, cavity_15, cavity_5):
         assert window_limited_n_max(cavity_45, 340.0) == 30
@@ -222,24 +219,20 @@ class TestBinCounts:
 
 class TestDimensionality:
     def test_headline_648(self, cavity_45):
-        counts = bin_counts(cavity_45, DEFAULT_SOURCE)
-        report = dimensionality_report(18.02, 4.31, counts)
+        report = dimensionality_report(18.02, 4.31, cavity_45, DEFAULT_SOURCE)
         assert report.total_dimensionality == 648
         assert report.total_dimensionality // report.polarization_factor == 324
 
     def test_frequency_dimensionality(self, cavity_5):
-        counts = bin_counts(cavity_5, DEFAULT_SOURCE)
-        report = dimensionality_report(5.16, 11.67, counts)
+        report = dimensionality_report(5.16, 11.67, cavity_5, DEFAULT_SOURCE)
         assert report.freq_dimensionality == 121
 
     def test_polarization_only(self, cavity_45):
-        counts = bin_counts(cavity_45, DEFAULT_SOURCE)
-        assert dimensionality_report(1.0, 1.0, counts).total_dimensionality == 2
+        assert dimensionality_report(1.0, 1.0, cavity_45, DEFAULT_SOURCE).total_dimensionality == 2
 
     def test_rejects_subunit_k(self, cavity_45):
-        counts = bin_counts(cavity_45, DEFAULT_SOURCE)
         with pytest.raises(ValueError):
-            dimensionality_report(0.5, 2.0, counts)
+            dimensionality_report(0.5, 2.0, cavity_45, DEFAULT_SOURCE)
 
 
 class TestProductAgreement:
