@@ -48,7 +48,6 @@ from .chsh import (
     ChshResult,
     DEFAULT_ANGLES_DEG,
     FringeScan,
-    fit_fringe,
     s_chsh,
     s_fringe_from_visibility,
     simulate_chsh_counts,

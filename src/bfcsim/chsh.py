@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +29,6 @@ class FringeScan:
     fixed_angle_deg: float
     scan_angles_deg: np.ndarray
     counts: np.ndarray
-    integration: float
 
     def __post_init__(self) -> None:
         a = np.asarray(self.scan_angles_deg, dtype=float)
@@ -66,18 +64,19 @@ class ChshResult:
             )
 
 
-class FringeFit(NamedTuple):
-    visibility: float
-    phase_deg: float
-    amplitude: float
-
-
 def fringe_rate(phi1_deg: float, phi2_deg: float, visibility: float) -> float:
     """Normalized coincidence rate for polarizers at phi1 and phi2."""
     if not (0.0 <= visibility <= 1.0):
         raise ValueError(f"visibility must lie in [0, 1], got {visibility!r}")
     arg = math.radians(2.0 * (phi1_deg + phi2_deg))
     return 0.5 * (1.0 - visibility * math.cos(arg))
+
+
+def _poisson_counts(settings, visibility: float, integration: float, rng) -> np.ndarray:
+    """Counts at each (phi1, phi2) setting, Poisson with mean ``integration * fringe_rate``."""
+    if integration <= 0.0:
+        raise ValueError("integration must be > 0")
+    return rng.poisson([integration * fringe_rate(p, q, visibility) for p, q in settings])
 
 
 def simulate_fringe_scan(
@@ -88,69 +87,10 @@ def simulate_fringe_scan(
     seed: int,
 ) -> FringeScan:
     """Poisson-sampled fringe scan; `integration` sets the full-fringe mean count."""
-    if integration <= 0.0:
-        raise ValueError("simulate_fringe_scan: integration must be > 0")
     angles = np.asarray(scan_angles_deg, dtype=float)
-    rng = np.random.default_rng(seed)
-    means = np.array([integration * fringe_rate(fixed_deg, a, visibility) for a in angles])
-    counts = rng.poisson(means)
-    return FringeScan(
-        fixed_angle_deg=fixed_deg,
-        scan_angles_deg=angles,
-        counts=counts,
-        integration=integration,
-    )
-
-
-def fit_fringe(scan: FringeScan, accidental_floor: float = 0.0) -> FringeFit:
-    """Least-squares sinusoid fit ``a + b cos(2 phi + c)`` to a fringe scan.
-
-    Linear in the basis (1, cos 2phi, sin 2phi), so the fit is exact for
-    noiseless model data.  The visibility is |b|/a after subtracting an
-    optional uniform accidental floor from all counts.  A flat scan
-    returns zero visibility with the phase flagged as NaN.
-    """
-    angles = scan.scan_angles_deg
-    if angles.size < 6:
-        raise ValueError("fit_fringe: at least 6 scan angles required")
-    if float(angles.max() - angles.min()) < 180.0:
-        raise ValueError("fit_fringe: scan must span at least 180 degrees")
-    y = scan.counts.astype(float) - accidental_floor
-    phi = np.radians(angles)
-    basis = np.column_stack([np.ones_like(phi), np.cos(2.0 * phi), np.sin(2.0 * phi)])
-    coef, residual, rank, _ = np.linalg.lstsq(basis, y, rcond=None)
-    a, p, q = coef
-    if rank < 3:
-        raise ValueError(f"fit_fringe: degenerate design matrix (rank {rank}), residual {residual}")
-    if a <= 0.0:
-        raise ValueError(f"fit_fringe: nonpositive mean level {a!r}; cannot form a visibility")
-    amplitude = math.hypot(p, q)
-    if amplitude / a < 1e-12:
-        return FringeFit(visibility=0.0, phase_deg=math.nan, amplitude=amplitude)
-    phase = math.degrees(math.atan2(-q, p))
-    return FringeFit(visibility=min(amplitude / a, 1.0), phase_deg=phase, amplitude=amplitude)
-
-
-def correlation_E(counts_4) -> float:
-    """Correlation from coincidences at (p1,p2), (p1,p2+90), (p1+90,p2), (p1+90,p2+90)."""
-    c = np.asarray(counts_4, dtype=float)
-    if c.shape != (4,):
-        raise ValueError("correlation_E: exactly four counts required")
-    total = float(c.sum())
-    if total <= 0.0:
-        raise ValueError("correlation_E: zero total counts")
-    return float((c[0] + c[3] - c[1] - c[2]) / total)
-
-
-def correlation_E_error(counts_4) -> float:
-    """Poisson standard error of `correlation_E` for the same four counts."""
-    c = np.asarray(counts_4, dtype=float)
-    total = float(c.sum())
-    if total <= 0.0:
-        raise ValueError("correlation_E_error: zero total counts")
-    e = correlation_E(c)
-    var = ((1.0 - e) ** 2 * (c[0] + c[3]) + (1.0 + e) ** 2 * (c[1] + c[2])) / total**2
-    return math.sqrt(var)
+    settings = [(fixed_deg, a) for a in angles]
+    counts = _poisson_counts(settings, visibility, integration, np.random.default_rng(seed))
+    return FringeScan(fixed_angle_deg=fixed_deg, scan_angles_deg=angles, counts=counts)
 
 
 def violation_sigmas(s_value: float, s_sigma: float) -> float:
@@ -162,10 +102,6 @@ def violation_sigmas(s_value: float, s_sigma: float) -> float:
     return (s_value - 2.0) / s_sigma
 
 
-def _analytic_correlation(phi1_deg: float, phi2_deg: float, visibility: float) -> float:
-    return -visibility * math.cos(math.radians(2.0 * (phi1_deg + phi2_deg)))
-
-
 def _angle_pairs(angles, caller: str):
     """The four (phi1, phi2) settings of a CHSH test, in the order `_chsh_result` combines."""
     if len(angles) != 4:
@@ -174,26 +110,26 @@ def _angle_pairs(angles, caller: str):
     return ((phi1, phi2), (phi1, phi2p), (phi1p, phi2), (phi1p, phi2p))
 
 
-def _chsh_result(e_values, variances) -> ChshResult:
+def _chsh_result(e_values, errors) -> ChshResult:
     # CHSH combination with the minus sign on the (phi1', phi2') term;
     # this is the arrangement the standard angle set maximizes.
     e1, e2, e3, e4 = e_values
     s = abs(e1 + e2 + e3 - e4)
-    sigma = math.sqrt(sum(variances))
+    sigma = math.sqrt(sum(err**2 for err in errors))
     return ChshResult(tuple(e_values), s, sigma, violation_sigmas(s, sigma))
 
 
 def s_chsh(visibility: float, angles=DEFAULT_ANGLES_DEG) -> ChshResult:
     """Noiseless CHSH S parameter for a fringe visibility.
 
-    The four correlations are computed at (phi1,phi2), (phi1,phi2'),
-    (phi1',phi2), (phi1',phi2'), giving S = 2 sqrt(2) V at the default
-    angles.
+    The four correlations ``-V cos 2(phi1 + phi2)`` are computed at
+    (phi1,phi2), (phi1,phi2'), (phi1',phi2), (phi1',phi2'), giving
+    S = 2 sqrt(2) V at the default angles.
     """
     pairs = _angle_pairs(angles, "s_chsh")
     if not (0.0 <= visibility <= 1.0):
         raise ValueError("s_chsh: visibility must lie in [0, 1]")
-    e_values = [_analytic_correlation(a, b, visibility) for a, b in pairs]
+    e_values = [-visibility * math.cos(math.radians(2.0 * (a + b))) for a, b in pairs]
     return _chsh_result(e_values, [0.0] * 4)
 
 
@@ -214,19 +150,24 @@ def simulate_chsh_counts(
 
     For each of the four angle pairs, four polarizer settings (each arm at
     its angle and at +90 degrees) are counted with mean
-    ``integration * fringe_rate``; the correlations, S, and its
-    propagated error follow from the sampled counts.
+    ``integration * fringe_rate``.  From the counts c at (a, b), (a, b+90),
+    (a+90, b), (a+90, b+90), the correlation is
+    ``E = (c0 + c3 - c1 - c2) / sum(c)``, with Poisson standard error
+    ``sqrt((1 - E)^2 (c0 + c3) + (1 + E)^2 (c1 + c2)) / sum(c)``; the errors
+    add in quadrature into the error of S.
     """
-    if integration <= 0.0:
-        raise ValueError("simulate_chsh_counts: integration must be > 0")
     pairs = _angle_pairs(angles, "simulate_chsh_counts")
     rng = np.random.default_rng(seed)
     e_values = []
-    variances = []
+    errors = []
     for a, b in pairs:
         settings = ((a, b), (a, b + 90.0), (a + 90.0, b), (a + 90.0, b + 90.0))
-        means = [integration * fringe_rate(p, q, visibility) for p, q in settings]
-        counts = rng.poisson(means)
-        e_values.append(correlation_E(counts))
-        variances.append(correlation_E_error(counts) ** 2)
-    return _chsh_result(e_values, variances)
+        c = _poisson_counts(settings, visibility, integration, rng).astype(float)
+        total = float(c.sum())
+        if total <= 0.0:
+            raise ValueError("simulate_chsh_counts: zero total counts")
+        e = float((c[0] + c[3] - c[1] - c[2]) / total)
+        var = ((1.0 - e) ** 2 * (c[0] + c[3]) + (1.0 + e) ** 2 * (c[1] + c[2])) / total**2
+        e_values.append(e)
+        errors.append(math.sqrt(var))
+    return _chsh_result(e_values, errors)

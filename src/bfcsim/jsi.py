@@ -113,21 +113,20 @@ def floor_fraction(pump_power_mw: float) -> float:
 
 def scan_correlation_matrix(
     comb: CombSpectrum,
-    sig: FilterSpec,
-    idl: FilterSpec,
+    filt: FilterSpec,
     max_bin: int,
     pump_power_mw: float = 0.0,
 ) -> Jsi:
     """Filtered coincidence matrix over targets in [-max_bin, max_bin]^2.
 
-    Applies the filter pair to the ideal JSI at every target pair, then
-    adds the accidental floor of `floor_fraction`.  The floor is
+    Applies one filter to both arms of the ideal JSI at every target pair,
+    then adds the accidental floor of `floor_fraction`.  The floor is
     referenced to the peak diagonal cell of the *measured* matrix, i.e. the
     uniform offset f solves f = r * (signal_peak + f), so the off-diagonal
     to peak-diagonal ratio of the result equals the calibrated fraction r.
 
-    The ideal JSI holds weight only at (m, -m), so ``t_sig @ ideal_jsi(comb).values``
-    is the signal transmission reversed along the bins times the reversed weights:
+    The ideal JSI holds weight only at (m, -m), so ``t @ ideal_jsi(comb).values``
+    is the filter transmission reversed along the bins times the reversed weights:
     every other term of that product is an exact +0.0, and the dense
     (2N+1)^2 matrix is never built.
     """
@@ -136,9 +135,8 @@ def scan_correlation_matrix(
     fsr_hz = comb.fsr_rad_s / (2.0 * math.pi)
     targets = np.arange(-max_bin, max_bin + 1)
     offsets = comb.bins[None, :] - targets[:, None]
-    t_sig = filter_transmission(sig, offsets, fsr_hz)
-    t_idl = filter_transmission(idl, offsets, fsr_hz)
-    values = (t_sig[:, ::-1] * comb.bin_weights[::-1]) @ t_idl.T
+    t = filter_transmission(filt, offsets, fsr_hz)
+    values = (t[:, ::-1] * comb.bin_weights[::-1]) @ t.T
 
     r = floor_fraction(pump_power_mw)
     if r >= 1.0:

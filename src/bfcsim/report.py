@@ -139,9 +139,7 @@ def jsi_stage(config: RunConfig, comb: CombSpectrum) -> tuple[Jsi, dict]:
     fwhm_hz = filter_bandwidth_hz(config.jsi.filter_fwhm_pm, config.source.degenerate_wavelength_nm)
     filt = FilterSpec(fwhm_hz=fwhm_hz, shape=config.jsi.filter_shape)
     max_bin = min(config.jsi.max_bin, comb.n_max)
-    scan = scan_correlation_matrix(
-        comb, filt, filt, max_bin, pump_power_mw=config.jsi.pump_power_mw
-    )
+    scan = scan_correlation_matrix(comb, filt, max_bin, pump_power_mw=config.jsi.pump_power_mw)
     sidecar = {
         "crosstalk_db": crosstalk_db(scan),
         "filter_fwhm_pm": config.jsi.filter_fwhm_pm,

@@ -1,6 +1,6 @@
 """Shared fixtures: preset combs, their wide delay scans and quadrature-oracle values."""
 
-from types import SimpleNamespace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -76,29 +76,36 @@ def _wide_sample(period, seed):
     return np.union1d(rng.choice(d.size, 200, replace=False), centres)
 
 
-def _oracle(comb, seed):
-    """The quadrature oracle's visibility on the zoom grid and on a seeded wide sample."""
-    zoom_delays = np.arange(-12.0, 12.0 + 0.01, 0.02)
-    wide_idx = _wide_sample(0.5 * comb.round_trip_ps, seed)
-    return SimpleNamespace(
-        comb=comb,
-        zoom_delays=zoom_delays,
-        zoom=quadrature_visibility(comb, zoom_delays),
-        wide_idx=wide_idx,
-        wide=quadrature_visibility(comb, _wide_delays()[wide_idx]),
-    )
+class _Oracle:
+    """The quadrature oracle's visibility on the zoom grid and on a seeded wide sample.
+
+    Each is computed on first read, so a session pays only for the grids its tests use.
+    """
+
+    def __init__(self, comb, seed):
+        self.comb = comb
+        self.zoom_delays = np.arange(-12.0, 12.0 + 0.01, 0.02)
+        self.wide_idx = _wide_sample(0.5 * comb.round_trip_ps, seed)
+
+    @cached_property
+    def zoom(self):
+        return quadrature_visibility(self.comb, self.zoom_delays)
+
+    @cached_property
+    def wide(self):
+        return quadrature_visibility(self.comb, _wide_delays()[self.wide_idx])
 
 
 @pytest.fixture(scope="session")
 def oracle_45(comb_45):
-    return _oracle(comb_45, 45)
+    return _Oracle(comb_45, 45)
 
 
 @pytest.fixture(scope="session")
 def oracle_15(comb_15):
-    return _oracle(comb_15, 15)
+    return _Oracle(comb_15, 15)
 
 
 @pytest.fixture(scope="session")
 def oracle_5(comb_5):
-    return _oracle(comb_5, 5)
+    return _Oracle(comb_5, 5)

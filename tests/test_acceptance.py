@@ -124,8 +124,8 @@ def test_criterion_5_crosstalk_calibration(cavity_45):
     # Flat comb so every anticorrelated cell sits at the same level: the
     # scan then reports the calibrated floor ratio exactly.
     flat = build_comb(cavity_45, SourceSpec(phase_matching_fwhm_hz=1e15), 2)
-    x2 = crosstalk_db(scan_correlation_matrix(flat, DELTA, DELTA, 2, pump_power_mw=2.0))
-    x4 = crosstalk_db(scan_correlation_matrix(flat, DELTA, DELTA, 2, pump_power_mw=4.0))
+    x2 = crosstalk_db(scan_correlation_matrix(flat, DELTA, 2, pump_power_mw=2.0))
+    x4 = crosstalk_db(scan_correlation_matrix(flat, DELTA, 2, pump_power_mw=4.0))
     ok = abs(x2 - (-11.71)) <= 0.1 and abs(x4 - (-6.31)) <= 0.1
     _criterion(
         5,
@@ -190,10 +190,10 @@ def test_criterion_8_property_suite(cavity_45, cavity_15, comb_45, comb_15):
 
     # degraded-JSI K strictly decreases from the 2 mW to the 4 mW floor
     k2 = schmidt_decompose(
-        jsa_from_jsi(scan_correlation_matrix(comb_45, DELTA, DELTA, 2, 2.0))
+        jsa_from_jsi(scan_correlation_matrix(comb_45, DELTA, 2, 2.0))
     ).k_number
     k4 = schmidt_decompose(
-        jsa_from_jsi(scan_correlation_matrix(comb_45, DELTA, DELTA, 2, 4.0))
+        jsa_from_jsi(scan_correlation_matrix(comb_45, DELTA, 2, 4.0))
     ).k_number
     checks.append((f"floor degrades K ({k2:.3f} -> {k4:.3f})", k4 < k2))
 

@@ -1,4 +1,4 @@
-"""Bell-test module: fringe law, fits, correlations, S parameter, noise."""
+"""Bell-test module: fringe law, Poisson counts, correlations, S parameter, noise."""
 
 import math
 
@@ -7,15 +7,13 @@ import pytest
 
 from bfcsim import (
     ChshResult,
-    FringeScan,
-    fit_fringe,
     s_chsh,
     s_fringe_from_visibility,
     simulate_chsh_counts,
     simulate_fringe_scan,
     violation_sigmas,
 )
-from bfcsim.chsh import correlation_E, correlation_E_error, fringe_rate
+from bfcsim.chsh import fringe_rate
 
 ANGLES = np.arange(0.0, 360.0, 10.0)
 
@@ -53,73 +51,26 @@ class TestSimulateFringeScan:
             simulate_fringe_scan(0.0, ANGLES, 0.5, 0.0, seed=1)
 
 
-class TestFitFringe:
-    def _noiseless_scan(self, v, fixed=45.0, scale=1e4):
-        counts = np.array([scale * fringe_rate(fixed, a, v) for a in ANGLES])
-        return FringeScan(fixed, ANGLES, counts, scale)
+class TestSimulatedCorrelations:
+    def test_many_counts_approach_the_analytic_correlations(self):
+        simulated = simulate_chsh_counts(1.0, 1e12, seed=1).correlations
+        for e, exact in zip(simulated, s_chsh(1.0).correlations):
+            assert e == pytest.approx(exact, abs=1e-5)
 
-    @pytest.mark.parametrize("v", [0.5, 0.9796])
-    def test_exact_on_noiseless_data(self, v):
-        fit = fit_fringe(self._noiseless_scan(v))
-        assert fit.visibility == pytest.approx(v, abs=1e-6)
-
-    def test_flat_counts_flagged(self):
-        scan = FringeScan(45.0, ANGLES, np.full(ANGLES.size, 500.0), 1e3)
-        fit = fit_fringe(scan)
-        assert fit.visibility == 0.0
-        assert math.isnan(fit.phase_deg)
-
-    def test_recovers_visibility_within_percent(self):
-        scan = simulate_fringe_scan(45.0, ANGLES, 0.9796, 1e4, seed=2)
-        fit = fit_fringe(scan)
-        assert fit.visibility == pytest.approx(0.9796, abs=0.01)
-
-    def test_bias_below_half_percent(self):
-        errors = []
-        for seed in range(20):
-            scan = simulate_fringe_scan(45.0, ANGLES, 0.9796, 1e4, seed=seed)
-            errors.append(fit_fringe(scan).visibility - 0.9796)
-        assert abs(float(np.mean(errors))) < 0.005
-
-    def test_accidental_subtraction(self):
-        floor = 200.0
-        counts = np.array([1e4 * fringe_rate(45.0, a, 0.8) + floor for a in ANGLES])
-        scan = FringeScan(45.0, ANGLES, counts, 1e4)
-        fit = fit_fringe(scan, accidental_floor=floor)
-        assert fit.visibility == pytest.approx(0.8, abs=1e-6)
-
-    def test_requires_angular_coverage(self):
-        narrow = np.linspace(0.0, 90.0, 10)
-        counts = np.ones(10)
-        with pytest.raises(ValueError, match="180"):
-            fit_fringe(FringeScan(45.0, narrow, counts, 1.0))
-        with pytest.raises(ValueError, match="6"):
-            fit_fringe(FringeScan(45.0, np.array([0.0, 90.0, 180.0, 270.0]), np.ones(4), 1.0))
-
-
-class TestCorrelation:
-    def test_ideal_angles_give_minus_inverse_sqrt2(self):
-        settings = ((45.0, 112.5), (45.0, 202.5), (135.0, 112.5), (135.0, 202.5))
-        counts = [fringe_rate(p, q, 1.0) for p, q in settings]
-        assert correlation_E(counts) == pytest.approx(-1.0 / math.sqrt(2.0), abs=1e-12)
-
-    def test_equal_counts_give_zero(self):
-        assert correlation_E([5.0, 5.0, 5.0, 5.0]) == 0.0
-
-    def test_scale_invariance(self):
-        counts = [40.0, 10.0, 12.0, 55.0]
-        assert correlation_E(counts) == pytest.approx(
-            correlation_E([7.0 * c for c in counts]), rel=1e-12
-        )
+    def test_zero_visibility_gives_zero_within_noise(self):
+        result = simulate_chsh_counts(0.0, 1e4, seed=4)
+        # At V = 0 the four correlation errors are equal, each half of sigma_S.
+        for e in result.correlations:
+            assert abs(e) <= 5.0 * result.s_sigma / 2.0
 
     def test_zero_total_rejected(self):
-        with pytest.raises(ValueError):
-            correlation_E([0.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="zero total counts"):
+            simulate_chsh_counts(0.9497, 1e-300, seed=0)
 
     def test_error_shrinks_with_counts(self):
-        small = correlation_E_error([40.0, 10.0, 12.0, 55.0])
-        large = correlation_E_error([4000.0, 1000.0, 1200.0, 5500.0])
-        assert large == pytest.approx(small / 10.0, rel=1e-9)
+        small = simulate_chsh_counts(0.9497, 1e4, seed=5).s_sigma
+        large = simulate_chsh_counts(0.9497, 1e6, seed=5).s_sigma
+        assert large == pytest.approx(small / 10.0, rel=0.05)
 
 
 class TestSParameter:
@@ -173,3 +124,75 @@ class TestChshResultType:
     def test_correlation_bounds(self):
         with pytest.raises(ValueError):
             ChshResult((1.5, 0.0, 0.0, 0.0), s_value=1.5, s_sigma=0.0, violation_sigmas=0.0)
+
+
+# (seed, integration, S, sigma_S, correlations) of simulate_chsh_counts(0.9497, ...),
+# recorded to the bit.  Summing variances instead of squared standard errors moves
+# sigma_S by an ulp at seeds 0, 2, 3 and 9, so this table catches that reordering.
+PINNED_CHSH = [
+    (0, 800.0, 2.6726482473407183, 0.037084402198533546,
+     (-0.6522301228183581, -0.6549253731343283, -0.6767427513880321, 0.68875)),
+    (1, 800.0, 2.6926861286085444, 0.03698994386038887,
+     (-0.6718266253869969, -0.6717752234993615, -0.6853233830845771, 0.663760896637609)),
+    (2, 800.0, 2.7529935952408446, 0.03622951106995022,
+     (-0.6988847583643123, -0.6828193832599119, -0.6868811881188119, 0.6844082654978084)),
+    (3, 800.0, 2.7189383093974153, 0.03676054749309652,
+     (-0.6892583120204604, -0.667296786389414, -0.6705593116164721, 0.6918238993710691)),
+    (4, 800.0, 2.634436644231461, 0.03728980924133811,
+     (-0.639736684619988, -0.640251572327044, -0.6689741976085588, 0.6854741896758704)),
+    (5, 800.0, 2.6413668229506557, 0.03744569561421875,
+     (-0.6512226512226512, -0.6770642201834862, -0.6680799515445185, 0.645)),
+    (6, 800.0, 2.6920668515664437, 0.03698295702236853,
+     (-0.664804469273743, -0.6473551637279596, -0.6955684007707129, 0.684338817794028)),
+    (7, 800.0, 2.674295292261209, 0.037175698581877484,
+     (-0.657213316892725, -0.6854219948849105, -0.6695652173913044, 0.6620947630922693)),
+    (8, 800.0, 2.74558030941393, 0.03642768789775208,
+     (-0.701120797011208, -0.6902654867256637, -0.677893447642376, 0.6763005780346821)),
+    (9, 800.0, 2.6786857063820926, 0.03703042679354883,
+     (-0.6617826617826618, -0.6548223350253807, -0.6713329275715155, 0.6907477820025348)),
+    (0, 10000.0, 2.6650688051238376, 0.010560102812517427,
+     (-0.666800764356834, -0.6721846123437268, -0.6596672753093934, 0.6664161531138835)),
+    (1, 10000.0, 2.687815387983458, 0.010474312693907632,
+     (-0.6716864465941956, -0.6715622170807766, -0.6754193290734825, 0.6691473952350032)),
+    (2, 10000.0, 2.7100966279281438, 0.010400736822032478,
+     (-0.6792857499127138, -0.6745817052399559, -0.6758400638149367, 0.6803891089605375)),
+    (3, 10000.0, 2.6898083246615987, 0.010478806034213306,
+     (-0.6764617087652209, -0.6705752655842854, -0.6711115533883969, 0.6716597969236956)),
+    (4, 10000.0, 2.6630005472901623, 0.010533660150145122,
+     (-0.6620747543573792, -0.6624442998047364, -0.6713328667133287, 0.6671486264147181)),
+    (5, 10000.0, 2.6730042702799492, 0.010511771498269496,
+     (-0.6658600524299254, -0.6730434782608695, -0.670283930429612, 0.663816809159542)),
+    (6, 10000.0, 2.6879842983310906, 0.010474193584994088,
+     (-0.6695278969957081, -0.6649125444795269, -0.6782385247140625, 0.6753053321417932)),
+    (7, 10000.0, 2.68292525670305, 0.010488754971255421,
+     (-0.6675798177018479, -0.6754553688235886, -0.6709252420401237, 0.66896482813749)),
+    (8, 10000.0, 2.7031422896412645, 0.010429244700626663,
+     (-0.6799520527419838, -0.6767818628680343, -0.6734612707566869, 0.6729471032745592)),
+    (9, 10000.0, 2.6870199905998993, 0.010463960414483268,
+     (-0.6644541311670299, -0.6722202647606583, -0.6717346233586731, 0.678610971313538)),
+]
+
+# simulate_fringe_scan(45.0, 0..350 step 10, 0.9796, 1e4, seed=7).counts
+PINNED_FRINGE = [
+    5025, 6745, 8095, 9332, 9766, 9750, 9243, 8068, 6701, 4993, 3346, 1851,
+    774, 171, 191, 739, 1853, 3348, 4887, 6677, 8112, 9045, 9772, 9924,
+    9271, 8195, 6661, 4980, 3498, 1873, 795, 159, 179, 762, 1911, 3336,
+]
+
+
+class TestPinnedDraws:
+    """The simulated Bell numbers stay bit for bit, including the last ulp of sigma_S."""
+
+    @pytest.mark.parametrize(
+        ("seed", "integration", "s", "sigma", "correlations"),
+        PINNED_CHSH,
+        ids=[f"seed{row[0]}-{row[1]:g}" for row in PINNED_CHSH],
+    )
+    def test_chsh_counts(self, seed, integration, s, sigma, correlations):
+        result = simulate_chsh_counts(0.9497, integration, seed)
+        assert repr(result.correlations) == repr(correlations)
+        assert (repr(result.s_value), repr(result.s_sigma)) == (repr(s), repr(sigma))
+
+    def test_fringe_scan(self):
+        scan = simulate_fringe_scan(45.0, ANGLES, 0.9796, 1e4, seed=7)
+        assert scan.counts.tolist() == PINNED_FRINGE

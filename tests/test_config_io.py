@@ -324,9 +324,7 @@ class TestRoundTrips:
         from bfcsim import scan_correlation_matrix
         from bfcsim.jsi import FilterSpec
 
-        scan = scan_correlation_matrix(
-            comb_45, FilterSpec(0.0), FilterSpec(0.0), 2, pump_power_mw=2.0
-        )
+        scan = scan_correlation_matrix(comb_45, FilterSpec(0.0), 2, pump_power_mw=2.0)
         path = tmp_path / "m.csv"
         write_artifact(path, scan)
         back = jsi_from_csv(path)
@@ -434,7 +432,7 @@ class TestCsvBytes:
         from bfcsim import scan_correlation_matrix
         from bfcsim.jsi import FilterSpec
 
-        scan = scan_correlation_matrix(comb_45, FilterSpec(5e9), FilterSpec(5e9), 3, 2.0)
+        scan = scan_correlation_matrix(comb_45, FilterSpec(5e9), 3, 2.0)
         bins = [int(b) for b in scan.bins]
         rows = [[n] + list(row) for n, row in zip(bins, scan.values)]
         self._check(tmp_path, scan, ["bin"] + [str(b) for b in bins], rows)

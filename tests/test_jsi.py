@@ -29,13 +29,14 @@ def flat_comb(cavity_45):
 DELTA = FilterSpec(fwhm_hz=0.0)
 
 
-def _dense_scan(comb, sig, idl, max_bin, pump_power_mw):
+def _dense_scan(comb, filt, max_bin, pump_power_mw):
     """The scan as per-target filter rows around the dense ideal JSI: the reference."""
     fsr_hz = comb.fsr_rad_s / (2.0 * math.pi)
     targets = np.arange(-max_bin, max_bin + 1)
-    rows = [np.atleast_1d(filter_transmission(sig, comb.bins - t, fsr_hz)) for t in targets]
-    cols = [np.atleast_1d(filter_transmission(idl, comb.bins - t, fsr_hz)) for t in targets]
-    values = np.stack(rows) @ ideal_jsi(comb).values @ np.stack(cols).T
+    rows = np.stack(
+        [np.atleast_1d(filter_transmission(filt, comb.bins - t, fsr_hz)) for t in targets]
+    )
+    values = rows @ ideal_jsi(comb).values @ rows.T
     r = floor_fraction(pump_power_mw)
     if r > 0.0:
         idx = np.arange(2 * max_bin + 1)
@@ -54,15 +55,12 @@ def _scans(draw):
     # Within build_comb's span limit, so no test draws its warning.
     span = int(5.0 * source.phase_matching_fwhm_hz / fsr_hz)
     comb = build_comb(cavity, source, n_max=draw(st.integers(0, min(span, 40))))
-    filters = [
-        FilterSpec(
-            fwhm_hz=draw(st.just(0.0) | st.floats(1e8, 1e11)),
-            shape=draw(st.sampled_from(FILTER_SHAPES)),
-        )
-        for _ in range(2)
-    ]
+    filt = FilterSpec(
+        fwhm_hz=draw(st.just(0.0) | st.floats(1e8, 1e11)),
+        shape=draw(st.sampled_from(FILTER_SHAPES)),
+    )
     max_bin = draw(st.integers(0, comb.n_max))
-    return comb, *filters, max_bin, draw(st.floats(0.0, 8.5))
+    return comb, filt, max_bin, draw(st.floats(0.0, 8.5))
 
 
 class TestIdealJsi:
@@ -128,23 +126,23 @@ class TestScanCells:
 
     def test_delta_filters_sample_matrix(self, comb_45):
         jsi = ideal_jsi(comb_45)
-        scan = scan_correlation_matrix(comb_45, DELTA, DELTA, comb_45.n_max)
+        scan = scan_correlation_matrix(comb_45, DELTA, comb_45.n_max)
         n = comb_45.n_max
         assert scan.values[n + 2, n - 2] == pytest.approx(jsi.values[n + 2, n - 2], rel=1e-12)
 
     def test_delta_filters_mismatch_is_zero(self, comb_45):
-        scan = scan_correlation_matrix(comb_45, DELTA, DELTA, comb_45.n_max)
+        scan = scan_correlation_matrix(comb_45, DELTA, comb_45.n_max)
         n = comb_45.n_max
         assert scan.values[n + 1, n] == 0.0
 
     def test_finite_filters_suppress_mismatch(self, comb_45):
         filt = FilterSpec(fwhm_hz=filter_bandwidth_hz(300.0))
-        scan = scan_correlation_matrix(comb_45, filt, filt, 2)
+        scan = scan_correlation_matrix(comb_45, filt, 2)
         assert 0.0 < scan.values[3, 2] < scan.values[3, 1]
 
     def test_out_of_range_target(self, comb_45):
         with pytest.raises(ValueError):
-            scan_correlation_matrix(comb_45, DELTA, DELTA, comb_45.n_max + 1)
+            scan_correlation_matrix(comb_45, DELTA, comb_45.n_max + 1)
 
     def test_smearing_conserves_weight_for_normalized_filters(self, cavity_45):
         # Bin-normalized transmission: summing the filtered signal over a
@@ -203,7 +201,7 @@ class TestCrosstalk:
 
     def test_monotone_in_floor(self, flat_comb):
         levels = [
-            crosstalk_db(scan_correlation_matrix(flat_comb, DELTA, DELTA, 2, pump_power_mw=p))
+            crosstalk_db(scan_correlation_matrix(flat_comb, DELTA, 2, pump_power_mw=p))
             for p in (0.5, 1.0, 2.0, 3.0, 4.0)
         ]
         assert all(a < b for a, b in zip(levels, levels[1:]))
@@ -211,23 +209,23 @@ class TestCrosstalk:
 
 class TestScanCorrelationMatrix:
     def test_calibration_closure_on_flat_comb(self, flat_comb):
-        scan2 = scan_correlation_matrix(flat_comb, DELTA, DELTA, 2, pump_power_mw=2.0)
-        scan4 = scan_correlation_matrix(flat_comb, DELTA, DELTA, 2, pump_power_mw=4.0)
+        scan2 = scan_correlation_matrix(flat_comb, DELTA, 2, pump_power_mw=2.0)
+        scan4 = scan_correlation_matrix(flat_comb, DELTA, 2, pump_power_mw=4.0)
         assert crosstalk_db(scan2) == pytest.approx(-11.71, abs=1e-9)
         assert crosstalk_db(scan4) == pytest.approx(-6.31, abs=1e-9)
 
     def test_45ghz_preset_crosstalk_bound(self, comb_45):
         # Delta-filter scan of the real preset reports the calibrated level.
-        scan = scan_correlation_matrix(comb_45, DELTA, DELTA, 2, pump_power_mw=2.0)
+        scan = scan_correlation_matrix(comb_45, DELTA, 2, pump_power_mw=2.0)
         assert crosstalk_db(scan) <= -11.71 + 1e-9
 
     def test_4mw_crosstalk(self, comb_45):
-        scan = scan_correlation_matrix(comb_45, DELTA, DELTA, 2, pump_power_mw=4.0)
+        scan = scan_correlation_matrix(comb_45, DELTA, 2, pump_power_mw=4.0)
         assert crosstalk_db(scan) == pytest.approx(-6.31, abs=0.1)
 
     def test_5ghz_19x19_diagonal_dominant(self, comb_5):
         filt = FilterSpec(fwhm_hz=filter_bandwidth_hz(100.0))
-        scan = scan_correlation_matrix(comb_5, filt, filt, 9, pump_power_mw=2.0)
+        scan = scan_correlation_matrix(comb_5, filt, 9, pump_power_mw=2.0)
         assert scan.values.shape == (19, 19)
         size = 19
         for i in range(size):
@@ -235,16 +233,16 @@ class TestScanCorrelationMatrix:
 
     def test_negation_symmetry(self, comb_45):
         filt = FilterSpec(fwhm_hz=filter_bandwidth_hz(300.0))
-        scan = scan_correlation_matrix(comb_45, filt, filt, 2, pump_power_mw=2.0)
+        scan = scan_correlation_matrix(comb_45, filt, 2, pump_power_mw=2.0)
         flipped = scan.values[::-1, ::-1]
         assert np.max(np.abs(scan.values - flipped)) < 1e-9
 
     def test_range_validation(self, comb_45):
         with pytest.raises(ValueError):
-            scan_correlation_matrix(comb_45, DELTA, DELTA, comb_45.n_max + 1)
+            scan_correlation_matrix(comb_45, DELTA, comb_45.n_max + 1)
 
     def test_normalized_output(self, comb_45):
-        scan = scan_correlation_matrix(comb_45, DELTA, DELTA, 2, pump_power_mw=2.0)
+        scan = scan_correlation_matrix(comb_45, DELTA, 2, pump_power_mw=2.0)
         assert scan.values.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize(
@@ -255,15 +253,15 @@ class TestScanCorrelationMatrix:
         comb = request.getfixturevalue(f"comb_{preset}")
         filt = FilterSpec(fwhm_hz=filter_bandwidth_hz(fwhm_pm), shape=shape)
         for pump in (0.0, 2.0):
-            scan = scan_correlation_matrix(comb, filt, filt, max_bin, pump_power_mw=pump)
-            assert np.array_equal(scan.values, _dense_scan(comb, filt, filt, max_bin, pump))
+            scan = scan_correlation_matrix(comb, filt, max_bin, pump_power_mw=pump)
+            assert np.array_equal(scan.values, _dense_scan(comb, filt, max_bin, pump))
 
     @settings(max_examples=40, deadline=None)
     @given(_scans())
     def test_equals_the_dense_formula(self, case):
-        comb, sig, idl, max_bin, pump = case
-        scan = scan_correlation_matrix(comb, sig, idl, max_bin, pump_power_mw=pump)
-        assert np.array_equal(scan.values, _dense_scan(comb, sig, idl, max_bin, pump))
+        comb, filt, max_bin, pump = case
+        scan = scan_correlation_matrix(comb, filt, max_bin, pump_power_mw=pump)
+        assert np.array_equal(scan.values, _dense_scan(comb, filt, max_bin, pump))
 
     def test_memory_does_not_grow_with_the_comb(self, cavity_5):
         # The dense ideal JSI of this comb is 4001^2 floats, 128 MB.
@@ -271,7 +269,7 @@ class TestScanCorrelationMatrix:
         filt = FilterSpec(fwhm_hz=filter_bandwidth_hz(100.0))
         tracemalloc.start()
         try:
-            scan_correlation_matrix(comb, filt, filt, 2, pump_power_mw=2.0)
+            scan_correlation_matrix(comb, filt, 2, pump_power_mw=2.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -246,10 +246,10 @@ class TestProductAgreement:
     def test_floor_degrades_schmidt_number(self, comb_45):
         delta = FilterSpec(fwhm_hz=0.0)
         k2 = schmidt_decompose(
-            jsa_from_jsi(scan_correlation_matrix(comb_45, delta, delta, 2, 2.0))
+            jsa_from_jsi(scan_correlation_matrix(comb_45, delta, 2, 2.0))
         ).k_number
         k4 = schmidt_decompose(
-            jsa_from_jsi(scan_correlation_matrix(comb_45, delta, delta, 2, 4.0))
+            jsa_from_jsi(scan_correlation_matrix(comb_45, delta, 2, 4.0))
         ).k_number
         assert k4 < k2
 
