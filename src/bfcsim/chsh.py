@@ -58,10 +58,10 @@ class ChshResult:
         for e in self.correlations:
             if abs(e) > 1.0 + 1e-9:
                 raise ValueError(f"ChshResult: correlation {e!r} outside [-1, 1]")
-        if abs(self.s_value) > S_QUANTUM_MAX + 3.0 * self.s_sigma + 1e-9:
-            raise ValueError(
-                f"ChshResult: s_value {self.s_value!r} unphysical for sigma {self.s_sigma!r}"
-            )
+        # Tsirelson's bound holds exactly for the noiseless S.  A sampled S may
+        # pass it by noise; |E| <= 1 above is what bounds it.
+        if self.s_sigma == 0.0 and abs(self.s_value) > S_QUANTUM_MAX + 1e-9:
+            raise ValueError(f"ChshResult: s_value {self.s_value!r} unphysical for sigma 0.0")
 
 
 def fringe_rate(phi1_deg: float, phi2_deg: float, visibility: float) -> float:

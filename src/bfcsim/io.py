@@ -7,6 +7,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .chsh import FringeScan
 from .hom import HomTrace
@@ -18,10 +19,11 @@ def export_csv(path, header: list[str], columns) -> None:
     """Write equal-length 1-D columns as CSV under a header line.
 
     Integer columns are written with `str`, float columns as float64 in the
-    shortest form that reads back exactly (`repr`).  Each distinct float bit
-    pattern of the table is formatted once, so ``-0.0`` stays apart from
-    ``0.0``.  Header cells are written as they are and must not need
-    quoting.  Columns of unequal length raise `ValueError`.
+    shortest form that reads back exactly, spelled as `repr` spells it.
+    Each distinct float bit pattern of the table is formatted once, so
+    ``-0.0`` stays apart from ``0.0``.  Header cells are written as they
+    are and must not need quoting.  Columns of unequal length raise
+    `ValueError`.
     """
     path = Path(path)
     columns = [np.asarray(c) for c in columns]
@@ -32,7 +34,18 @@ def export_csv(path, header: list[str], columns) -> None:
     if floats:
         bits = np.concatenate(floats).astype(np.float64, copy=False).view(np.uint64)
         patterns, inverse = np.unique(bits, return_inverse=True)
-        texts = np.array([repr(v) for v in patterns.view(np.float64).tolist()], dtype=object)
+        values = patterns.view(np.float64)
+        # orjson writes repr's text, about ten times faster, except where repr
+        # writes an exponent (nonzero |x| outside [1e-4, 1e16)) or nan and
+        # inf; those stay with repr.  Float64 magnitudes order as their bit
+        # patterns, with inf and nan above every finite one.
+        magnitude = patterns & np.uint64(2**63 - 1)
+        low, high = np.array([1e-4, 1e16]).view(np.uint64)
+        by_repr = (magnitude != 0) & ((magnitude < low) | (magnitude >= high))
+        texts = np.empty(patterns.size, dtype=object)
+        texts[by_repr] = [repr(v) for v in values[by_repr].tolist()]
+        # No value left dumps as b"[]", a lone "" that fills no cell.
+        texts[~by_repr] = orjson.dumps(values[~by_repr].tolist())[1:-1].decode().split(",")
         float_cells = iter(texts[inverse].reshape(len(floats), n_rows).tolist())
     cells = [
         next(float_cells) if c.dtype.kind == "f" else list(map(str, c.tolist()))

@@ -13,7 +13,7 @@ from bfcsim import (
     simulate_fringe_scan,
     violation_sigmas,
 )
-from bfcsim.chsh import fringe_rate
+from bfcsim.chsh import S_QUANTUM_MAX, fringe_rate
 
 ANGLES = np.arange(0.0, 360.0, 10.0)
 
@@ -115,11 +115,22 @@ class TestSimulatedChsh:
         for e in result.correlations:
             assert -1.0 <= e <= 1.0
 
+    # 7 of seeds 0-4999 at V = 1 and 1e4 counts: Tsirelson's bound holds for
+    # the noiseless S only, and counting noise puts these estimates past it.
+    @pytest.mark.parametrize("seed", [743, 1584, 1733, 2356, 2392, 3388, 4891])
+    def test_noise_past_tsirelson_is_a_result(self, seed):
+        result = simulate_chsh_counts(1.0, 1e4, seed)
+        assert result.s_value > S_QUANTUM_MAX + 3.0 * result.s_sigma
+
 
 class TestChshResultType:
     def test_unphysical_s_rejected(self):
         with pytest.raises(ValueError, match="unphysical"):
             ChshResult((0.9, 0.9, 0.9, -0.9), s_value=3.6, s_sigma=0.0, violation_sigmas=0.0)
+
+    def test_sampled_s_past_tsirelson_accepted(self):
+        result = ChshResult((0.9, 0.9, 0.9, -0.9), s_value=3.6, s_sigma=0.1, violation_sigmas=16.0)
+        assert result.s_value == 3.6
 
     def test_correlation_bounds(self):
         with pytest.raises(ValueError):

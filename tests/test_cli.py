@@ -288,6 +288,13 @@ class TestSubcommands:
         result = json.loads((out / "chsh.json").read_text())
         assert 0.0 < result["s_value"] <= 2.8285
 
+    def test_chsh_past_tsirelson_by_noise_is_exit_0(self, tmp_path):
+        # Seed 743 samples S 3.3 sigma above 2 sqrt(2); noise, not an unphysical run.
+        out = tmp_path / "c"
+        argv = ["chsh", "--preset", "45ghz", "--visibility", "1", "--integration", "10000"]
+        assert main([*argv, "--seed", "743", "--out", str(out)]) == 0
+        assert json.loads((out / "chsh.json").read_text())["s_value"] > 2.0 * 2.0**0.5
+
     def test_chsh_counts_at_chsh_visibility_as_in_report(self, fast_cfg_path, tmp_path):
         main(["chsh", "--config", fast_cfg_path, "--out", str(tmp_path / "c")])
         main(["report", "--config", fast_cfg_path, "--out", str(tmp_path / "r")])

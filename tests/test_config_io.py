@@ -10,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bfcsim import ConfigError, load_config, preset_config
+from bfcsim.chsh import FringeScan
 from bfcsim.comb import ENVELOPE_SHAPES
 from bfcsim.config import (
     _FIELDS,
@@ -24,6 +25,7 @@ from bfcsim.config import (
     build_config,
     parse_config_text,
 )
+from bfcsim.hom import TRUNCATION_OVERSHOOT_TOL, HomTrace, RevivalRecord
 from bfcsim.io import (
     export_csv,
     export_json,
@@ -32,7 +34,7 @@ from bfcsim.io import (
     write_artifact,
 )
 from bfcsim.jsi import FILTER_SHAPES, Jsi
-from bfcsim.schmidt import time_bin_eigenvalues
+from bfcsim.schmidt import SchmidtSpectrum, time_bin_eigenvalues
 
 HASH_45GHZ = "d9d805a31ddd2f8378d787e7fcd0961ad98798e1bf557970866df38510a37b03"
 
@@ -519,6 +521,15 @@ _SPECIAL_FLOATS = [
 ]
 
 
+# Any float64 bit pattern: nan payloads, subnormals and every exponent alike.
+_RAW_FLOATS = st.integers(0, 2**64 - 1).map(lambda bits: np.uint64(bits).view(np.float64).item())
+# The edges of the range where orjson's text is repr's: 1e-4 and 1e16, one ulp
+# either side of each, and all of them negated.
+_EDGES = np.array(
+    [s * np.nextafter(e, to) for e in (1e-4, 1e16) for to in (0.0, e, math.inf) for s in (1, -1)]
+)
+
+
 @st.composite
 def _csv_columns(draw):
     n_rows = draw(st.integers(0, 12))
@@ -529,7 +540,7 @@ def _csv_columns(draw):
             continue
         # A small pool makes repeated values, within a column and across columns, common.
         pool = draw(st.lists(st.floats() | st.sampled_from(_SPECIAL_FLOATS), min_size=1))
-        cells = st.sampled_from(pool) | st.floats()
+        cells = st.sampled_from(pool) | st.floats() | _RAW_FLOATS
         columns.append(np.array(draw(st.lists(cells, min_size=n_rows, max_size=n_rows)), float))
     return columns
 
@@ -537,6 +548,8 @@ def _csv_columns(draw):
 @given(_csv_columns())
 @example([np.array([0.0, -0.0, 0.0, -0.0]), np.array([-0.0, math.nan, -math.nan, 0.0])])
 @example([np.array([2**63 - 1, -(2**63), 0]), np.array([5e-324, -5e-324, math.inf])])
+@example([_EDGES])
+@example([_EDGES[::-1], np.array([0.0] * 6 + [-0.0] * 6)])
 def test_export_csv_bytes_match_the_csv_writer(tmp_path_factory, columns):
     path = tmp_path_factory.getbasetemp() / "oracle.csv"
     header = [f"c{i}" for i in range(len(columns))]
@@ -549,3 +562,80 @@ def test_export_csv_rejects_unequal_columns(tmp_path):
     with pytest.raises(ValueError, match="equal length"):
         export_csv(path, ["a", "b"], [np.arange(3), np.zeros(2)])
     assert not path.exists()
+
+
+# The signed zeros and subnormals a writer could lose, the edges of repr's
+# exponent form, and numbers that do not end in binary.
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-4, 1e16, 0.1, 1.0 / 3.0])
+_ROW_FLOATS = st.floats(allow_nan=False) | _EDGE_FLOATS
+
+
+@st.composite
+def _hom_traces(draw, comb):
+    delays = draw(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=12, unique=True))
+    cells = st.floats(-1e-9, 1.0 + TRUNCATION_OVERSHOOT_TOL) | st.sampled_from([-0.0, 5e-324])
+    coincidence = draw(st.lists(cells, min_size=len(delays), max_size=len(delays)))
+    trace = HomTrace(delays_ps=sorted(delays), coincidence=coincidence, comb=comb)
+    columns = [("delay_ps", float, trace.delays_ps), ("coincidence", float, trace.coincidence)]
+    return trace, columns
+
+
+@st.composite
+def _spectra(draw, labelled):
+    weights = np.array(draw(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=12)))
+    tail = draw(st.lists(st.sampled_from([0.0, -0.0, 5e-324, -1e-15]), max_size=3))
+    lam = np.array(sorted(weights / weights.sum(), reverse=True) + sorted(tail, reverse=True))
+    labels = np.array(draw(st.lists(_INT64, min_size=lam.size, max_size=lam.size)))
+    spectrum = SchmidtSpectrum(lam, 1.0 / float(np.sum(lam * lam)), labels if labelled else None)
+    n = labels if labelled else np.arange(lam.size)
+    return spectrum, [("n", int, n), ("eigenvalue", float, lam)]
+
+
+@st.composite
+def _fringe_scans(draw):
+    size = draw(st.integers(0, 12))
+    angles = np.array(draw(st.lists(_ROW_FLOATS, min_size=size, max_size=size)), float)
+    counts = draw(st.lists(st.integers(0, 2**63 - 1), min_size=size, max_size=size))
+    scan = FringeScan(45.0, angles, np.array(counts, np.int64))
+    return scan, [("phi2_deg", float, angles), ("counts", int, scan.counts)]
+
+
+@st.composite
+def _revival_records(draw):
+    rows = draw(st.lists(st.tuples(_INT64, _ROW_FLOATS, _ROW_FLOATS), max_size=12))
+    n, centers, visibilities = zip(*rows) if rows else ((), (), ())
+    columns = [("n", int, n), ("center_ps", float, centers), ("visibility", float, visibilities)]
+    return [RevivalRecord(*row) for row in rows], columns
+
+
+def _layout(name, comb):
+    """Draws a `write_artifact` value and its columns as (header cell, type, values)."""
+    return {
+        "hom_trace": _hom_traces(comb),
+        "spectrum_labelled": _spectra(labelled=True),
+        "spectrum_ranked": _spectra(labelled=False),
+        "fringe_scan": _fringe_scans(),
+        "revival_records": _revival_records(),
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "layout",
+    ["hom_trace", "spectrum_labelled", "spectrum_ranked", "fringe_scan", "revival_records"],
+)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_every_csv_layout_reads_back_bit_for_bit(tmp_path_factory, comb_45, layout, data):
+    value, columns = data.draw(_layout(layout, comb_45))
+    path = tmp_path_factory.getbasetemp() / f"round_trip_{layout}.csv"
+    write_artifact(path, value)
+    rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+    assert rows[0] == [name for name, _, _ in columns]
+    assert all(len(row) == len(columns) for row in rows[1:])
+    for i, (_, kind, written) in enumerate(columns):
+        read = [kind(row[i]) for row in rows[1:]]
+        if kind is int:
+            assert read == np.asarray(written).tolist()
+        else:  # bit for bit, so -0.0 comes back as -0.0
+            bits = np.asarray(written, float).view(np.uint64)
+            assert np.array_equal(np.array(read, float).view(np.uint64), bits)
