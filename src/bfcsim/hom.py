@@ -52,11 +52,14 @@ class HomTrace:
         object.__setattr__(self, "coincidence", c)
         if d.ndim != 1 or d.size == 0:
             raise ValueError("HomTrace: delay grid must be a nonempty 1-d array")
+        if not np.all(np.isfinite(d)):
+            raise ValueError("HomTrace: delays must be finite")
         if c.shape != d.shape:
             raise ValueError("HomTrace: delays and coincidence must have equal length")
         if d.size > 1 and not np.all(np.diff(d) > 0.0):
             raise ValueError("HomTrace: delays must be strictly increasing")
-        if float(c.min()) < -1e-9 or float(c.max()) > 1.0 + TRUNCATION_OVERSHOOT_TOL:
+        # Written so that a nan or an inf fails it too.
+        if not (float(c.min()) >= -1e-9 and float(c.max()) <= 1.0 + TRUNCATION_OVERSHOOT_TOL):
             raise ValueError(
                 f"HomTrace: coincidence must lie in [0, {1.0 + TRUNCATION_OVERSHOOT_TOL}]"
             )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,36 @@ from .chsh import FringeScan
 from .hom import HomTrace
 from .jsi import Jsi
 from .schmidt import SchmidtSpectrum
+
+
+# orjson writes repr's shortest digits (Ryu) about ten times faster than repr,
+# and below 1e-9 and in [1e-4, 1e16) in repr's layout too.  Elsewhere its
+# layout differs: 1.5e-7 and 1e16 for repr's 1.5e-07 and 1e+16, 0.0000123
+# for 1.23e-05 in [1e-5, 1e-4), and null for nan and inf, which stay with repr.
+# Each band starts at a bit pattern: the positive bands by magnitude from +0.0
+# (inf and nan last), then the negative ones from -0.0, as np.unique sorts them.
+_AS_IS, _EXPONENT, _FIFTH_PLACE, _REPR = range(4)
+_BAND_STARTS = np.array(
+    [0.0, 1e-9, 1e-5, 1e-4, 1e16, math.inf, -0.0, -1e-9, -1e-5, -1e-4, -1e16, -math.inf]
+).view(np.uint64)
+_BAND_SPELLING = [_AS_IS, _EXPONENT, _FIFTH_PLACE, _AS_IS, _EXPONENT, _REPR] * 2
+
+
+def _spell(values: np.ndarray, rule: int) -> list[str]:
+    """`repr` of each of one or more floats of one spelling band."""
+    if rule == _REPR:
+        return [repr(v) for v in values.tolist()]
+    text = orjson.dumps(values.tolist())[1:-1]
+    if rule == _EXPONENT:
+        # The exponents here are -9..-6 or 16 and up: 1.5e-7 -> 1.5e-07, 1e16 -> 1e+16.
+        text = text.replace(b"e", b"e+").replace(b"e+-", b"e-0")
+    elif rule == _FIFTH_PLACE:
+        # Every value is 0.0000d... with a first digit d of 1..9:
+        # 0.0000123 -> 1.23e-05, 0.00005 -> 5.e-05 -> 5e-05.
+        for digit in b"123456789":
+            text = text.replace(b"0.0000" + bytes([digit]), bytes([digit]) + b".")
+        text = (text.replace(b",", b"e-05,") + b"e-05").replace(b".e", b"e")
+    return text.decode().split(",")
 
 
 def export_csv(path, header: list[str], columns) -> None:
@@ -34,18 +65,11 @@ def export_csv(path, header: list[str], columns) -> None:
     if floats:
         bits = np.concatenate(floats).astype(np.float64, copy=False).view(np.uint64)
         patterns, inverse = np.unique(bits, return_inverse=True)
-        values = patterns.view(np.float64)
-        # orjson writes repr's text, about ten times faster, except where repr
-        # writes an exponent (nonzero |x| outside [1e-4, 1e16)) or nan and
-        # inf; those stay with repr.  Float64 magnitudes order as their bit
-        # patterns, with inf and nan above every finite one.
-        magnitude = patterns & np.uint64(2**63 - 1)
-        low, high = np.array([1e-4, 1e16]).view(np.uint64)
-        by_repr = (magnitude != 0) & ((magnitude < low) | (magnitude >= high))
+        starts = np.searchsorted(patterns, _BAND_STARTS).tolist() + [patterns.size]
         texts = np.empty(patterns.size, dtype=object)
-        texts[by_repr] = [repr(v) for v in values[by_repr].tolist()]
-        # No value left dumps as b"[]", a lone "" that fills no cell.
-        texts[~by_repr] = orjson.dumps(values[~by_repr].tolist())[1:-1].decode().split(",")
+        for rule, start, stop in zip(_BAND_SPELLING, starts, starts[1:]):
+            if start < stop:
+                texts[start:stop] = _spell(patterns[start:stop].view(np.float64), rule)
         float_cells = iter(texts[inverse].reshape(len(floats), n_rows).tolist())
     cells = [
         next(float_cells) if c.dtype.kind == "f" else list(map(str, c.tolist()))
@@ -64,8 +88,7 @@ def export_json(path, obj) -> None:
     path = Path(path)
     try:
         with path.open("w", encoding="utf-8") as fh:
-            json.dump(obj, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
     except OSError as exc:
         raise RuntimeError(f"failed writing JSON {path}: {exc}") from exc
 
@@ -79,15 +102,45 @@ def _read_lines(path) -> list[str]:
     return [line for line in text.split("\n") if line]
 
 
+def _json_matrix(rows: list[str]) -> np.ndarray | None:
+    """The rows as one float matrix, parsed by one `orjson.loads`, or None.
+
+    None unless every row is a list of JSON numbers, all rows have one
+    length and every row label is a JSON integer, which `int` reads alike.
+    Numbers are correctly rounded, as `np.loadtxt` rounds them.  A zero cell
+    gives None too, since a JSON ``-0`` is the integer 0 and loses its sign.
+    """
+    text = "[[" + "],[".join(rows) + "]]"
+    # Without these characters, a string, literal, object or nested array
+    # cannot occur, so every value parsed is a number.
+    if any(c in text for c in '"tfn{}') or text.count("[") != len(rows) + 1:
+        return None
+    try:
+        parsed = orjson.loads(text)
+    except orjson.JSONDecodeError:
+        return None
+    width = len(parsed[0])
+    if width == 0 or any(len(r) != width or type(r[0]) is not int for r in parsed):
+        return None
+    cells = np.array(parsed, dtype=float)
+    return cells if cells[:, 1:].all() else None
+
+
 def jsi_from_csv(path) -> Jsi:
     """Load a matrix in the `write_artifact` layout; weights are renormalized.
 
     The header is ``bin`` and then the idler bin labels; each row is a
     signal bin label and then its cells.  Labels are integers running
-    -N..N on both axes.  Cells are parsed by `np.loadtxt`, correctly
-    rounded like `float`.  Blank lines are skipped, and CRLF line ends,
+    -N..N on both axes.  Blank lines are skipped, and CRLF line ends,
     quoted cells and spaces around cells are accepted.  A short or ragged
     row, a non-finite cell or a matrix with no weight raises `ValueError`.
+
+    Rows that are JSON numbers (integer labels, no quoted cell, no zero
+    cell; the layout `write_artifact` writes) are parsed by one
+    `orjson.loads`.  Every other text, such as a quoted cell, ``nan``,
+    ``+1``, ``.5``, ``1.``, a ragged row or a float label, is parsed by
+    `np.loadtxt`.  Both round correctly, like `float`, so a cell reads
+    the same either way.
     """
     lines = _read_lines(path)
     header = next(csv.reader(lines[:1]), [])
@@ -95,10 +148,12 @@ def jsi_from_csv(path) -> Jsi:
         raise ValueError(f"{path}: expected a 'bin'-headed matrix CSV")
     try:
         col_bins = [int(x) for x in header[1:]]
-        # Row labels go through `int`, as the column labels do.
-        cells = np.loadtxt(
-            lines[1:], delimiter=",", quotechar='"', comments=None, ndmin=2, converters={0: int}
-        )
+        cells = _json_matrix(lines[1:])
+        if cells is None:
+            # Row labels go through `int`, as the column labels do.
+            cells = np.loadtxt(
+                lines[1:], delimiter=",", quotechar='"', comments=None, ndmin=2, converters={0: int}
+            )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     size = len(col_bins)

@@ -7,6 +7,7 @@ import json
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -479,6 +480,81 @@ def _jsi_values(draw):
     return values
 
 
+# Cell texts a matrix from elsewhere may hold: integers, signed zeros, exponent
+# spellings and padding; texts that only np.loadtxt reads ('"0.5"', "nan",
+# "+1", ".5", "1.", "1e400"); and JSON that is no number ("true", "null",
+# "[1]", '"1_0"').  Negative cells are left out: `Jsi` rejects them with a
+# message that does not name the file.
+_CELL_TEXTS = (
+    st.sampled_from(
+        ["0", "-0", "0.0", "-0.0", "7", "1E5", "1e+05", "2.5e-007", "1.5E-07", " 0.5 ", "\t3",
+         '"0.5"', "nan", "+1", ".5", "1.", "1e400", "18446744073709551616",
+         "true", "null", "[1]", '"1_0"']
+    )
+    | st.floats(0.0, 1e300).map(repr)
+    | st.integers(0, 10**30).map(str)
+)
+
+
+@st.composite
+def _matrix_texts(draw):
+    n_max = draw(st.integers(0, 2))
+    labels = range(-n_max, n_max + 1)
+    rows = []
+    for label in labels:
+        label_text = draw(st.sampled_from([str(label), f" {label} ", f"{label}.0"]))
+        width = len(labels) + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))  # sometimes ragged
+        cells = draw(st.lists(_CELL_TEXTS, min_size=width, max_size=width))
+        rows.append(",".join([label_text, *cells]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(["bin," + ",".join(map(str, labels)), *rows]) + end
+
+
+def _read_matrix(path):
+    """The cells `jsi_from_csv` reads as 64-bit patterns, or its ValueError's text."""
+    try:
+        return jsi_from_csv(path).values.view(np.uint64).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(_matrix_texts())
+@example("bin,-1,0,1\n-1,1,-0,1\n0,1,1,1\n1,1,1,1\n")
+@example("bin,-1,0,1\r\n-1, 1 ,2E5,3e-005\r\n0,0.5,4,1e-05\r\n1,7,8,9\r\n")
+@example('bin,0\n0,"1"\n')
+@example('bin,0\n0,"1_0"\n')
+@example("bin,0\n0,true\n")
+@example("bin,0\n0,[1]\n")
+@example("bin,-1,0,1\n-1,1,1,1\n0.0,1,1,1\n1,1,1,1\n")
+@example("bin,0\n \n0,1\n")
+def test_matrix_reader_matches_loadtxt(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "matrix_reader.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    read = _read_matrix(path)
+    # The reference: the same reader with every text sent to np.loadtxt.
+    with mock.patch("bfcsim.io._json_matrix", return_value=None):
+        assert read == _read_matrix(path)
+    if isinstance(read, str):
+        assert str(path) in read
+
+
+@pytest.mark.parametrize("shape", FILTER_SHAPES)
+def test_scan_matrix_is_read_without_loadtxt(tmp_path, monkeypatch, comb_5, shape):
+    from bfcsim import scan_correlation_matrix
+    from bfcsim.jsi import FilterSpec
+
+    scan = scan_correlation_matrix(comb_5, FilterSpec(300e9, shape), 100, pump_power_mw=0.5)
+    path = tmp_path / "m.csv"
+    write_artifact(path, scan)
+
+    def no_loadtxt(*args, **kwargs):
+        raise AssertionError("np.loadtxt called on a matrix write_artifact wrote")
+
+    monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+    back = jsi_from_csv(path)
+    assert np.array_equal(back.values, scan.values / scan.values.sum())
+
+
 @given(_jsi_values())
 def test_jsi_csv_reads_back_exactly(tmp_path_factory, values):
     path = tmp_path_factory.getbasetemp() / "round_trip_jsi.csv"
@@ -545,11 +621,26 @@ def _csv_columns(draw):
     return columns
 
 
+# The edges of every band where orjson's text is respelled into repr's (1e-9,
+# 1e-5, 1e-4, 1e16) and of each exponent width (1e-100, 1e-10, 1e100), one ulp
+# either side of each, and all of them negated.
+_BAND_EDGES = np.array(
+    [
+        s * np.nextafter(e, to)
+        for e in (1e-100, 1e-10, 1e-9, 1e-5, 1e-4, 1e16, 1e100)
+        for to in (0.0, e, math.inf)
+        for s in (1, -1)
+    ]
+)
+
+
 @given(_csv_columns())
 @example([np.array([0.0, -0.0, 0.0, -0.0]), np.array([-0.0, math.nan, -math.nan, 0.0])])
 @example([np.array([2**63 - 1, -(2**63), 0]), np.array([5e-324, -5e-324, math.inf])])
 @example([_EDGES])
 @example([_EDGES[::-1], np.array([0.0] * 6 + [-0.0] * 6)])
+@example([_BAND_EDGES])
+@example([np.array([1e-5, 5e-5, 1.23e-5, 9.99e-6, 1.5e-7, 1e16, 1.7976931348623157e308])])
 def test_export_csv_bytes_match_the_csv_writer(tmp_path_factory, columns):
     path = tmp_path_factory.getbasetemp() / "oracle.csv"
     header = [f"c{i}" for i in range(len(columns))]

@@ -294,3 +294,17 @@ class TestHomTraceType:
     def test_range_check(self, comb_45):
         with pytest.raises(ValueError, match="coincidence"):
             HomTrace(np.array([0.0, 1.0]), np.array([0.5, 1.5]), comb_45)
+
+    def test_nan_rejected(self, comb_45):
+        # A nan compares false both ways, so a range test can let it pass.
+        with pytest.raises(ValueError, match="HomTrace: coincidence"):
+            HomTrace(np.array([0.0, 1.0]), np.array([0.5, math.nan]), comb_45)
+        with pytest.raises(ValueError, match="HomTrace: delays must be finite"):
+            HomTrace(np.array([math.nan]), np.array([0.5]), comb_45)
+
+    @pytest.mark.parametrize("inf", [math.inf, -math.inf])
+    def test_infinity_rejected(self, comb_45, inf):
+        with pytest.raises(ValueError, match="HomTrace: coincidence"):
+            HomTrace(np.array([0.0, 1.0]), np.array([0.5, inf]), comb_45)
+        with pytest.raises(ValueError, match="HomTrace: delays must be finite"):
+            HomTrace(np.array(sorted([0.0, inf])), np.array([0.5, 0.5]), comb_45)
