@@ -199,18 +199,26 @@ def visibility_to_decay_parameter(v: float) -> float:
 REVIVAL_VISIBILITY_FLOOR = 1e-2
 
 
+def _median(values: list[float]) -> float:
+    """`np.median` of a nonempty list of floats, none of them nan, bit for bit."""
+    s = sorted(values)
+    m = len(s) // 2
+    return s[m] if len(s) % 2 else (s[m - 1] + s[m]) / 2.0
+
+
 def _plateau_medians(delays: np.ndarray, coincidence: np.ndarray, period: float) -> dict[int, float]:
     """Median coincidence over the middle half of each inter-dip interval."""
-    medians: dict[int, float] = {}
     k_lo = int(math.floor(delays[0] / period)) - 1
     k_hi = int(math.ceil(delays[-1] / period)) + 1
-    for k in range(k_lo, k_hi + 1):
-        # The delays increase strictly: bisection finds exactly lo <= d <= hi.
-        start = np.searchsorted(delays, (k + 0.25) * period, side="left")
-        stop = np.searchsorted(delays, (k + 0.75) * period, side="right")
-        if stop > start:
-            medians[k] = float(np.median(coincidence[start:stop]))
-    return medians
+    ks = np.arange(k_lo, k_hi + 1)
+    # The delays increase strictly: bisection finds exactly lo <= d <= hi.
+    starts = np.searchsorted(delays, (ks + 0.25) * period, side="left").tolist()
+    stops = np.searchsorted(delays, (ks + 0.75) * period, side="right").tolist()
+    return {
+        k: _median(coincidence[start:stop].tolist())
+        for k, start, stop in zip(range(k_lo, k_hi + 1), starts, stops)
+        if stop > start
+    }
 
 
 def locate_revivals(trace: HomTrace) -> list[RevivalRecord]:
@@ -236,35 +244,37 @@ def locate_revivals(trace: HomTrace) -> list[RevivalRecord]:
             )
 
     medians = _plateau_medians(delays, c, period)
-    global_plateau = float(np.median(list(medians.values()))) if medians else float(c.max())
+    global_plateau = _median(list(medians.values())) if medians else float(c.max())
 
-    records: list[RevivalRecord] = []
+    # The window of dip n is every delay d with |d - n * period| <= period / 4, for
+    # which n = rint(d / period): one pass finds every window, each a contiguous run.
+    near = np.rint(delays / period)
+    inside = np.flatnonzero(np.abs(delays - near * period) <= period / 4.0)
     n_lo = int(math.ceil(delays[0] / period))
     n_hi = int(math.floor(delays[-1] / period))
-    for n in range(n_lo, n_hi + 1):
-        center = n * period
-        # Bisect to a period-wide slice, far past any rounding of the test.
-        start = np.searchsorted(delays, center - period / 2.0)
-        stop = np.searchsorted(delays, center + period / 2.0)
-        idx = start + np.nonzero(np.abs(delays[start:stop] - center) <= period / 4.0)[0]
-        if idx.size < 3:
+    runs = np.searchsorted(near[inside], np.arange(n_lo, n_hi + 2) - 0.5).tolist()
+    records: list[RevivalRecord] = []
+    for n, first, last in zip(range(n_lo, n_hi + 1), runs, runs[1:]):
+        if last - first < 3:
             continue
-        local = c[idx]
-        j = int(np.argmin(local))
+        start = int(inside[first])
+        local = c[start : int(inside[last - 1]) + 1].tolist()
+        low = min(local)
+        j = local.index(low)
         # Reject window-edge minima: a revival must be an interior dip.
-        if j == 0 or j == local.size - 1:
+        if j == 0 or j == len(local) - 1:
             continue
-        if not (local[j] < local[0] and local[j] < local[-1]):
+        if not (low < local[0] and low < local[-1]):
             continue
         plateaus = [medians[k] for k in (n - 1, n) if k in medians]
-        c_max = float(np.mean(plateaus)) if plateaus else global_plateau
+        c_max = sum(plateaus) / len(plateaus) if plateaus else global_plateau
         if c_max <= 0.0:
             continue
-        vis = (c_max - float(local[j])) / c_max
+        vis = (c_max - low) / c_max
         vis = min(max(vis, 0.0), 1.0)
         if vis < REVIVAL_VISIBILITY_FLOOR:
             continue
-        records.append(RevivalRecord(n=n, center_ps=float(delays[idx[j]]), visibility=vis))
+        records.append(RevivalRecord(n=n, center_ps=float(delays[start + j]), visibility=vis))
     return records
 
 

@@ -46,49 +46,115 @@ def _spell(values: np.ndarray, rule: int) -> list[str]:
     return text.decode().split(",")
 
 
+def _in_as_is_band(magnitude):
+    """Whether orjson writes a float of this magnitude as `repr` does (elementwise for arrays).
+
+    The `_AS_IS` bands: 0, below 1e-9 and [1e-4, 1e16); nan and inf fail.
+    """
+    return (magnitude < 1e-9) | ((magnitude >= 1e-4) & (magnitude < 1e16))
+
+
+def _repr_cells(floats: list[np.ndarray], n_rows: int):
+    """The `repr` text of each cell of the float columns, one list per column.
+
+    Each distinct bit pattern is spelled once, so ``-0.0`` stays apart from ``0.0``.
+    """
+    bits = np.concatenate(floats).view(np.uint64)
+    patterns, inverse = np.unique(bits, return_inverse=True)
+    starts = np.searchsorted(patterns, _BAND_STARTS).tolist() + [patterns.size]
+    texts = np.empty(patterns.size, dtype=object)
+    for rule, start, stop in zip(_BAND_SPELLING, starts, starts[1:]):
+        if start < stop:
+            texts[start:stop] = _spell(patterns[start:stop].view(np.float64), rule)
+    return iter(texts[inverse].reshape(len(floats), n_rows).tolist())
+
+
 def export_csv(path, header: list[str], columns) -> None:
     """Write equal-length 1-D columns as CSV under a header line.
 
     Integer columns are written with `str`, float columns as float64 in the
-    shortest form that reads back exactly, spelled as `repr` spells it.
-    Each distinct float bit pattern of the table is formatted once, so
-    ``-0.0`` stays apart from ``0.0``.  Header cells are written as they
-    are and must not need quoting.  Columns of unequal length raise
-    `ValueError`.
+    shortest form that reads back exactly, spelled as `repr` spells it.  A
+    table of only integer and float columns whose floats all have orjson's
+    text (`_in_as_is_band`) is written by one `orjson.dumps` of its rows;
+    any other table formats each distinct float bit pattern once.  Header
+    cells are written as they are and must not need quoting.  Columns of
+    unequal length raise `ValueError`.
     """
     path = Path(path)
     columns = [np.asarray(c) for c in columns]
+    columns = [c.astype(np.float64, copy=False) if c.dtype.kind == "f" else c for c in columns]
     n_rows = columns[0].size if columns else 0
     if any(c.shape != (n_rows,) for c in columns):
         raise ValueError(f"{path}: CSV columns must be 1-D and of equal length")
     floats = [c for c in columns if c.dtype.kind == "f"]
-    if floats:
-        bits = np.concatenate(floats).astype(np.float64, copy=False).view(np.uint64)
-        patterns, inverse = np.unique(bits, return_inverse=True)
-        starts = np.searchsorted(patterns, _BAND_STARTS).tolist() + [patterns.size]
-        texts = np.empty(patterns.size, dtype=object)
-        for rule, start, stop in zip(_BAND_SPELLING, starts, starts[1:]):
-            if start < stop:
-                texts[start:stop] = _spell(patterns[start:stop].view(np.float64), rule)
-        float_cells = iter(texts[inverse].reshape(len(floats), n_rows).tolist())
-    cells = [
-        next(float_cells) if c.dtype.kind == "f" else list(map(str, c.tolist()))
-        for c in columns
-    ]
-    text = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+    if (
+        n_rows
+        and all(c.dtype.kind in "iuf" for c in columns)
+        and all(np.all(_in_as_is_band(np.abs(c))) for c in floats)
+    ):
+        rows = orjson.dumps(list(zip(*(c.tolist() for c in columns))))[2:-2]
+        data = (",".join(header) + "\n").encode("utf-8") + rows.replace(b"],[", b"\n") + b"\n"
+    else:
+        float_cells = _repr_cells(floats, n_rows) if floats else None
+        cells = [
+            next(float_cells) if c.dtype.kind == "f" else list(map(str, c.tolist()))
+            for c in columns
+        ]
+        text = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
+        data = text.encode("utf-8")
     try:
-        with path.open("w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with path.open("wb") as fh:
+            fh.write(data)
     except OSError as exc:
         raise RuntimeError(f"failed writing CSV {path}: {exc}") from exc
 
 
+# orjson nests at most 255 deep; a deeper (or circular) document goes to `json`.
+_MAX_DEPTH = 128
+
+
+def _orjson_spells(obj, depth: int = 0) -> bool:
+    """Whether orjson writes `obj` as ``json.dumps`` does.
+
+    True for dicts with string keys, lists, tuples, None, bools, ints that
+    fit 64 bits, floats with orjson's text (`_in_as_is_band`) and printable
+    ASCII strings, which neither escapes but for a quote or backslash.
+    """
+    kind = type(obj)
+    if kind is float:
+        return _in_as_is_band(abs(obj))
+    if kind is str:
+        return obj.isascii() and obj.isprintable()
+    if kind is int:
+        return -(2**63) <= obj < 2**64
+    if obj is None or kind is bool:
+        return True
+    if depth >= _MAX_DEPTH:
+        return False
+    if kind is dict:
+        return all(
+            type(k) is str and _orjson_spells(k) and _orjson_spells(v, depth + 1)
+            for k, v in obj.items()
+        )
+    if kind is list or kind is tuple:
+        return all(_orjson_spells(v, depth + 1) for v in obj)
+    return False
+
+
 def export_json(path, obj) -> None:
-    """Write JSON with sorted keys and a trailing newline."""
+    """Write JSON with sorted keys, an indent of 2 and a trailing newline.
+
+    The text is ``json.dumps(obj, sort_keys=True, indent=2)``'s; orjson
+    writes it when its text is the same (`_orjson_spells`).
+    """
     path = Path(path)
+    if _orjson_spells(obj):
+        data = orjson.dumps(obj, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS) + b"\n"
+    else:
+        data = (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
     try:
-        with path.open("w", encoding="utf-8") as fh:
-            fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        with path.open("wb") as fh:
+            fh.write(data)
     except OSError as exc:
         raise RuntimeError(f"failed writing JSON {path}: {exc}") from exc
 
@@ -133,7 +199,8 @@ def jsi_from_csv(path) -> Jsi:
     signal bin label and then its cells.  Labels are integers running
     -N..N on both axes.  Blank lines are skipped, and CRLF line ends,
     quoted cells and spaces around cells are accepted.  A short or ragged
-    row, a non-finite cell or a matrix with no weight raises `ValueError`.
+    row, a non-finite or negative cell or a matrix with no weight raises
+    `ValueError`.
 
     Rows that are JSON numbers (integer labels, no quoted cell, no zero
     cell; the layout `write_artifact` writes) are parsed by one
@@ -170,7 +237,10 @@ def jsi_from_csv(path) -> Jsi:
     total = values.sum()
     if total <= 0.0:
         raise ValueError(f"{path}: matrix has no weight")
-    return Jsi(n_max=n_max, values=values / total, normalized=True)
+    try:
+        return Jsi(n_max=n_max, values=values / total, normalized=True)
+    except ValueError as exc:  # `Jsi`'s own checks, such as a negative cell
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def visibilities_from_csv(path) -> list[tuple[int, float]]:

@@ -17,7 +17,6 @@ import functools
 import math
 import os
 import shutil
-import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -205,10 +204,10 @@ def write_stage(out_dir, artifacts: dict) -> Path:
     run holds an exclusive flock(2) on `out_dir` itself; a second run exits
     at once, and the kernel frees the lock when its holder exits or is
     killed, so no lock file exists.  Under the lock, every file is written
-    into a private staging directory inside `out_dir` and then renamed into
-    place, so a failed write leaves the earlier files untouched and a killed
-    run leaves no half-written artifact.  This is the only place a command
-    touches the output directory.
+    beside its target as ``.bfcsim-staging-<name>`` and, once all are
+    written, renamed into place, so a failed write leaves the earlier files
+    untouched and a killed run leaves no half-written artifact.  This is the
+    only place a command touches the output directory.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -218,17 +217,23 @@ def write_stage(out_dir, artifacts: dict) -> Path:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise RuntimeError(f"output directory {out} is locked by another run") from None
-        # Left by a killed run: under the lock no live run is using them.
+        # Left by a killed run: under the lock no live run is using them.  Earlier
+        # versions staged into a directory of this prefix.
         for stale in out.glob(_STAGING_PREFIX + "*"):
-            shutil.rmtree(stale, ignore_errors=True)
-        staging = Path(tempfile.mkdtemp(prefix=_STAGING_PREFIX, dir=out))
+            if stale.is_dir() and not stale.is_symlink():
+                shutil.rmtree(stale, ignore_errors=True)
+            else:
+                stale.unlink(missing_ok=True)
+        staged = {name: out / (_STAGING_PREFIX + name) for name in artifacts}
         try:
             for name, value in artifacts.items():
-                io_mod.write_artifact(staging / name, value)
-            for name in artifacts:
-                os.replace(staging / name, out / name)
-        finally:
-            shutil.rmtree(staging, ignore_errors=True)
+                io_mod.write_artifact(staged[name], value)
+            for name, path in staged.items():
+                os.replace(path, out / name)
+        except BaseException:
+            for path in staged.values():
+                path.unlink(missing_ok=True)
+            raise
     finally:
         os.close(fd)
     return out

@@ -414,11 +414,26 @@ class TestWriteStage:
     def test_success_lists_exactly_the_artifacts(self, command, fast_cfg_path, tmp_path):
         out = tmp_path / "o"
         out.mkdir()
-        # What a killed run leaves: its staging directory, which the next run removes.
+        # What a killed run leaves: staged files, which the next run removes, and
+        # likewise the staging directory of an earlier version.
+        (out / ".bfcsim-staging-chsh.json").write_text("{")
         (out / ".bfcsim-staging-killed").mkdir()
         (out / ".bfcsim-staging-killed" / "chsh.json").write_text("{")
         assert main([command, "--config", fast_cfg_path, "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS[command])
+
+    def test_stale_staging_entries_are_removed_and_links_not_followed(
+        self, fast_cfg_path, tmp_path
+    ):
+        out, elsewhere = tmp_path / "o", tmp_path / "elsewhere"
+        (out / ".bfcsim-staging-x" / "nested").mkdir(parents=True)
+        (out / ".bfcsim-staging-x" / "nested" / "chsh.json").write_text("{")
+        elsewhere.mkdir()
+        (elsewhere / "keep.txt").write_text("kept")
+        (out / ".bfcsim-staging-link").symlink_to(elsewhere, target_is_directory=True)
+        assert main(["chsh", "--config", fast_cfg_path, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS["chsh"])
+        assert (elsewhere / "keep.txt").read_text() == "kept"
 
     def test_run_killed_mid_write_leaves_earlier_files_and_blocks_nothing(
         self, fast_cfg_path, tmp_path
@@ -426,14 +441,15 @@ class TestWriteStage:
         out = tmp_path / "o"
         assert main(["chsh", "--config", fast_cfg_path, "--out", str(out)]) == 0
         before = _snapshot(out)
-        # The fringe CSVs are staged; the process dies before writing chsh.json.
+        # The fringe CSVs are staged beside their targets; the process dies before
+        # writing chsh.json.
         killed = subprocess.Popen(
             [sys.executable, "-c", KILLED_RUN, fast_cfg_path, str(out)], env=_child_env()
         )
         assert killed.wait(timeout=60) == 9
         assert {n: (out / n).read_bytes() for n in before} == before
-        (staging,) = set(p.name for p in out.iterdir()) - set(before)
-        assert staging.startswith(".bfcsim-staging-")
+        staged = set(p.name for p in out.iterdir()) - set(before)
+        assert staged == {".bfcsim-staging-" + name for name in FRINGES}
         assert main(["chsh", "--config", fast_cfg_path, "--out", str(out)]) == 0
         assert _snapshot(out) == before
 
@@ -451,7 +467,7 @@ class TestWriteStage:
         real_export_json = bfcsim.io.export_json
 
         def export_json(path, obj):
-            if Path(path).name == failing:
+            if Path(path).name == ".bfcsim-staging-" + failing:
                 raise RuntimeError("disk full")
             real_export_json(path, obj)
 

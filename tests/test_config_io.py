@@ -482,14 +482,13 @@ def _jsi_values(draw):
 
 # Cell texts a matrix from elsewhere may hold: integers, signed zeros, exponent
 # spellings and padding; texts that only np.loadtxt reads ('"0.5"', "nan",
-# "+1", ".5", "1.", "1e400"); and JSON that is no number ("true", "null",
-# "[1]", '"1_0"').  Negative cells are left out: `Jsi` rejects them with a
-# message that does not name the file.
+# "+1", ".5", "1.", "1e400"); JSON that is no number ("true", "null", "[1]",
+# '"1_0"'); and negative cells, one of them within `Jsi`'s -1e-15 allowance.
 _CELL_TEXTS = (
     st.sampled_from(
         ["0", "-0", "0.0", "-0.0", "7", "1E5", "1e+05", "2.5e-007", "1.5E-07", " 0.5 ", "\t3",
          '"0.5"', "nan", "+1", ".5", "1.", "1e400", "18446744073709551616",
-         "true", "null", "[1]", '"1_0"']
+         "true", "null", "[1]", '"1_0"', "-2", "-2.5e-3", "-1e-17", " -7 "]
     )
     | st.floats(0.0, 1e300).map(repr)
     | st.integers(0, 10**30).map(str)
@@ -527,6 +526,7 @@ def _read_matrix(path):
 @example("bin,0\n0,[1]\n")
 @example("bin,-1,0,1\n-1,1,1,1\n0.0,1,1,1\n1,1,1,1\n")
 @example("bin,0\n \n0,1\n")
+@example("bin,-1,0,1\n-1,1,0,0\n0,0,-2,0\n1,0,0,5\n")
 def test_matrix_reader_matches_loadtxt(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "matrix_reader.csv"
     path.write_text(text, encoding="utf-8", newline="")
@@ -606,17 +606,30 @@ _EDGES = np.array(
 )
 
 
+# Floats whose orjson text is repr's: 0, below 1e-9 and [1e-4, 1e16) in
+# magnitude.  A table of only these (and integers) is written by one
+# orjson.dumps; any float, raw or not, almost never draws such a table.
+_IN_BAND_FLOATS = (
+    st.floats(-1e-9, 1e-9, exclude_min=True, exclude_max=True)
+    | st.floats(1e-4, 1e16, exclude_max=True)
+    | st.floats(-1e16, -1e-4, exclude_min=True)
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.1, 1.0 / 3.0, 1e15 + 0.5])
+)
+
+
 @st.composite
 def _csv_columns(draw):
     n_rows = draw(st.integers(0, 12))
+    in_band = draw(st.booleans())
+    floats = _IN_BAND_FLOATS if in_band else st.floats() | st.sampled_from(_SPECIAL_FLOATS)
     columns = []
     for _ in range(draw(st.integers(1, 4))):
         if draw(st.booleans()):
             columns.append(np.array(draw(st.lists(_INT64, min_size=n_rows, max_size=n_rows))))
             continue
         # A small pool makes repeated values, within a column and across columns, common.
-        pool = draw(st.lists(st.floats() | st.sampled_from(_SPECIAL_FLOATS), min_size=1))
-        cells = st.sampled_from(pool) | st.floats() | _RAW_FLOATS
+        pool = draw(st.lists(floats, min_size=1))
+        cells = st.sampled_from(pool) | (floats if in_band else st.floats() | _RAW_FLOATS)
         columns.append(np.array(draw(st.lists(cells, min_size=n_rows, max_size=n_rows)), float))
     return columns
 
@@ -634,7 +647,25 @@ _BAND_EDGES = np.array(
 )
 
 
+def _one_edge_tables(test):
+    """Examples of an in-band table with one cell at an edge of orjson's bands.
+
+    The edges are 1e-9, 1e-4 and 1e16, one ulp either side of each, and all
+    of them negated; each table holds one of them.
+    """
+    for edge in (1e-9, 1e-4, 1e16):
+        for cell in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf)):
+            for sign in (1, -1):
+                in_band = np.array([0.5, -0.0, 1e-300, sign * cell, 12345.678])
+                test = example([np.arange(-2, 3), in_band])(test)
+    return test
+
+
 @given(_csv_columns())
+@_one_edge_tables
+@example([np.array([True, False]), np.array([0.5, 1.0])])  # `str` spells True, orjson true
+@example([np.array([2**70, -1]), np.array([0.5, 1.0])])  # object ints past 64 bits
+@example([np.array([0.1, 1e-5, math.nan], np.float32)])  # written as float64
 @example([np.array([0.0, -0.0, 0.0, -0.0]), np.array([-0.0, math.nan, -math.nan, 0.0])])
 @example([np.array([2**63 - 1, -(2**63), 0]), np.array([5e-324, -5e-324, math.inf])])
 @example([_EDGES])
@@ -646,6 +677,93 @@ def test_export_csv_bytes_match_the_csv_writer(tmp_path_factory, columns):
     header = [f"c{i}" for i in range(len(columns))]
     export_csv(path, header, columns)
     assert path.read_bytes() == _csv_writer_bytes(header, columns)
+
+
+# Floats at and one ulp around every edge of orjson's bands, and the floats
+# json spells apart from orjson: nan, the infinities and [1e-9, 1e-4) or 1e16 up.
+_JSON_EDGE_FLOATS = [
+    s * float(x)
+    for e in (1e-9, 1e-5, 1e-4, 1e16)
+    for x in (e, np.nextafter(e, 0.0), np.nextafter(e, math.inf))
+    for s in (1, -1)
+] + [-0.0, 5e-324, -2.225073858507201e-308, math.nan, math.inf, -math.inf, 1.5e-7]
+_JSON_FLOATS = st.floats() | st.sampled_from(_JSON_EDGE_FLOATS)
+# Non-ASCII, control characters (DEL too), quotes and backslashes, and plain text.
+_JSON_STRINGS = st.text() | st.sampled_from(
+    ["", "plain", 'q"uote', "back\\slash", "tab\tnew\nline", "\x00\x1f\x7f", "é", "\u2028", "µs"]
+)
+_JSON_EDGE_INTS = [2**63 - 1, 2**63, 2**64 - 1, 2**64, -(2**63), -(2**63) - 1]
+_JSON_INTS = st.integers() | st.sampled_from(_JSON_EDGE_INTS)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _JSON_INTS | _JSON_FLOATS | _JSON_STRINGS,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(_JSON_STRINGS, inner)
+    | st.dictionaries(_JSON_INTS, inner),  # int keys, which json writes as strings
+    max_leaves=15,
+)
+
+
+def _nested(depth):
+    doc = [1.5]
+    for _ in range(depth):
+        doc = [doc]
+    return doc
+
+
+def _one_edge_documents(test):
+    """Examples of a document that orjson would write but for one edge number."""
+    for number in _JSON_EDGE_FLOATS + _JSON_EDGE_INTS:
+        test = example({"label": "x", "values": [0.5, number, -3]})(test)
+    return test
+
+
+@given(_JSON)
+@_one_edge_documents
+@example({"report": {"k": 18.3, "n": [61, 1e-4, 1e16], "label": "45ghz"}, "none": None})
+@example({"violation_sigmas": math.inf, "s": (2.7, 0.01)})
+@example(_nested(300))  # past orjson's nesting limit
+def test_export_json_bytes_match_json_dumps(tmp_path_factory, obj):
+    path = tmp_path_factory.getbasetemp() / "oracle.json"
+    export_json(path, obj)
+    assert path.read_bytes() == (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+
+
+def test_export_json_of_a_circular_document_raises_as_json_does(tmp_path):
+    doc = {"a": []}
+    doc["a"].append(doc)
+    with pytest.raises(ValueError, match="Circular reference"):
+        export_json(tmp_path / "circular.json", doc)
+
+
+@pytest.mark.parametrize("preset", ["45ghz", "15ghz", "5ghz"])
+def test_preset_trace_and_report_are_written_by_orjson(tmp_path, monkeypatch, preset):
+    from bfcsim.report import comb_stage, hom_stage, run_report
+
+    config = preset_config(preset, str(tmp_path / "run"))
+    report = run_report(config)
+    trace, zoom = hom_stage(config, comb_stage(config))
+    expected = {
+        "hom_trace.csv": _csv_writer_bytes(
+            ["delay_ps", "coincidence"], [trace.delays_ps, trace.coincidence]
+        ),
+        "hom_trace_zoom.csv": _csv_writer_bytes(
+            ["delay_ps", "coincidence"], [zoom.delays_ps, zoom.coincidence]
+        ),
+        "report.json": (json.dumps(report, sort_keys=True, indent=2) + "\n").encode(),
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the slow path wrote a preset's trace or report")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    monkeypatch.setattr(json, "dumps", refuse)
+    write_artifact(tmp_path / "hom_trace.csv", trace)
+    write_artifact(tmp_path / "hom_trace_zoom.csv", zoom)
+    export_json(tmp_path / "report.json", report)
+    monkeypatch.undo()
+    for name, text in expected.items():
+        assert (tmp_path / name).read_bytes() == text == (tmp_path / "run" / name).read_bytes()
 
 
 def test_export_csv_rejects_unequal_columns(tmp_path):

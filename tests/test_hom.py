@@ -1,21 +1,25 @@
 """Interferometry: the HOM trace, closed-form visibility, revival location."""
 
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from bfcsim import (
     DEFAULT_SOURCE,
     SourceSpec,
     build_comb,
+    cavity_preset,
     central_dip_width,
     dip_visibility_closed_form,
     locate_revivals,
     simulate_hom_trace,
     visibility_to_decay_parameter,
 )
-from bfcsim.hom import HomTrace, RevivalRecord, _plateau_medians
+from bfcsim.hom import REVIVAL_VISIBILITY_FLOOR, HomTrace, RevivalRecord, _plateau_medians
 
 
 def revival_delays(cavity, n_values):
@@ -162,7 +166,8 @@ class TestLocateRevivals:
 
 
 def _mask_plateau_medians(delays, coincidence, period):
-    # The full-array mask formulation, kept as the oracle of the bisection.
+    # The full-array mask formulation with np.median, kept as the oracle of the
+    # bisection and of the sorted-list medians.
     medians = {}
     k_lo = int(math.floor(delays[0] / period)) - 1
     k_hi = int(math.ceil(delays[-1] / period)) + 1
@@ -199,6 +204,8 @@ def _mask_locate_revivals(trace):
         if c_max <= 0.0:
             continue
         vis = min(max((c_max - float(local[j])) / c_max, 0.0), 1.0)
+        if vis < REVIVAL_VISIBILITY_FLOOR:
+            continue
         records.append(RevivalRecord(n=n, center_ps=float(delays[idx[j]]), visibility=vis))
     return records
 
@@ -251,6 +258,55 @@ class TestRevivalWindowsMatchMaskOracle:
             np.any(np.abs(delays[idx] - n * period) == period / 4.0)
             for n, idx in _mask_revival_windows(delays, period).items()
         )
+
+
+@functools.lru_cache(maxsize=None)
+def _preset_comb(preset):
+    return build_comb(cavity_preset(preset), DEFAULT_SOURCE)
+
+
+@st.composite
+def _noisy_traces(draw):
+    """Closed-form traces with noise on uniform and non-uniform grids.
+
+    Windows hold an even or an odd number of delays as the step varies, and
+    rounding the rate to a coarse quantum makes tied minima and plateaus.
+    """
+    comb = _preset_comb(draw(st.sampled_from(["45ghz", "15ghz", "5ghz"])))
+    period = 0.5 * comb.round_trip_ps
+    span = period * draw(st.floats(1.0, 6.0))
+    offset = period * draw(st.floats(-1.0, 1.0))
+    per_period = draw(st.integers(6, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        step = period / per_period
+        delays = offset + np.arange(-span, span + step / 2.0, step)
+    else:
+        size = int(2.0 * span / period * per_period) + 2
+        delays = np.unique(offset + rng.uniform(-span, span, size))
+    c = simulate_hom_trace(comb, delays).coincidence
+    c = c + draw(st.sampled_from([0.0, 1e-4, 1e-2])) * rng.standard_normal(c.size)
+    quantum = draw(st.sampled_from([0.0, 1e-3, 5e-2]))
+    if quantum:
+        c = np.round(c / quantum) * quantum
+    return HomTrace(delays_ps=delays, coincidence=np.clip(c, 0.0, 1.0), comb=comb)
+
+
+@given(_noisy_traces())
+@example(
+    HomTrace(
+        delays_ps=np.arange(-30.0, 30.0, 0.5),
+        coincidence=np.tile([1.0, 0.5, 0.5, 1.0], 30),  # every window minimum is tied
+        comb=_preset_comb("45ghz"),
+    )
+)
+def test_revivals_match_the_np_median_oracle(trace):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the coarse-grid warning
+        records = locate_revivals(trace)
+    delays, c, period = trace.delays_ps, trace.coincidence, trace.revival_period_ps
+    assert _plateau_medians(delays, c, period) == _mask_plateau_medians(delays, c, period)
+    assert records == _mask_locate_revivals(trace)
 
 
 class TestCentralDipWidth:
