@@ -34,7 +34,6 @@ from .jsi import (
     scan_correlation_matrix,
 )
 from .schmidt import (
-    DimensionalityReport,
     SchmidtSpectrum,
     dimensionality_report,
     ideal_frequency_spectrum,
@@ -45,7 +44,6 @@ from .schmidt import (
     window_limited_n_max,
 )
 from .chsh import (
-    ChshResult,
     DEFAULT_ANGLES_DEG,
     FringeScan,
     s_chsh,

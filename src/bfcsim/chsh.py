@@ -43,27 +43,6 @@ class FringeScan:
         c.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class ChshResult:
-    """Four correlations, the S parameter, its error, and the violation significance."""
-
-    correlations: tuple[float, float, float, float]
-    s_value: float
-    s_sigma: float
-    violation_sigmas: float
-
-    def __post_init__(self) -> None:
-        if len(self.correlations) != 4:
-            raise ValueError("ChshResult: exactly four correlations required")
-        for e in self.correlations:
-            if abs(e) > 1.0 + 1e-9:
-                raise ValueError(f"ChshResult: correlation {e!r} outside [-1, 1]")
-        # Tsirelson's bound holds exactly for the noiseless S.  A sampled S may
-        # pass it by noise; |E| <= 1 above is what bounds it.
-        if self.s_sigma == 0.0 and abs(self.s_value) > S_QUANTUM_MAX + 1e-9:
-            raise ValueError(f"ChshResult: s_value {self.s_value!r} unphysical for sigma 0.0")
-
-
 def fringe_rate(phi1_deg: float, phi2_deg: float, visibility: float) -> float:
     """Normalized coincidence rate for polarizers at phi1 and phi2."""
     if not (0.0 <= visibility <= 1.0):
@@ -110,16 +89,22 @@ def _angle_pairs(angles, caller: str):
     return ((phi1, phi2), (phi1, phi2p), (phi1p, phi2), (phi1p, phi2p))
 
 
-def _chsh_result(e_values, errors) -> ChshResult:
+def _chsh_result(e_values, errors) -> dict:
+    """The four correlations, S, its error, and the violation significance."""
     # CHSH combination with the minus sign on the (phi1', phi2') term;
     # this is the arrangement the standard angle set maximizes.
     e1, e2, e3, e4 = e_values
     s = abs(e1 + e2 + e3 - e4)
     sigma = math.sqrt(sum(err**2 for err in errors))
-    return ChshResult(tuple(e_values), s, sigma, violation_sigmas(s, sigma))
+    return {
+        "correlations": tuple(e_values),
+        "s_value": s,
+        "s_sigma": sigma,
+        "violation_sigmas": violation_sigmas(s, sigma),
+    }
 
 
-def s_chsh(visibility: float, angles=DEFAULT_ANGLES_DEG) -> ChshResult:
+def s_chsh(visibility: float, angles=DEFAULT_ANGLES_DEG) -> dict:
     """Noiseless CHSH S parameter for a fringe visibility.
 
     The four correlations ``-V cos 2(phi1 + phi2)`` are computed at
@@ -145,7 +130,7 @@ def simulate_chsh_counts(
     integration: float,
     seed: int,
     angles=DEFAULT_ANGLES_DEG,
-) -> ChshResult:
+) -> dict:
     """CHSH result from Poisson-sampled coincidence counts.
 
     For each of the four angle pairs, four polarizer settings (each arm at

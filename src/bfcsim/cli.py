@@ -152,12 +152,12 @@ def _cmd_schmidt(cfg: RunConfig, args) -> None:
         {
             "schmidt_time.csv": time_spec,
             "schmidt_frequency.csv": freq_spec,
-            "dimensionality.json": dataclasses.asdict(dim),
+            "dimensionality.json": dim,
         },
     )
     print(
-        f"K_time={dim.k_time:.4f} K_freq={dim.k_freq:.4f} "
-        f"total dimensionality {dim.total_dimensionality}"
+        f"K_time={dim['k_time']:.4f} K_freq={dim['k_freq']:.4f} "
+        f"total dimensionality {dim['total_dimensionality']}"
     )
 
 
@@ -168,15 +168,15 @@ def _cmd_chsh(cfg: RunConfig, args) -> None:
         **dataclasses.asdict(cfg.chsh),
         "angles_deg": list(angles),
         "s_fringe": s_fringe,
-        **dataclasses.asdict(result),
+        **result,
     }
     write_stage(
         cfg.output_dir,
         {**{f"fringe_p1_{int(f.fixed_angle_deg)}.csv": f for f in fringes}, "chsh.json": summary},
     )
     print(
-        f"S = {result.s_value:.4f} +/- {result.s_sigma:.4f} "
-        f"({result.violation_sigmas:.1f} sigma above the classical bound)"
+        f"S = {result['s_value']:.4f} +/- {result['s_sigma']:.4f} "
+        f"({result['violation_sigmas']:.1f} sigma above the classical bound)"
     )
 
 

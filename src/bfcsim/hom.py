@@ -37,6 +37,16 @@ from .comb import CavitySpec, CombSpectrum
 TRUNCATION_OVERSHOOT_TOL = 0.02
 
 
+def _check_delays(delays: np.ndarray, owner: str) -> None:
+    """Reject a delay grid unless it is nonempty, 1-d, finite and strictly increasing."""
+    if delays.ndim != 1 or delays.size == 0:
+        raise ValueError(f"{owner}: delay grid must be a nonempty 1-d array")
+    if not np.all(np.isfinite(delays)):
+        raise ValueError(f"{owner}: delays must be finite")
+    if delays.size > 1 and not np.all(np.diff(delays) > 0.0):
+        raise ValueError(f"{owner}: delays must be strictly increasing")
+
+
 @dataclass(frozen=True, eq=False)
 class HomTrace:
     """Normalized coincidence rate versus relative delay."""
@@ -50,14 +60,9 @@ class HomTrace:
         c = np.asarray(self.coincidence, dtype=float)
         object.__setattr__(self, "delays_ps", d)
         object.__setattr__(self, "coincidence", c)
-        if d.ndim != 1 or d.size == 0:
-            raise ValueError("HomTrace: delay grid must be a nonempty 1-d array")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("HomTrace: delays must be finite")
+        _check_delays(d, "HomTrace")
         if c.shape != d.shape:
             raise ValueError("HomTrace: delays and coincidence must have equal length")
-        if d.size > 1 and not np.all(np.diff(d) > 0.0):
-            raise ValueError("HomTrace: delays must be strictly increasing")
         # Written so that a nan or an inf fails it too.
         if not (float(c.min()) >= -1e-9 and float(c.max()) <= 1.0 + TRUNCATION_OVERSHOOT_TOL):
             raise ValueError(
@@ -95,10 +100,7 @@ def simulate_hom_trace(
     optional uniform accidental floor rescales V -> V * (1 - a).
     """
     delays = np.atleast_1d(np.asarray(delays_ps, dtype=float))
-    if delays.size == 0:
-        raise ValueError("simulate_hom_trace: empty delay grid")
-    if delays.size > 1 and not np.all(np.diff(delays) > 0.0):
-        raise ValueError("simulate_hom_trace: delay grid must be strictly increasing")
+    _check_delays(delays, "simulate_hom_trace")
     if not (0.0 <= accidental_fraction < 1.0):
         raise ValueError("simulate_hom_trace: accidental_fraction must be in [0, 1)")
 
@@ -234,14 +236,13 @@ def locate_revivals(trace: HomTrace) -> list[RevivalRecord]:
     period = trace.revival_period_ps
     if delays[-1] - delays[0] < period:
         raise ValueError("locate_revivals: trace must span at least one revival period")
-    if delays.size > 1:
-        grid_step = float(np.median(np.diff(delays)))
-        if grid_step > period / 10.0:
-            warnings.warn(
-                "locate_revivals: delay grid coarser than a tenth of the revival "
-                "period; dip centers are unreliable",
-                stacklevel=2,
-            )
+    # The span check leaves at least two delays.
+    if _median(np.diff(delays).tolist()) > period / 10.0:
+        warnings.warn(
+            "locate_revivals: delay grid coarser than a tenth of the revival "
+            "period; dip centers are unreliable",
+            stacklevel=2,
+        )
 
     medians = _plateau_medians(delays, c, period)
     global_plateau = _median(list(medians.values())) if medians else float(c.max())

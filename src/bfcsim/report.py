@@ -17,7 +17,6 @@ import functools
 import math
 import os
 import shutil
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -297,20 +296,20 @@ def run_report(config: RunConfig) -> dict:
         "k_freq_ideal_reference": REFERENCE_IDEAL_K_FREQ.get(config.preset_name),
         "k_freq_degraded": freq_degraded.k_number,
         "crosstalk_db": jsi_sidecar["crosstalk_db"],
-        "n_freq_bins": dim.n_freq_bins,
-        "n_time_bins": dim.n_time_bins,
-        "product_nt_nomega": dim.product_nt_nomega,
-        "product_kt_komega": dim.product_kt_komega,
+        "n_freq_bins": dim["n_freq_bins"],
+        "n_time_bins": dim["n_time_bins"],
+        "product_nt_nomega": dim["product_nt_nomega"],
+        "product_kt_komega": dim["product_kt_komega"],
         "fringe_visibility": config.chsh.fringe_visibility,
         "s_fringe": s_fringe,
         "chsh_visibility": config.chsh.chsh_visibility,
-        "s_chsh_analytic": chsh_analytic.s_value,
-        "s_chsh_simulated": chsh_simulated.s_value,
-        "s_sigma_simulated": chsh_simulated.s_sigma,
-        "violation_sigmas_simulated": chsh_simulated.violation_sigmas,
-        "time_dimensionality": dim.total_dimensionality // dim.polarization_factor,
-        "freq_dimensionality": dim.freq_dimensionality,
-        "total_dimensionality": dim.total_dimensionality,
+        "s_chsh_analytic": chsh_analytic["s_value"],
+        "s_chsh_simulated": chsh_simulated["s_value"],
+        "s_sigma_simulated": chsh_simulated["s_sigma"],
+        "violation_sigmas_simulated": chsh_simulated["violation_sigmas"],
+        "time_dimensionality": dim["total_dimensionality"] // dim["polarization_factor"],
+        "freq_dimensionality": dim["freq_dimensionality"],
+        "total_dimensionality": dim["total_dimensionality"],
         "config_hash": config.config_hash(),
         "tool_version": TOOL_VERSION,
         "schema_version": SCHEMA_VERSION,
@@ -332,8 +331,8 @@ def run_report(config: RunConfig) -> dict:
             **{f"chsh_fringe_p1_{int(f.fixed_angle_deg)}.csv": f for f in fringes},
             "chsh.json": {
                 "s_fringe": s_fringe,
-                "analytic": asdict(chsh_analytic),
-                "simulated": asdict(chsh_simulated),
+                "analytic": chsh_analytic,
+                "simulated": chsh_simulated,
             },
             "report.json": report,
             "summary.txt": summary_text(report),

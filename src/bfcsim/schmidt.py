@@ -72,27 +72,6 @@ class SchmidtSpectrum:
         lam.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class DimensionalityReport:
-    k_time: float
-    k_freq: float
-    n_time_bins: float
-    n_freq_bins: float
-    product_nt_nomega: float
-    product_kt_komega: float
-    polarization_factor: int
-    total_dimensionality: int
-    freq_dimensionality: int
-
-    def __post_init__(self) -> None:
-        if abs(self.product_nt_nomega - self.n_time_bins * self.n_freq_bins) > 1e-9 * max(
-            1.0, abs(self.product_nt_nomega)
-        ):
-            raise ValueError("DimensionalityReport: bin-count product inconsistent")
-        if self.total_dimensionality != self.polarization_factor * int(self.k_time) ** 2:
-            raise ValueError("DimensionalityReport: total dimensionality inconsistent")
-
-
 def _spectrum_from_weights(
     weights: np.ndarray, bin_indices: np.ndarray | None = None
 ) -> SchmidtSpectrum:
@@ -192,8 +171,8 @@ def window_limited_n_max(cavity: CavitySpec, delay_window_ps: float) -> int:
 
 def dimensionality_report(
     k_time: float, k_freq: float, cavity: CavitySpec, source: SourceSpec
-) -> DimensionalityReport:
-    """Hilbert-space dimensionality summary.
+) -> dict:
+    """Hilbert-space dimensionality summary: the dict that ``dimensionality.json`` holds.
 
     The headline number is ``2 * floor(k_time)^2``: squared because the
     time-bin state is bipartite, doubled by the polarization subspace,
@@ -206,17 +185,17 @@ def dimensionality_report(
     if k_time < 1.0 or k_freq < 1.0:
         raise ValueError("dimensionality_report: Schmidt numbers must be >= 1")
     n_freq = source.phase_matching_fwhm_hz / cavity.fsr_hz
-    return DimensionalityReport(
-        k_time=k_time,
-        k_freq=k_freq,
-        n_time_bins=cavity.finesse,
-        n_freq_bins=n_freq,
-        product_nt_nomega=cavity.finesse * n_freq,
-        product_kt_komega=k_time * k_freq,
-        polarization_factor=2,
-        total_dimensionality=2 * int(k_time) ** 2,
-        freq_dimensionality=int(k_freq) ** 2,
-    )
+    return {
+        "k_time": k_time,
+        "k_freq": k_freq,
+        "n_time_bins": cavity.finesse,
+        "n_freq_bins": n_freq,
+        "product_nt_nomega": cavity.finesse * n_freq,
+        "product_kt_komega": k_time * k_freq,
+        "polarization_factor": 2,
+        "total_dimensionality": 2 * int(k_time) ** 2,
+        "freq_dimensionality": int(k_freq) ** 2,
+    }
 
 
 def ideal_frequency_spectrum(comb: CombSpectrum) -> SchmidtSpectrum:

@@ -137,7 +137,7 @@ def test_criterion_5_crosstalk_calibration(cavity_45):
 
 def test_criterion_6_chsh_values():
     s_f = s_fringe_from_visibility(0.9796)
-    s_c = s_chsh(visibility=0.9497).s_value
+    s_c = s_chsh(visibility=0.9497)["s_value"]
     sigmas = violation_sigmas(2.686, 0.037)
     ok = (
         abs(s_f - 2.771) <= 0.002

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from bfcsim import (
-    ChshResult,
+    DEFAULT_ANGLES_DEG,
     s_chsh,
     s_fringe_from_visibility,
     simulate_chsh_counts,
@@ -53,29 +54,29 @@ class TestSimulateFringeScan:
 
 class TestSimulatedCorrelations:
     def test_many_counts_approach_the_analytic_correlations(self):
-        simulated = simulate_chsh_counts(1.0, 1e12, seed=1).correlations
-        for e, exact in zip(simulated, s_chsh(1.0).correlations):
+        simulated = simulate_chsh_counts(1.0, 1e12, seed=1)["correlations"]
+        for e, exact in zip(simulated, s_chsh(1.0)["correlations"]):
             assert e == pytest.approx(exact, abs=1e-5)
 
     def test_zero_visibility_gives_zero_within_noise(self):
         result = simulate_chsh_counts(0.0, 1e4, seed=4)
         # At V = 0 the four correlation errors are equal, each half of sigma_S.
-        for e in result.correlations:
-            assert abs(e) <= 5.0 * result.s_sigma / 2.0
+        for e in result["correlations"]:
+            assert abs(e) <= 5.0 * result["s_sigma"] / 2.0
 
     def test_zero_total_rejected(self):
         with pytest.raises(ValueError, match="zero total counts"):
             simulate_chsh_counts(0.9497, 1e-300, seed=0)
 
     def test_error_shrinks_with_counts(self):
-        small = simulate_chsh_counts(0.9497, 1e4, seed=5).s_sigma
-        large = simulate_chsh_counts(0.9497, 1e6, seed=5).s_sigma
+        small = simulate_chsh_counts(0.9497, 1e4, seed=5)["s_sigma"]
+        large = simulate_chsh_counts(0.9497, 1e6, seed=5)["s_sigma"]
         assert large == pytest.approx(small / 10.0, rel=0.05)
 
 
 class TestSParameter:
     def test_tsirelson_at_unit_visibility(self):
-        assert s_chsh(visibility=1.0).s_value == pytest.approx(2 * math.sqrt(2), abs=1e-12)
+        assert s_chsh(visibility=1.0)["s_value"] == pytest.approx(2 * math.sqrt(2), abs=1e-12)
 
     def test_fringe_s_values(self):
         assert s_fringe_from_visibility(1.0) == pytest.approx(2.828, abs=1e-3)
@@ -83,11 +84,11 @@ class TestSParameter:
         assert s_fringe_from_visibility(1.0 / math.sqrt(2.0)) == pytest.approx(2.0, rel=1e-12)
 
     def test_reference_chsh_value(self):
-        assert s_chsh(visibility=0.9497).s_value == pytest.approx(2.686, abs=2e-3)
+        assert s_chsh(visibility=0.9497)["s_value"] == pytest.approx(2.686, abs=2e-3)
 
     def test_linear_in_visibility(self):
         for v in np.linspace(0.0, 1.0, 11):
-            assert s_chsh(visibility=v).s_value == pytest.approx(
+            assert s_chsh(visibility=v)["s_value"] == pytest.approx(
                 2 * math.sqrt(2) * v, abs=1e-9
             )
 
@@ -107,12 +108,12 @@ class TestSimulatedChsh:
         # At ~800 mean counts per fringe maximum the propagated error lands
         # within a factor of two of the published 0.037.
         result = simulate_chsh_counts(0.9497, 800.0, seed=3)
-        assert 0.037 / 2 <= result.s_sigma <= 0.037 * 2
-        assert result.s_value == pytest.approx(2.686, abs=3 * result.s_sigma)
+        assert 0.037 / 2 <= result["s_sigma"] <= 0.037 * 2
+        assert result["s_value"] == pytest.approx(2.686, abs=3 * result["s_sigma"])
 
     def test_correlations_bounded(self):
         result = simulate_chsh_counts(0.9, 500.0, seed=9)
-        for e in result.correlations:
+        for e in result["correlations"]:
             assert -1.0 <= e <= 1.0
 
     # 7 of seeds 0-4999 at V = 1 and 1e4 counts: Tsirelson's bound holds for
@@ -120,21 +121,27 @@ class TestSimulatedChsh:
     @pytest.mark.parametrize("seed", [743, 1584, 1733, 2356, 2392, 3388, 4891])
     def test_noise_past_tsirelson_is_a_result(self, seed):
         result = simulate_chsh_counts(1.0, 1e4, seed)
-        assert result.s_value > S_QUANTUM_MAX + 3.0 * result.s_sigma
+        assert result["s_value"] > S_QUANTUM_MAX + 3.0 * result["s_sigma"]
 
 
-class TestChshResultType:
-    def test_unphysical_s_rejected(self):
-        with pytest.raises(ValueError, match="unphysical"):
-            ChshResult((0.9, 0.9, 0.9, -0.9), s_value=3.6, s_sigma=0.0, violation_sigmas=0.0)
+class TestTsirelsonBound:
+    # Only a sampled S can pass 2 sqrt(2) V; the noiseless S stays under it at any angles.
+    @given(
+        st.floats(0.0, 1.0),
+        st.tuples(*[st.floats(-360.0, 360.0)] * 4),
+    )
+    @example(1.0, DEFAULT_ANGLES_DEG)
+    def test_noiseless_s_within_tsirelson(self, visibility, angles):
+        result = s_chsh(visibility, angles)
+        assert all(abs(e) <= visibility for e in result["correlations"])
+        assert result["s_value"] <= S_QUANTUM_MAX * visibility + 1e-12
 
-    def test_sampled_s_past_tsirelson_accepted(self):
-        result = ChshResult((0.9, 0.9, 0.9, -0.9), s_value=3.6, s_sigma=0.1, violation_sigmas=16.0)
-        assert result.s_value == 3.6
-
-    def test_correlation_bounds(self):
-        with pytest.raises(ValueError):
-            ChshResult((1.5, 0.0, 0.0, 0.0), s_value=1.5, s_sigma=0.0, violation_sigmas=0.0)
+    # Each sampled E is a ratio of counts, so |E| <= 1 and S <= 4 whatever the noise.
+    @given(st.floats(0.0, 1.0), st.floats(50.0, 1e4), st.integers(0, 2**32 - 1))
+    def test_sampled_correlations_within_unit_interval(self, visibility, integration, seed):
+        result = simulate_chsh_counts(visibility, integration, seed)
+        assert all(-1.0 <= e <= 1.0 for e in result["correlations"])
+        assert result["s_value"] <= 4.0
 
 
 # (seed, integration, S, sigma_S, correlations) of simulate_chsh_counts(0.9497, ...),
@@ -201,8 +208,8 @@ class TestPinnedDraws:
     )
     def test_chsh_counts(self, seed, integration, s, sigma, correlations):
         result = simulate_chsh_counts(0.9497, integration, seed)
-        assert repr(result.correlations) == repr(correlations)
-        assert (repr(result.s_value), repr(result.s_sigma)) == (repr(s), repr(sigma))
+        assert repr(result["correlations"]) == repr(correlations)
+        assert (repr(result["s_value"]), repr(result["s_sigma"])) == (repr(s), repr(sigma))
 
     def test_fringe_scan(self):
         scan = simulate_fringe_scan(45.0, ANGLES, 0.9796, 1e4, seed=7)

@@ -295,6 +295,14 @@ class TestSubcommands:
         assert main([*argv, "--seed", "743", "--out", str(out)]) == 0
         assert json.loads((out / "chsh.json").read_text())["s_value"] > 2.0 * 2.0**0.5
 
+    def test_chsh_sampled_s_of_four_at_zero_sigma_is_exit_0(self, tmp_path):
+        # Seed 1892 draws |E| = 1 at all four pairs: S = 4 with sigma 0, a sampled result.
+        out = tmp_path / "c"
+        argv = ["chsh", "--preset", "45ghz", "--visibility", "1", "--integration", "5"]
+        assert main([*argv, "--seed", "1892", "--out", str(out)]) == 0
+        result = json.loads((out / "chsh.json").read_text())
+        assert (result["s_value"], result["s_sigma"]) == (4.0, 0.0)
+
     def test_chsh_counts_at_chsh_visibility_as_in_report(self, fast_cfg_path, tmp_path):
         main(["chsh", "--config", fast_cfg_path, "--out", str(tmp_path / "c")])
         main(["report", "--config", fast_cfg_path, "--out", str(tmp_path / "r")])

@@ -115,6 +115,11 @@ class TestSimulateTrace:
             simulate_hom_trace(comb_45, np.array([]))
         with pytest.raises(ValueError, match="strictly increasing"):
             simulate_hom_trace(comb_45, np.array([1.0, 1.0, 2.0]))
+        # Rejected before the kernel runs, so numpy has no inf to warn about.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="simulate_hom_trace: delays must be finite"):
+                simulate_hom_trace(comb_45, np.array([0.0, math.inf]))
 
 
 class TestLocateRevivals:
