@@ -24,23 +24,12 @@ S_QUANTUM_MAX = 2.0 * math.sqrt(2.0)
 
 @dataclass(frozen=True, eq=False)
 class FringeScan:
-    """Coincidence counts versus the scanned polarizer angle."""
+    """Coincidence counts versus the scanned polarizer angle; both arrays are read-only."""
 
     fixed_angle_deg: float
     scan_angles_deg: np.ndarray
     counts: np.ndarray
 
-    def __post_init__(self) -> None:
-        a = np.asarray(self.scan_angles_deg, dtype=float)
-        c = np.asarray(self.counts)
-        object.__setattr__(self, "scan_angles_deg", a)
-        object.__setattr__(self, "counts", c)
-        if a.ndim != 1 or a.shape != c.shape:
-            raise ValueError("FringeScan: angle and count arrays must have equal length")
-        if np.any(c < 0):
-            raise ValueError("FringeScan: counts must be nonnegative")
-        a.setflags(write=False)
-        c.setflags(write=False)
 
 
 def fringe_rate(phi1_deg: float, phi2_deg: float, visibility: float) -> float:
@@ -66,9 +55,11 @@ def simulate_fringe_scan(
     seed: int,
 ) -> FringeScan:
     """Poisson-sampled fringe scan; `integration` sets the full-fringe mean count."""
-    angles = np.asarray(scan_angles_deg, dtype=float)
+    angles = np.array(scan_angles_deg, dtype=float)
     settings = [(fixed_deg, a) for a in angles]
     counts = _poisson_counts(settings, visibility, integration, np.random.default_rng(seed))
+    angles.setflags(write=False)
+    counts.setflags(write=False)
     return FringeScan(fixed_angle_deg=fixed_deg, scan_angles_deg=angles, counts=counts)
 
 

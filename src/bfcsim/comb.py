@@ -135,10 +135,6 @@ class CombSpectrum:
         return np.arange(-self.n_max, self.n_max + 1)
 
     @property
-    def finesse(self) -> float:
-        return self.fsr_rad_s / (2.0 * self.half_width_rad_s)
-
-    @property
     def round_trip_ps(self) -> float:
         return 2.0 * math.pi / self.fsr_rad_s * 1e12
 
@@ -183,7 +179,6 @@ def build_comb(cavity: CavitySpec, source: SourceSpec, n_max: int | None = None)
         )
     m = np.arange(-n_max, n_max + 1)
     w = envelope_intensity(m * cavity.fsr_hz, source)
-    w = np.asarray(w, dtype=float)
     w = w / w.sum()
     # Enforce exact evenness against rounding asymmetries.
     w = 0.5 * (w + w[::-1])

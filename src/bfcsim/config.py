@@ -24,6 +24,8 @@ import math
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .comb import CavitySpec, SourceSpec, cavity_preset, default_n_max
 from .jsi import FILTER_SHAPES, floor_fraction
 
@@ -34,7 +36,11 @@ SCHEMA_VERSION = "1"
 # delays; the default grid has 3,401.
 MAX_HOM_DELAYS = 1_000_000
 
-# Largest HOM kernel cost a config may ask for: wide-grid delays times the
+# The `hom` stage's fine scan of the central dip: +/- 12 ps by 0.02 ps, 1,201 delays.
+_ZOOM_DELAYS_PS = np.arange(-12.0, 12.0 + 0.01, 0.02)
+_ZOOM_DELAYS_PS.setflags(write=False)
+
+# Largest HOM kernel cost a config may ask for: wide plus zoom delays times the
 # n_max + 1 terms of the comb factor.  5ghz at the delay cap is 1.47e8.
 MAX_HOM_WORK = 150_000_000
 
@@ -184,14 +190,16 @@ class RunConfig:
             n_max = self.resolved_n_max()
         except OverflowError:  # int(inf): 3 bpm / fsr is past the float range
             raise ConfigError(f"[source] bpm_ghz={bpm_ghz!r} overflows the comb half-count") from None
-        n_delays = 2.0 * self.hom.window_ps / self.hom.step_ps + 1.0
+        n_wide = 2.0 * self.hom.window_ps / self.hom.step_ps + 1.0
+        n_delays = n_wide + _ZOOM_DELAYS_PS.size
         if n_max + 1 > MAX_HOM_WORK / n_delays:  # int vs float: exact for any n_max
             key = f"[comb] n_max={n_max!r}"
             if self.n_max is None:
                 key = f"[source] bpm_ghz={bpm_ghz!r} (n_max {float(n_max):.4g})"
             raise ConfigError(
-                f"{key} with {n_delays:.4g} HOM delays asks for more than {MAX_HOM_WORK} "
-                f"delay-bin terms; this grid allows n_max <= {int(MAX_HOM_WORK / n_delays) - 1}"
+                f"{key} with {n_wide:.4g} HOM delays and {_ZOOM_DELAYS_PS.size} zoom delays "
+                f"asks for more than {MAX_HOM_WORK} delay-bin terms; "
+                f"this grid allows n_max <= {int(MAX_HOM_WORK / n_delays) - 1}"
             )
 
     def resolved_n_max(self) -> int:

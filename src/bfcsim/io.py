@@ -238,7 +238,7 @@ def jsi_from_csv(path) -> Jsi:
     if total <= 0.0:
         raise ValueError(f"{path}: matrix has no weight")
     try:
-        return Jsi(n_max=n_max, values=values / total, normalized=True)
+        return Jsi(n_max=n_max, values=values / total)
     except ValueError as exc:  # `Jsi`'s own checks, such as a negative cell
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -280,10 +280,8 @@ def write_artifact(path, value) -> None:
         bins = value.bins
         export_csv(path, ["bin", *map(str, bins.tolist())], [bins, *value.values.T])
     elif isinstance(value, SchmidtSpectrum):
-        # n is the bin label if the spectrum has them, else the rank.
-        labels = value.bin_indices
-        labels = np.arange(value.eigenvalues.size) if labels is None else labels
-        export_csv(path, ["n", "eigenvalue"], [labels, value.eigenvalues])
+        # n is the bin label, or the rank for a decomposed matrix.
+        export_csv(path, ["n", "eigenvalue"], [value.bin_indices, value.eigenvalues])
     elif isinstance(value, FringeScan):
         export_csv(path, ["phi2_deg", "counts"], [value.scan_angles_deg, value.counts])
     else:

@@ -27,7 +27,6 @@ class Jsi:
 
     n_max: int
     values: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -37,8 +36,6 @@ class Jsi:
             raise ValueError(f"Jsi: expected a {size}x{size} matrix, got shape {v.shape}")
         if float(v.min()) < -1e-15:
             raise ValueError("Jsi: entries must be nonnegative")
-        if self.normalized and abs(float(v.sum()) - 1.0) > 1e-12:
-            raise ValueError("Jsi: normalized matrix must sum to 1 within 1e-12")
         v.setflags(write=False)
 
     @property
@@ -85,15 +82,6 @@ def filter_transmission(filt: FilterSpec, offset_bins, fsr_hz: float):
     return out if out.ndim else float(out)
 
 
-def ideal_jsi(comb: CombSpectrum) -> Jsi:
-    """Noise-free JSI: comb weights on the anticorrelation diagonal, zero elsewhere."""
-    size = 2 * comb.n_max + 1
-    values = np.zeros((size, size))
-    idx = np.arange(size)
-    values[idx, idx[::-1]] = comb.bin_weights
-    return Jsi(n_max=comb.n_max, values=values, normalized=True)
-
-
 # The floor fraction r(P) = a*P + b*P^2 passes through two (power, fraction)
 # anchors, the published cross-talk levels: -11.71 dB at 2 mW and -6.31 dB
 # at 4 mW.
@@ -125,10 +113,10 @@ def scan_correlation_matrix(
     uniform offset f solves f = r * (signal_peak + f), so the off-diagonal
     to peak-diagonal ratio of the result equals the calibrated fraction r.
 
-    The ideal JSI holds weight only at (m, -m), so ``t @ ideal_jsi(comb).values``
-    is the filter transmission reversed along the bins times the reversed weights:
-    every other term of that product is an exact +0.0, and the dense
-    (2N+1)^2 matrix is never built.
+    The ideal JSI ``J``, the comb weights on the anticorrelation diagonal,
+    holds weight only at (m, -m), so ``t @ J`` is the filter transmission
+    reversed along the bins times the reversed weights: every other term of
+    that product is an exact +0.0, and the dense (2N+1)^2 matrix is never built.
     """
     if max_bin < 0 or max_bin > comb.n_max:
         raise ValueError(f"scan range +/-{max_bin} outside the comb's +/-{comb.n_max} bins")
@@ -150,7 +138,7 @@ def scan_correlation_matrix(
     total = values.sum()
     if total <= 0.0:
         raise ValueError("scan produced an all-zero matrix")
-    return Jsi(n_max=max_bin, values=values / total, normalized=True)
+    return Jsi(n_max=max_bin, values=values / total)
 
 
 def crosstalk_db(jsi: Jsi) -> float | None:
@@ -160,8 +148,6 @@ def crosstalk_db(jsi: Jsi) -> float | None:
     matrix has no cross-talk to quote).
     """
     v = jsi.values
-    if float(v.max()) <= 0.0:
-        raise ValueError("crosstalk_db: matrix is all zero")
     peak = float(jsi.anti_diagonal().max())
     if peak <= 0.0:
         raise ValueError("crosstalk_db: no nonzero cell on the anticorrelation diagonal")

@@ -25,7 +25,7 @@ from . import chsh as chsh_mod
 from . import io as io_mod
 from .chsh import DEFAULT_ANGLES_DEG
 from .comb import CombSpectrum, build_comb
-from .config import TOOL_VERSION, SCHEMA_VERSION, RunConfig
+from .config import _ZOOM_DELAYS_PS, TOOL_VERSION, SCHEMA_VERSION, RunConfig
 from .hom import HomTrace, RevivalRecord, central_dip_width, locate_revivals, simulate_hom_trace
 from .jsi import FilterSpec, Jsi, crosstalk_db, filter_bandwidth_hz, scan_correlation_matrix
 from .schmidt import (
@@ -95,9 +95,8 @@ def hom_stage(config: RunConfig, comb: CombSpectrum) -> tuple[HomTrace, HomTrace
     delays = np.arange(-window, window + step / 2.0, step)
     trace = simulate_hom_trace(comb, delays, accidental_fraction=config.hom.accidental_fraction)
     # Zoomed inset: the wide scan's step cannot resolve the base-to-base width.
-    zoom_delays = np.arange(-12.0, 12.0 + 0.01, 0.02)
     zoom = simulate_hom_trace(
-        comb, zoom_delays, accidental_fraction=config.hom.accidental_fraction
+        comb, _ZOOM_DELAYS_PS, accidental_fraction=config.hom.accidental_fraction
     )
     return trace, zoom
 

@@ -36,45 +36,24 @@ REFERENCE_IDEAL_K_FREQ = {"45ghz": 4.9, "15ghz": 20.0, "5ghz": 34.0}
 
 @dataclass(frozen=True, eq=False)
 class SchmidtSpectrum:
-    """Normalized Schmidt eigenvalues (descending) and their Schmidt number.
+    """Normalized Schmidt eigenvalues (descending) and their labels, both read-only.
 
-    ``bin_indices`` carries the physical bin label of each eigenvalue when
-    one exists (time basis); it is permuted together with the eigenvalues.
+    ``bin_indices`` is the physical bin label of each eigenvalue where one
+    exists (time basis, ideal frequency basis), else its rank.
     """
 
     eigenvalues: np.ndarray
-    k_number: float
-    bin_indices: np.ndarray | None = None
+    bin_indices: np.ndarray
 
-    def __post_init__(self) -> None:
-        lam = np.asarray(self.eigenvalues, dtype=float)
-        object.__setattr__(self, "eigenvalues", lam)
-        if lam.ndim != 1 or lam.size == 0:
-            raise ValueError("SchmidtSpectrum: eigenvalues must be a nonempty 1-d array")
-        if float(lam.min()) < -1e-14:
-            raise ValueError("SchmidtSpectrum: eigenvalues must be nonnegative")
-        if np.any(np.diff(lam) > 1e-14):
-            raise ValueError("SchmidtSpectrum: eigenvalues must be sorted descending")
-        if abs(float(lam.sum()) - 1.0) > 1e-10:
-            raise ValueError("SchmidtSpectrum: eigenvalues must sum to 1 within 1e-10")
-        k = 1.0 / float(np.sum(lam * lam))
-        if abs(k - self.k_number) > 1e-9:
-            raise ValueError("SchmidtSpectrum: k_number inconsistent with eigenvalues")
-        nonzero = int(np.count_nonzero(lam > 0.0))
-        if not (1.0 - 1e-9 <= self.k_number <= nonzero + 1e-9):
-            raise ValueError("SchmidtSpectrum: k_number outside [1, nonzero count]")
-        if self.bin_indices is not None:
-            idx = np.asarray(self.bin_indices)
-            object.__setattr__(self, "bin_indices", idx)
-            if idx.shape != lam.shape:
-                raise ValueError("SchmidtSpectrum: bin_indices must align with eigenvalues")
-            idx.setflags(write=False)
-        lam.setflags(write=False)
+    @property
+    def k_number(self) -> float:
+        return 1.0 / float(np.sum(self.eigenvalues * self.eigenvalues))
 
 
 def _spectrum_from_weights(
     weights: np.ndarray, bin_indices: np.ndarray | None = None
 ) -> SchmidtSpectrum:
+    """Weights normalized and sorted descending, with their labels (default: the rank)."""
     lam = np.asarray(weights, dtype=float)
     total = lam.sum()
     if total <= 0.0:
@@ -82,9 +61,10 @@ def _spectrum_from_weights(
     lam = lam / total
     order = np.argsort(lam)[::-1]
     lam = lam[order]
-    idx = None if bin_indices is None else np.asarray(bin_indices)[order]
-    k = 1.0 / float(np.sum(lam * lam))
-    return SchmidtSpectrum(eigenvalues=lam, k_number=k, bin_indices=idx)
+    idx = np.arange(lam.size) if bin_indices is None else np.asarray(bin_indices)[order]
+    lam.setflags(write=False)
+    idx.setflags(write=False)
+    return SchmidtSpectrum(eigenvalues=lam, bin_indices=idx)
 
 
 def jsa_from_jsi(jsi) -> np.ndarray:
@@ -113,8 +93,6 @@ def schmidt_decompose(jsa: np.ndarray) -> SchmidtSpectrum:
     a = np.asarray(jsa, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("schmidt_decompose: input must be a nonempty 2-d matrix")
-    if not np.any(a):
-        raise ValueError("schmidt_decompose: zero matrix rejected")
     s = np.linalg.svd(a, compute_uv=False)
     return _spectrum_from_weights(s * s)
 
@@ -205,4 +183,4 @@ def ideal_frequency_spectrum(comb: CombSpectrum) -> SchmidtSpectrum:
     square roots of the bin weights, so the eigenvalues are the weights
     themselves; computed directly rather than through an SVD.
     """
-    return _spectrum_from_weights(comb.bin_weights.copy(), bin_indices=comb.bins)
+    return _spectrum_from_weights(comb.bin_weights, bin_indices=comb.bins)

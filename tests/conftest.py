@@ -1,15 +1,28 @@
-"""Shared fixtures: preset combs, their wide delay scans and quadrature-oracle values."""
+"""Shared fixtures: preset combs, their wide delay scans and quadrature-oracle values.
+
+Also the dense ideal JSI, `ideal_jsi`, which tests import as their reference.
+"""
 
 from functools import cached_property
 
 import numpy as np
 import pytest
 
-from bfcsim import DEFAULT_SOURCE, build_comb, cavity_preset, simulate_hom_trace
+from bfcsim import DEFAULT_SOURCE, Jsi, build_comb, cavity_preset, simulate_hom_trace
+from bfcsim.config import _ZOOM_DELAYS_PS
 from bfcsim.hom import quadrature_visibility
 
 WIDE_STEP_PS = 0.2
 WIDE_WINDOW_PS = 340.0
+
+
+def ideal_jsi(comb):
+    """Noise-free JSI: comb weights on the anticorrelation diagonal, zero elsewhere."""
+    size = 2 * comb.n_max + 1
+    values = np.zeros((size, size))
+    idx = np.arange(size)
+    values[idx, idx[::-1]] = comb.bin_weights
+    return Jsi(n_max=comb.n_max, values=values)
 
 
 @pytest.fixture(scope="session")
@@ -84,7 +97,7 @@ class _Oracle:
 
     def __init__(self, comb, seed):
         self.comb = comb
-        self.zoom_delays = np.arange(-12.0, 12.0 + 0.01, 0.02)
+        self.zoom_delays = _ZOOM_DELAYS_PS
         self.wide_idx = _wide_sample(0.5 * comb.round_trip_ps, seed)
 
     @cached_property

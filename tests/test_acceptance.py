@@ -32,9 +32,9 @@ from bfcsim import (
 )
 from bfcsim.config import preset_config
 from bfcsim.hom import quadrature_visibility
-from bfcsim.jsi import ideal_jsi
 from bfcsim.report import run_report
 from bfcsim.schmidt import ideal_frequency_spectrum
+from conftest import ideal_jsi
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "central_dip_width.json"
 

@@ -108,7 +108,7 @@ class TestTemporalEnvelope:
 
     def test_geometric_decay_ratio(self, cavity_45, comb_45):
         w = peak_weights(cavity_45, comb_45.n_max)
-        ratio = math.exp(-2 * math.pi / comb_45.finesse)
+        ratio = math.exp(-2 * math.pi / cavity_45.finesse)
         for n in range(0, comb_45.n_max - 1):
             assert w[n + 1] / w[n] == pytest.approx(ratio, rel=1e-12)
 

@@ -217,8 +217,15 @@ class TestConfigParsing:
             ),
             # Finite, but its default n_max of ~6.6e288 bins fails late in stage 'comb'.
             ("[source] bpm_ghz=1e290", "[source] bpm_ghz=1e+290 (n_max 6.62e+288) with 3401"),
+            # Three wide delays fit 4e7 bins (1.2e8 terms), but the zoom scan's
+            # 1,201 delays ask for 4.8e10 over the same comb.
+            (
+                "[comb] n_max=40000000\n[hom] window_ps=11.1, step_ps=11",
+                "[comb] n_max=40000000 with 3.018 HOM delays and 1201 zoom delays asks for "
+                "more than 150000000 delay-bin terms; this grid allows n_max <= 124581",
+            ),
         ],
-        ids=["n_max", "bpm_ghz"],
+        ids=["n_max", "bpm_ghz", "zoom"],
     )
     def test_hom_work_budget(self, lines, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
@@ -226,12 +233,13 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("preset", ["45ghz", "15ghz", "5ghz"])
     def test_every_preset_fits_the_hom_work_budget_at_the_delay_cap(self, preset):
-        # 2 * 500 / 0.001 + 1 delays, just under MAX_HOM_DELAYS; 5ghz: 147 terms, 1.47e8.
+        # 2 * 500 / 0.001 + 1 delays, just under MAX_HOM_DELAYS, plus the zoom
+        # scan's 1,201; 5ghz: 147 terms, 1.47e8.
         text = f'[cavity] preset="{preset}"\n[hom] window_ps=499.9995, step_ps=0.001\n'
         cfg = build_config(parse_config_text(text))
         n_delays = 2 * cfg.hom.window_ps / cfg.hom.step_ps + 1
         assert MAX_HOM_DELAYS - 1 <= n_delays <= MAX_HOM_DELAYS
-        assert n_delays * (cfg.resolved_n_max() + 1) <= MAX_HOM_WORK
+        assert (n_delays + 1201) * (cfg.resolved_n_max() + 1) <= MAX_HOM_WORK
 
     def test_hash_stable_and_scientific(self, tmp_path):
         a = preset_config("45ghz", output_dir=str(tmp_path / "a"))
@@ -385,7 +393,7 @@ class TestRoundTrips:
         values = np.zeros((3, 3))
         values[0, 2] = 0.5
         values[2, 0] = 0.5
-        jsi = Jsi(n_max=1, values=values, normalized=True)
+        jsi = Jsi(n_max=1, values=values)
         path = tmp_path / "j.csv"
         write_artifact(path, jsi)
         assert np.allclose(jsi_from_csv(path).values, values)
@@ -445,7 +453,7 @@ class TestCsvBytes:
 
         labelled = time_bin_eigenvalues(cavity_45, 5)
         ranked = schmidt_decompose(np.random.default_rng(3).random((6, 6)))
-        assert labelled.bin_indices is not None and ranked.bin_indices is None
+        assert ranked.bin_indices.tolist() == list(range(6))
         rows = zip(labelled.bin_indices, labelled.eigenvalues)
         self._check(tmp_path, labelled, ["n", "eigenvalue"], rows)
         rows = zip(np.arange(ranked.eigenvalues.size), ranked.eigenvalues)
@@ -795,9 +803,8 @@ def _spectra(draw, labelled):
     tail = draw(st.lists(st.sampled_from([0.0, -0.0, 5e-324, -1e-15]), max_size=3))
     lam = np.array(sorted(weights / weights.sum(), reverse=True) + sorted(tail, reverse=True))
     labels = np.array(draw(st.lists(_INT64, min_size=lam.size, max_size=lam.size)))
-    spectrum = SchmidtSpectrum(lam, 1.0 / float(np.sum(lam * lam)), labels if labelled else None)
     n = labels if labelled else np.arange(lam.size)
-    return spectrum, [("n", int, n), ("eigenvalue", float, lam)]
+    return SchmidtSpectrum(lam, n), [("n", int, n), ("eigenvalue", float, lam)]
 
 
 @st.composite

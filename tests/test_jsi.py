@@ -17,7 +17,8 @@ from bfcsim import (
     filter_bandwidth_hz,
     scan_correlation_matrix,
 )
-from bfcsim.jsi import FILTER_SHAPES, filter_transmission, floor_fraction, ideal_jsi
+from bfcsim.jsi import FILTER_SHAPES, filter_transmission, floor_fraction
+from conftest import ideal_jsi
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +193,7 @@ class TestCrosstalk:
         values = np.full((size, size), floor)
         idx = np.arange(size)
         values[idx, idx[::-1]] = 1.0
-        jsi = Jsi(n_max=2, values=values / values.sum(), normalized=True)
+        jsi = Jsi(n_max=2, values=values / values.sum())
         assert crosstalk_db(jsi) == pytest.approx(expected_db, abs=1e-9)
 
     def test_all_zero_rejected(self):
@@ -286,7 +287,3 @@ class TestJsiType:
         values[0, 0] = -0.5
         with pytest.raises(ValueError):
             Jsi(n_max=1, values=values)
-
-    def test_normalized_flag_checked(self):
-        with pytest.raises(ValueError):
-            Jsi(n_max=1, values=np.full((3, 3), 1.0), normalized=True)

@@ -8,7 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from bfcsim import (
     DEFAULT_SOURCE,
+    CavitySpec,
     FilterSpec,
+    SourceSpec,
+    build_comb,
     dimensionality_report,
     dip_visibility_closed_form,
     jsa_from_jsi,
@@ -18,8 +21,8 @@ from bfcsim import (
     time_bin_spectrum_from_visibilities,
     window_limited_n_max,
 )
-from bfcsim.jsi import ideal_jsi
-from bfcsim.schmidt import SchmidtSpectrum, fit_decay_parameter, ideal_frequency_spectrum
+from bfcsim.schmidt import fit_decay_parameter, ideal_frequency_spectrum
+from conftest import ideal_jsi
 
 
 def gram_eigenvalues(matrix):
@@ -120,15 +123,73 @@ def _intensity_matrices(draw):
     return values
 
 
+def _check_spectrum(spec, weight_of=None):
+    """What every builder's spectrum holds.
+
+    Eigenvalues sum to 1, descend, are nonnegative and read-only; each has a
+    label, and K lies in [1, nonzero count].  Without `weight_of` the labels
+    are the ranks.  With it they are the bins -N..N, and each eigenvalue is
+    the normalized weight of its label.
+    """
+    lam, labels = spec.eigenvalues, spec.bin_indices
+    assert abs(float(lam.sum()) - 1.0) <= 1e-10
+    assert np.all(np.diff(lam) <= 0.0) and float(lam.min()) >= 0.0
+    assert labels.shape == lam.shape
+    assert not (lam.flags.writeable or labels.flags.writeable)
+    if weight_of is None:
+        assert labels.tolist() == list(range(lam.size))
+    else:
+        n_max = lam.size // 2
+        assert sorted(labels.tolist()) == list(range(-n_max, n_max + 1))
+        weights = weight_of(labels)
+        assert np.allclose(lam, weights / weights.sum(), rtol=1e-12, atol=0.0)
+    assert 1.0 - 1e-9 <= spec.k_number <= np.count_nonzero(lam) + 1e-9
+
+
 @settings(max_examples=30, deadline=None)
 @given(_intensity_matrices())
 def test_schmidt_spectrum_invariants(values):
     jsa = jsa_from_jsi(values)
     spec = schmidt_decompose(jsa)
-    lam = spec.eigenvalues
-    assert abs(float(lam.sum()) - 1.0) <= 1e-10
-    assert np.all(np.diff(lam) <= 0.0)
-    assert 1.0 - 1e-9 <= spec.k_number <= np.linalg.matrix_rank(jsa) + 1e-9
+    _check_spectrum(spec)
+    assert spec.k_number <= np.linalg.matrix_rank(jsa) + 1e-9
+
+
+@st.composite
+def _cavities(draw):
+    fsr_hz = draw(st.floats(1e9, 1e11))
+    return CavitySpec(fsr_hz=fsr_hz, linewidth_fwhm_hz=fsr_hz / draw(st.floats(1.001, 1e4)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_cavities(), st.integers(0, 400))
+def test_time_bin_spectrum_invariants(cavity, n_max):
+    spec = time_bin_eigenvalues(cavity, n_max)
+    _check_spectrum(spec, lambda n: np.exp(-2.0 * math.pi * np.abs(n) / cavity.finesse))
+
+
+_VISIBILITY_POINTS = st.lists(
+    st.tuples(st.integers(-50, 50), st.floats(0.0, 1.0, exclude_min=True)), min_size=2, max_size=8
+).filter(lambda points: any(n != 0 for n, _ in points))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_VISIBILITY_POINTS, st.integers(0, 60))
+def test_fitted_time_bin_spectrum_invariants(points, n_max):
+    spec = time_bin_spectrum_from_visibilities(points, n_max)
+    rate = fit_decay_parameter(points)
+    _check_spectrum(spec, lambda n: np.exp(-2.0 * rate * np.abs(n)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_cavities(), st.floats(1e10, 1e12), st.sampled_from(["gaussian", "sinc_squared"]), st.data())
+def test_ideal_frequency_spectrum_invariants(cavity, bpm_hz, envelope, data):
+    source = SourceSpec(phase_matching_fwhm_hz=bpm_hz, envelope_shape=envelope)
+    # Within build_comb's span limit, so no test draws its warning.
+    span = int(5.0 * bpm_hz / cavity.fsr_hz)
+    comb = build_comb(cavity, source, n_max=data.draw(st.integers(0, min(span, 150))))
+    spec = ideal_frequency_spectrum(comb)
+    _check_spectrum(spec, lambda n: comb.bin_weights[n + comb.n_max])
 
 
 class TestTimeBinEigenvalues:
@@ -254,16 +315,3 @@ class TestProductAgreement:
         ).k_number
         assert k4 < k2
 
-
-class TestSchmidtSpectrumType:
-    def test_normalization_enforced(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            SchmidtSpectrum(np.array([0.6, 0.3]), k_number=2.0)
-
-    def test_k_consistency_enforced(self):
-        with pytest.raises(ValueError, match="k_number"):
-            SchmidtSpectrum(np.array([0.5, 0.5]), k_number=3.0)
-
-    def test_sorted_enforced(self):
-        with pytest.raises(ValueError, match="descending"):
-            SchmidtSpectrum(np.array([0.3, 0.7]), k_number=1.7241)
