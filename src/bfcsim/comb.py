@@ -37,7 +37,7 @@ ENVELOPE_SHAPES = ("gaussian", "sinc_squared")
 class CavitySpec:
     """Fabry-Perot cavity: free spectral range and resonance linewidth.
 
-    Invariants: ``fsr_hz > linewidth_fwhm_hz > 0``, hence finesse > 1.
+    Invariants: ``inf > fsr_hz > linewidth_fwhm_hz > 0``, hence finesse > 1.
     """
 
     fsr_hz: float
@@ -50,9 +50,9 @@ class CavitySpec:
                 f"CavitySpec invariant violated: linewidth_fwhm_hz must be > 0, "
                 f"got {self.linewidth_fwhm_hz!r}"
             )
-        if not (self.fsr_hz > self.linewidth_fwhm_hz):
+        if not (self.linewidth_fwhm_hz < self.fsr_hz < math.inf):
             raise ValueError(
-                f"CavitySpec invariant violated: fsr_hz > linewidth_fwhm_hz required, "
+                f"CavitySpec invariant violated: finite fsr_hz > linewidth_fwhm_hz required, "
                 f"got fsr_hz={self.fsr_hz!r}, linewidth_fwhm_hz={self.linewidth_fwhm_hz!r}"
             )
 
@@ -87,7 +87,7 @@ class SourceSpec:
     def __post_init__(self) -> None:
         if not (self.phase_matching_fwhm_hz > 0.0):
             raise ValueError("SourceSpec: phase_matching_fwhm_hz must be > 0")
-        if self.pump_power_mw < 0.0:
+        if not (self.pump_power_mw >= 0.0):
             raise ValueError("SourceSpec: pump_power_mw must be >= 0")
         if self.envelope_shape not in ENVELOPE_SHAPES:
             raise ValueError(
@@ -120,7 +120,7 @@ class CombSpectrum:
             raise ValueError(
                 f"CombSpectrum: expected {2 * self.n_max + 1} weights, got shape {w.shape}"
             )
-        if np.any(w < 0.0):
+        if not float(w.min()) >= 0.0:  # a nan fails it too
             raise ValueError("CombSpectrum: bin weights must be nonnegative")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise ValueError("CombSpectrum: bin weights must sum to 1 within 1e-12")

@@ -10,9 +10,11 @@ The config format is a flat sectioned key-value text, e.g.::
     [output] dir="out"
 
 Pairs may follow the section tag on the same line (comma-separated) or
-appear on their own lines.  Unknown sections or keys are errors.  A key
+appear on their own lines.  Unknown sections or keys are errors.  Quotes
+around a value are optional; the value takes its key's type.  A key
 missing from the file takes the default of the dataclass field it sets;
-its range check is in its `_FIELDS` row.
+its range check is in its `_FIELDS` row, and the bounds that span keys
+are in `RunConfig`.
 """
 
 from __future__ import annotations
@@ -49,9 +51,10 @@ class ConfigError(ValueError):
     """Config file failed to parse or validate."""
 
 
-# File key -> (dataclass field, conversion, rule) per section.  A number
-# scales float() of the value into the field's unit; `str` and `int` fields
-# take the value as written.  A rule is a `_RULES` text or the allowed strings;
+# File key -> (dataclass field, conversion, rule) per section, the one place a
+# value's type is decided.  A number scales float() of the value into the
+# field's unit; an `int` field reads an integer and a `str` field keeps the
+# text (see `_fields`).  A rule is a `_RULES` text or the allowed strings;
 # `[cavity]` and `[source]` have none, as CavitySpec and SourceSpec check theirs.
 _FIELDS = {
     "cavity": {
@@ -120,12 +123,6 @@ class HomConfig:
 
     def __post_init__(self) -> None:
         _check(self, "hom")
-        n_delays = 2.0 * self.window_ps / self.step_ps + 1.0
-        if n_delays > MAX_HOM_DELAYS:
-            raise ConfigError(
-                f"[hom] window_ps={self.window_ps!r} and step_ps={self.step_ps!r} give "
-                f"{n_delays:.4g} delays; at most {MAX_HOM_DELAYS} are allowed"
-            )
 
 
 @dataclass(frozen=True)
@@ -176,13 +173,20 @@ class RunConfig:
     preset_name: str = ""
 
     def __post_init__(self) -> None:
+        hom = self.hom
+        n_wide = 2.0 * hom.window_ps / hom.step_ps + 1.0
+        if n_wide > MAX_HOM_DELAYS:
+            raise ConfigError(
+                f"[hom] window_ps={hom.window_ps!r} and step_ps={hom.step_ps!r} give "
+                f"{n_wide:.4g} delays; at most {MAX_HOM_DELAYS} are allowed"
+            )
         _check(self, "comb")
         # The report locates revival dips and fits the time-bin spectrum,
         # both of which need the dips at +/- one period inside the scan.
         period = 0.5 * self.cavity.round_trip_ps
-        if self.hom.window_ps < period:
+        if hom.window_ps < period:
             raise ConfigError(
-                f"[hom] window_ps={self.hom.window_ps!r} is shorter than one revival "
+                f"[hom] window_ps={hom.window_ps!r} is shorter than one revival "
                 f"period ({period:.4f} ps, half the cavity round trip)"
             )
         bpm_ghz = self.source.phase_matching_fwhm_hz / 1e9
@@ -190,7 +194,6 @@ class RunConfig:
             n_max = self.resolved_n_max()
         except OverflowError:  # int(inf): 3 bpm / fsr is past the float range
             raise ConfigError(f"[source] bpm_ghz={bpm_ghz!r} overflows the comb half-count") from None
-        n_wide = 2.0 * self.hom.window_ps / self.hom.step_ps + 1.0
         n_delays = n_wide + _ZOOM_DELAYS_PS.size
         if n_max + 1 > MAX_HOM_WORK / n_delays:  # int vs float: exact for any n_max
             key = f"[comb] n_max={n_max!r}"
@@ -233,20 +236,6 @@ _SECTION_RE = re.compile(r"^\[(\w+)\]\s*(.*)$")
 _PAIR_RE = re.compile(r"^(\w+)\s*=\s*(.+)$")
 
 
-def _parse_value(raw: str, line_no: int, key: str):
-    raw = raw.strip()
-    if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "\"'":
-        return raw[1:-1]
-    for number in (int, float):
-        try:
-            return number(raw)
-        except ValueError:
-            pass
-    if re.fullmatch(r"[\w.+-]+", raw):
-        return raw
-    raise ConfigError(f"line {line_no}: cannot parse value {raw!r} for key {key!r}")
-
-
 def parse_config_text(text: str) -> dict[str, dict]:
     """Parse the sectioned key-value schema into nested dicts."""
     sections: dict[str, dict] = {}
@@ -273,29 +262,41 @@ def parse_config_text(text: str) -> dict[str, dict]:
             key = pm.group(1).lower()
             if key not in _KNOWN_KEYS[current]:
                 raise ConfigError(f"line {line_no}: unknown key {key!r} in section [{current}]")
-            sections[current][key] = _parse_value(pm.group(2), line_no, key)
+            value = pm.group(2)
+            if len(value) >= 2 and value[0] == value[-1] and value[0] in "\"'":
+                value = value[1:-1]
+            sections[current][key] = value
     return sections
 
 
 def _fields(sections: dict[str, dict], section: str) -> dict:
-    """The section's file keys as dataclass fields, converted; absent keys are left out."""
+    """The section's file keys as dataclass fields, converted; absent keys are left out.
+
+    A `str` field keeps the text as written.  An `int` field reads an integer
+    text as an int and any other number as a float, which `_check` then names
+    as not finite or not an integer; a scaled field reads a float.
+    """
     out = {}
-    for key, value in sections.get(section, {}).items():
+    for key, text in sections.get(section, {}).items():
         if key == "preset":  # [cavity]'s, which build_config reads
             continue
         name, convert, _ = _FIELDS[section][key]
+        value = text
+        if convert is not str:
+            for number in (int, float) if convert is int else (float,):
+                try:
+                    value = number(text)
+                    break
+                except ValueError:
+                    pass
+            else:
+                raise ConfigError(f"[{section}] {key} must be a number, got {text!r}")
         if isinstance(convert, float):
-            try:
-                value = float(value)
-            except ValueError:
-                raise ConfigError(f"[{section}] {key} must be a number, got {value!r}") from None
-            # CavitySpec and SourceSpec accept inf and nan; a huge value can
-            # also overflow on conversion to SI units.
+            # The message names the file key; a huge value can also overflow
+            # on conversion to SI units.
             if not math.isfinite(value * convert):
                 raise ConfigError(f"[{section}] {key} must be finite, got {value!r}")
             value *= convert
-        elif convert is str:
-            value = str(value)
         out[name] = value
     return out
 
@@ -316,7 +317,7 @@ def build_config(sections: dict[str, dict], output_dir: str | None = None) -> Ru
     if "preset" in cav:
         if "fsr_ghz" in cav or "linewidth_ghz" in cav:
             raise ConfigError("[cavity] give either preset or fsr_ghz/linewidth_ghz, not both")
-        preset_name = str(cav["preset"]).lower()
+        preset_name = cav["preset"].lower()
         cavity = dataclasses.replace(cavity_preset(preset_name), **_fields(sections, "cavity"))
     else:
         if "fsr_ghz" not in cav or "linewidth_ghz" not in cav:

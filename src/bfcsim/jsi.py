@@ -34,7 +34,7 @@ class Jsi:
         size = 2 * self.n_max + 1
         if self.n_max < 0 or v.shape != (size, size):
             raise ValueError(f"Jsi: expected a {size}x{size} matrix, got shape {v.shape}")
-        if float(v.min()) < -1e-15:
+        if not float(v.min()) >= 0.0:  # a nan fails it too
             raise ValueError("Jsi: entries must be nonnegative")
         v.setflags(write=False)
 

@@ -267,7 +267,7 @@ def run_report(config: RunConfig) -> dict:
     trace, zoom = hom_stage(config, comb)
     revivals = revivals_stage(trace)
     dip_width = dip_width_stage(zoom)
-    points = [(r.n, r.visibility) for r in revivals if 0.0 < r.visibility <= 1.0]
+    points = [(r.n, r.visibility) for r in revivals]
     window_n, time_theory, time_fitted = time_schmidt_stage(config, points)
     scan, jsi_sidecar = jsi_stage(config, comb)
     freq_degraded, freq_ideal = freq_schmidt_stage(scan, comb)

@@ -67,16 +67,13 @@ def _spectrum_from_weights(
     return SchmidtSpectrum(eigenvalues=lam, bin_indices=idx)
 
 
-def jsa_from_jsi(jsi) -> np.ndarray:
+def jsa_from_jsi(jsi: Jsi) -> np.ndarray:
     """Amplitude matrix: elementwise square root, Frobenius-normalized.
 
-    Accepts a `Jsi` or a bare nonnegative matrix.  This is the pure-state
-    approximation; phases are unrecoverable from intensity data.
+    A `Jsi`'s cells are nonnegative, so the root is real.  This is the
+    pure-state approximation; phases are unrecoverable from intensity data.
     """
-    values = jsi.values if isinstance(jsi, Jsi) else np.asarray(jsi, dtype=float)
-    if float(values.min()) < 0.0:
-        raise ValueError("jsa_from_jsi: intensity matrix must be nonnegative")
-    amp = np.sqrt(values)
+    amp = np.sqrt(jsi.values)
     norm = float(np.linalg.norm(amp))
     if norm == 0.0:
         raise ValueError("jsa_from_jsi: zero matrix has no amplitude")

@@ -258,6 +258,17 @@ class TestSubcommands:
         assert main(argv) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["jsi", "schmidt"])
+    def test_tiny_negative_matrix_cell_rejected(self, fast_cfg_path, tmp_path, capsys, command):
+        # One matrix is valid for both --input commands or for neither.
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("bin,-1,0,1\n-1,0,0,1\n0,0,-1e-17,0\n1,1,0,0\n")
+        out = tmp_path / "out"
+        argv = [command, "--config", fast_cfg_path, "--out", str(out), "--input", str(matrix)]
+        assert main(argv) == 1
+        assert str(matrix) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_schmidt_from_visibilities(self, fast_cfg_path, tmp_path):
         vis = tmp_path / "vis.csv"
         vis.write_text("n,visibility\n1,0.9946\n2,0.9797\n3,0.9575\n")

@@ -6,6 +6,7 @@ import pytest
 
 from bfcsim import (
     CavitySpec,
+    CombSpectrum,
     SourceSpec,
     build_comb,
     cavity_preset,
@@ -35,6 +36,8 @@ class TestCavitySpec:
             CavitySpec(fsr_hz=1e9, linewidth_fwhm_hz=2e9)
         with pytest.raises(ValueError, match="linewidth_fwhm_hz"):
             CavitySpec(fsr_hz=1e9, linewidth_fwhm_hz=0.0)
+        with pytest.raises(ValueError, match="finite fsr_hz"):
+            CavitySpec(fsr_hz=math.inf, linewidth_fwhm_hz=1e9)
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown cavity preset"):
@@ -71,6 +74,10 @@ class TestBuildComb:
         assert default_n_max(cavity_15, src) == 48
         assert default_n_max(cavity_5, src) == 146
 
+    def test_nan_weights_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            CombSpectrum(n_max=1, bin_weights=[math.nan] * 3, half_width_rad_s=1.0, fsr_rad_s=10.0)
+
     def test_rejects_negative_n_max(self, cavity_45):
         with pytest.raises(ValueError):
             build_comb(cavity_45, SourceSpec(), n_max=-1)
@@ -84,6 +91,8 @@ class TestBuildComb:
             SourceSpec(phase_matching_fwhm_hz=-1.0)
         with pytest.raises(ValueError):
             SourceSpec(pump_power_mw=-0.5)
+        with pytest.raises(ValueError, match="pump_power_mw"):
+            SourceSpec(pump_power_mw=math.nan)
         with pytest.raises(ValueError):
             SourceSpec(envelope_shape="boxcar")
 

@@ -185,6 +185,17 @@ class TestConfigParsing:
                 build_config(parse_config_text(f'[cavity] preset="45ghz"\n{line}\n'))
             assert str(exc.value) == message
 
+    def test_value_takes_its_keys_type(self):
+        text = (
+            "[cavity] preset=45ghz, label=007\n"
+            '[comb] n_max="6"\n'
+            "[output] dir=out/run1\n"
+        )
+        cfg = build_config(parse_config_text(text))
+        assert cfg.cavity.label == "007"
+        assert cfg.n_max == 6 and isinstance(cfg.n_max, int)
+        assert cfg.output_dir == "out/run1"
+
     def test_readme_key_table_states_every_rule(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         rows = {}
@@ -203,9 +214,14 @@ class TestConfigParsing:
     def test_delay_grid_budget(self):
         # 2 * 500 / 0.001 + 1 = 1,000,001 delays, one past the budget.
         assert MAX_HOM_DELAYS == 1_000_000
+
+        def build(window):
+            text = f'[cavity] preset="45ghz"\n[hom] window_ps={window}, step_ps=0.001\n'
+            return build_config(parse_config_text(text))
+
         with pytest.raises(ConfigError, match="1e\\+06 delays; at most 1000000"):
-            HomConfig(window_ps=500.0, step_ps=0.001)
-        assert HomConfig(window_ps=499.0, step_ps=0.001).step_ps == 0.001
+            build(500)
+        assert build(499).hom.step_ps == 0.001
 
     @pytest.mark.parametrize(
         ("lines", "message"),
@@ -491,7 +507,7 @@ def _jsi_values(draw):
 # Cell texts a matrix from elsewhere may hold: integers, signed zeros, exponent
 # spellings and padding; texts that only np.loadtxt reads ('"0.5"', "nan",
 # "+1", ".5", "1.", "1e400"); JSON that is no number ("true", "null", "[1]",
-# '"1_0"'); and negative cells, one of them within `Jsi`'s -1e-15 allowance.
+# '"1_0"'); and negative cells, which `Jsi` rejects however small ("-1e-17").
 _CELL_TEXTS = (
     st.sampled_from(
         ["0", "-0", "0.0", "-0.0", "7", "1E5", "1e+05", "2.5e-007", "1.5E-07", " 0.5 ", "\t3",

@@ -283,7 +283,8 @@ class TestJsiType:
             Jsi(n_max=1, values=np.zeros((3, 4)))
 
     def test_negative_entries_rejected(self):
-        values = np.zeros((3, 3))
-        values[0, 0] = -0.5
-        with pytest.raises(ValueError):
-            Jsi(n_max=1, values=values)
+        for cell in (-0.5, -1e-17, math.nan):
+            values = np.zeros((3, 3))
+            values[0, 0] = cell
+            with pytest.raises(ValueError, match="nonnegative"):
+                Jsi(n_max=1, values=values)

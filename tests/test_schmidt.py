@@ -21,6 +21,7 @@ from bfcsim import (
     time_bin_spectrum_from_visibilities,
     window_limited_n_max,
 )
+from bfcsim.jsi import Jsi
 from bfcsim.schmidt import fit_decay_parameter, ideal_frequency_spectrum
 from conftest import ideal_jsi
 
@@ -38,13 +39,13 @@ class TestJsaFromJsi:
     def test_point_mass(self):
         m = np.zeros((3, 3))
         m[1, 2] = 0.7
-        amp = jsa_from_jsi(m)
+        amp = jsa_from_jsi(Jsi(n_max=1, values=m))
         assert amp[1, 2] == pytest.approx(1.0, rel=1e-12)
         assert np.count_nonzero(amp) == 1
 
-    def test_uniform_two_by_two(self):
-        amp = jsa_from_jsi(np.full((2, 2), 0.25))
-        assert np.allclose(amp, 0.5, atol=1e-12)
+    def test_uniform_three_by_three(self):
+        amp = jsa_from_jsi(Jsi(n_max=1, values=np.full((3, 3), 1.0 / 9.0)))
+        assert np.allclose(amp, 1.0 / 3.0, atol=1e-12)
 
     def test_entry_ratios_are_sqrt(self, comb_45):
         jsi = ideal_jsi(comb_45)
@@ -56,7 +57,7 @@ class TestJsaFromJsi:
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError):
-            jsa_from_jsi(np.zeros((4, 4)))
+            jsa_from_jsi(Jsi(n_max=1, values=np.zeros((3, 3))))
 
 
 class TestSchmidtDecompose:
@@ -149,7 +150,7 @@ def _check_spectrum(spec, weight_of=None):
 @settings(max_examples=30, deadline=None)
 @given(_intensity_matrices())
 def test_schmidt_spectrum_invariants(values):
-    jsa = jsa_from_jsi(values)
+    jsa = np.sqrt(values)
     spec = schmidt_decompose(jsa)
     _check_spectrum(spec)
     assert spec.k_number <= np.linalg.matrix_rank(jsa) + 1e-9
