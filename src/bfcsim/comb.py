@@ -85,17 +85,17 @@ class SourceSpec:
     degenerate_wavelength_nm: float = 1316.0
 
     def __post_init__(self) -> None:
-        if not (self.phase_matching_fwhm_hz > 0.0):
-            raise ValueError("SourceSpec: phase_matching_fwhm_hz must be > 0")
-        if not (self.pump_power_mw >= 0.0):
-            raise ValueError("SourceSpec: pump_power_mw must be >= 0")
+        if not (0.0 < self.phase_matching_fwhm_hz < math.inf):
+            raise ValueError("SourceSpec: phase_matching_fwhm_hz must be finite and > 0")
+        if not (0.0 <= self.pump_power_mw < math.inf):
+            raise ValueError("SourceSpec: pump_power_mw must be finite and >= 0")
         if self.envelope_shape not in ENVELOPE_SHAPES:
             raise ValueError(
                 f"SourceSpec: envelope_shape must be one of {ENVELOPE_SHAPES}, "
                 f"got {self.envelope_shape!r}"
             )
-        if not (self.degenerate_wavelength_nm > 0.0):
-            raise ValueError("SourceSpec: degenerate_wavelength_nm must be > 0")
+        if not (0.0 < self.degenerate_wavelength_nm < math.inf):
+            raise ValueError("SourceSpec: degenerate_wavelength_nm must be finite and > 0")
 
 
 @dataclass(frozen=True, eq=False)

@@ -46,14 +46,6 @@ def _spell(values: np.ndarray, rule: int) -> list[str]:
     return text.decode().split(",")
 
 
-def _in_as_is_band(magnitude):
-    """Whether orjson writes a float of this magnitude as `repr` does (elementwise for arrays).
-
-    The `_AS_IS` bands: 0, below 1e-9 and [1e-4, 1e16); nan and inf fail.
-    """
-    return (magnitude < 1e-9) | ((magnitude >= 1e-4) & (magnitude < 1e16))
-
-
 def _repr_cells(floats: list[np.ndarray], n_rows: int):
     """The `repr` text of each cell of the float columns, one list per column.
 
@@ -75,7 +67,7 @@ def export_csv(path, header: list[str], columns) -> None:
     Integer columns are written with `str`, float columns as float64 in the
     shortest form that reads back exactly, spelled as `repr` spells it.  A
     table of only integer and float columns whose floats all have orjson's
-    text (`_in_as_is_band`) is written by one `orjson.dumps` of its rows;
+    text (the `_AS_IS` bands) is written by one `orjson.dumps` of its rows;
     any other table formats each distinct float bit pattern once.  Header
     cells are written as they are and must not need quoting.  Columns of
     unequal length raise `ValueError`.
@@ -90,7 +82,7 @@ def export_csv(path, header: list[str], columns) -> None:
     if (
         n_rows
         and all(c.dtype.kind in "iuf" for c in columns)
-        and all(np.all(_in_as_is_band(np.abs(c))) for c in floats)
+        and all(np.all((m < 1e-9) | ((m >= 1e-4) & (m < 1e16))) for m in map(np.abs, floats))
     ):
         rows = orjson.dumps(list(zip(*(c.tolist() for c in columns))))[2:-2]
         data = (",".join(header) + "\n").encode("utf-8") + rows.replace(b"],[", b"\n") + b"\n"
@@ -109,49 +101,10 @@ def export_csv(path, header: list[str], columns) -> None:
         raise RuntimeError(f"failed writing CSV {path}: {exc}") from exc
 
 
-# orjson nests at most 255 deep; a deeper (or circular) document goes to `json`.
-_MAX_DEPTH = 128
-
-
-def _orjson_spells(obj, depth: int = 0) -> bool:
-    """Whether orjson writes `obj` as ``json.dumps`` does.
-
-    True for dicts with string keys, lists, tuples, None, bools, ints that
-    fit 64 bits, floats with orjson's text (`_in_as_is_band`) and printable
-    ASCII strings, which neither escapes but for a quote or backslash.
-    """
-    kind = type(obj)
-    if kind is float:
-        return _in_as_is_band(abs(obj))
-    if kind is str:
-        return obj.isascii() and obj.isprintable()
-    if kind is int:
-        return -(2**63) <= obj < 2**64
-    if obj is None or kind is bool:
-        return True
-    if depth >= _MAX_DEPTH:
-        return False
-    if kind is dict:
-        return all(
-            type(k) is str and _orjson_spells(k) and _orjson_spells(v, depth + 1)
-            for k, v in obj.items()
-        )
-    if kind is list or kind is tuple:
-        return all(_orjson_spells(v, depth + 1) for v in obj)
-    return False
-
-
 def export_json(path, obj) -> None:
-    """Write JSON with sorted keys, an indent of 2 and a trailing newline.
-
-    The text is ``json.dumps(obj, sort_keys=True, indent=2)``'s; orjson
-    writes it when its text is the same (`_orjson_spells`).
-    """
+    """Write ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline as UTF-8."""
     path = Path(path)
-    if _orjson_spells(obj):
-        data = orjson.dumps(obj, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS) + b"\n"
-    else:
-        data = (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    data = (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
     try:
         with path.open("wb") as fh:
             fh.write(data)

@@ -96,6 +96,13 @@ class TestBuildComb:
         with pytest.raises(ValueError):
             SourceSpec(envelope_shape="boxcar")
 
+    @pytest.mark.parametrize(
+        "field", ["phase_matching_fwhm_hz", "pump_power_mw", "degenerate_wavelength_nm"]
+    )
+    def test_source_rejects_infinity(self, field):
+        with pytest.raises(ValueError, match=field):
+            SourceSpec(**{field: math.inf})
+
 
 def peak_weights(cavity, n_max):
     """Weight of each temporal peak n of the comb state, keyed by n.
