@@ -166,30 +166,28 @@ def dip_visibility_closed_form(n: int, cavity: CavitySpec) -> float:
     return math.exp(-x) * (1.0 + x)
 
 
-def visibility_to_decay_parameter(v: float) -> float:
-    """Invert ``v = exp(-x) (1 + x)`` for x >= 0 by bracketed bisection.
+def visibility_to_decay_parameter(v: float | np.ndarray) -> float | np.ndarray:
+    """Invert ``v = exp(-x) (1 + x)`` for x >= 0; v is a float or an array.
 
-    The right-hand side decreases monotonically from 1, so the root is
-    unique; it equals ``|n| pi / F`` when v is the n-th dip visibility.
+    The root is unique and equals ``|n| pi / F`` when v is the n-th dip
+    visibility.  It is ``-1 - W_{-1}(-v / e)`` (Corless et al., Adv. Comput.
+    Math. 5, 1996), found by 8 Newton steps on the concave ``log1p(x) - x =
+    log v`` from ``x0 = sqrt(-2 log v) - log v``, which lies at or above the
+    root, so the steps fall monotonically onto it, down to subnormal v.  v = 1
+    gives +0.0 with no step, which would divide by x.  A float gives a float.
     """
-    if not (0.0 < v <= 1.0):
-        raise ValueError(f"visibility must lie in (0, 1], got {v!r}")
-    if v == 1.0:
-        return 0.0
-
-    def f(x: float) -> float:
-        return math.exp(-x) * (1.0 + x) - v
-
-    lo, hi = 0.0, 1.0
-    while f(hi) > 0.0:  # exp(-1024) underflows to 0, so hi stops by 1024
-        hi *= 2.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    a = np.asarray(v, dtype=float)
+    inside = (a > 0.0) & (a <= 1.0)
+    if not inside.all():
+        raise ValueError(f"visibility must lie in (0, 1], got {float(a[~inside][0])!r}")
+    x = np.zeros(a.shape)
+    below = a < 1.0
+    log_v = np.log(a[below])
+    root = np.sqrt(-2.0 * log_v) - log_v
+    for _ in range(8):
+        root += (np.log1p(root) - root - log_v) * (1.0 + root) / root
+    x[below] = root
+    return float(x) if x.ndim == 0 else x
 
 
 # Dips shallower than this are not reported as revivals.  At low finesse the

@@ -19,6 +19,7 @@ traces are folded into the same formula.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,7 +109,8 @@ def fit_decay_parameter(visibility_points) -> float:
 
     Each visibility is inverted to its decay parameter ``x_n`` and the
     slope of ``x = rate * |n|`` is fit by unweighted least squares through
-    the origin (the model forces visibility 1 at n = 0 exactly).
+    the origin (the model forces visibility 1 at n = 0 exactly).  The sum
+    of ``n * n`` must be a finite float: no n may exceed about 1.3e154.
     """
     pts = [(int(n), float(v)) for n, v in visibility_points]
     if len(pts) < 2:
@@ -118,13 +120,12 @@ def fit_decay_parameter(visibility_points) -> float:
     for n, v in pts:
         if not (0.0 < v <= 1.0):
             raise ValueError(f"fit_decay_parameter: visibility {v!r} at n={n} outside (0, 1]")
-    num = 0.0
-    den = 0.0
-    for n, v in pts:
-        x = visibility_to_decay_parameter(v)
-        num += abs(n) * x
-        den += n * n
-    return num / den
+    den = sum(n * n for n, _ in pts)
+    if den > sys.float_info.max:
+        n = max((n for n, _ in pts), key=abs)
+        raise ValueError(f"fit_decay_parameter: n={n} too large, sum of n*n not a finite float")
+    n, v = np.array(pts, dtype=float).T
+    return float(np.abs(n) @ visibility_to_decay_parameter(v)) / den
 
 
 def time_bin_spectrum_from_visibilities(visibility_points, n_max: int) -> SchmidtSpectrum:

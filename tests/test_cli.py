@@ -427,6 +427,17 @@ class TestMeasuredInputFiles:
         assert "input.csv: n=1 is on more than one row" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "rows", [(1, 10**160), (1, 10**400), (10**154, -(10**154))], ids=["1e160", "1e400", "sum"]
+    )
+    def test_n_whose_square_overflows_is_exit_1(self, fast_cfg_path, tmp_path, capsys, rows):
+        # The last case: each n*n is a finite float, their sum is not.
+        out = tmp_path / "out"
+        text = "n,visibility\n" + "".join(f"{n},{v}\n" for n, v in zip(rows, (0.99, 0.5)))
+        assert self._run(fast_cfg_path, tmp_path, "schmidt-visibilities", text, out) == 1
+        assert f"n={max(rows)} too large" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestWriteStage:
     @pytest.mark.parametrize("command", COMMANDS)

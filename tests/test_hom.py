@@ -3,6 +3,7 @@
 import functools
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -64,6 +65,37 @@ class TestDecayInversion:
     def test_domain_rejected(self, bad):
         with pytest.raises(ValueError):
             visibility_to_decay_parameter(bad)
+
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    @example(1.0)
+    @example(math.nextafter(1.0, 0.0))
+    @example(1e-300)
+    @example(1e-320)
+    @example(5e-324)
+    def test_relative_residual_in_extended_precision(self, v):
+        # Decimal, not np.longdouble: on some platforms long double is float64,
+        # where exp(-x) of the subnormal root x ~ 750 underflows to 0.
+        with localcontext() as ctx:
+            ctx.prec = 40
+            x = Decimal(visibility_to_decay_parameter(v))
+            residual = ((-x).exp() * (1 + x) - Decimal(v)) / Decimal(v)
+        assert abs(residual) <= Decimal("1e-12")
+
+    def test_unity_maps_to_positive_zero(self):
+        x = visibility_to_decay_parameter(1.0)
+        assert type(x) is float
+        assert math.copysign(1.0, x) == 1.0
+
+    def test_array_is_elementwise_and_keeps_its_shape(self):
+        v = np.array([[1.0, 0.5, 1e-300], [0.166, 5e-324, math.nextafter(1.0, 0.0)]])
+        x = visibility_to_decay_parameter(v)
+        assert x.shape == v.shape
+        assert x.tolist() == [[visibility_to_decay_parameter(t) for t in row] for row in v.tolist()]
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, 1.0001])
+    def test_domain_rejected_inside_an_array(self, bad):
+        with pytest.raises(ValueError, match=r"visibility must lie in \(0, 1\]"):
+            visibility_to_decay_parameter(np.array([0.5, 1.0, bad, 0.25]))
 
 
 class TestSimulateTrace:
