@@ -125,11 +125,19 @@ def _comb_factor(comb: CombSpectrum, tau: np.ndarray) -> np.ndarray:
     c = comb.bin_weights[n:] + comb.bin_weights[n::-1]
     c[0] *= 0.5
     c /= c.sum()
+    # Trailing zero weights (an underflowed envelope) leave every b_m above the
+    # last nonzero one at +0.0, so dropping them changes no bit.
+    c = c[: np.flatnonzero(c)[-1] + 1]
     x = np.cos(2.0 * comb.fsr_rad_s * tau)
     two_x = 2.0 * x
-    b1 = b2 = np.zeros_like(x)
+    # Each b_m goes into the buffer of b_{m+3}, in the rounding order of
+    # c_m + 2x b_{m+1} - b_{m+2}: three buffers serve the whole loop.
+    b1, b2, b = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
     for c_m in c[:0:-1]:
-        b1, b2 = c_m + two_x * b1 - b2, b1
+        np.multiply(two_x, b1, out=b)
+        b += c_m
+        b -= b2
+        b1, b2, b = b, b1, b2
     return c[0] + x * b1 - b2
 
 
@@ -197,26 +205,48 @@ def visibility_to_decay_parameter(v: float | np.ndarray) -> float | np.ndarray:
 REVIVAL_VISIBILITY_FLOOR = 1e-2
 
 
-def _median(values: list[float]) -> float:
-    """`np.median` of a nonempty list of floats, none of them nan, bit for bit."""
-    s = sorted(values)
-    m = len(s) // 2
-    return s[m] if len(s) % 2 else (s[m - 1] + s[m]) / 2.0
+def _median(values: np.ndarray) -> float:
+    """`np.median` of a nonempty array of floats, none of them nan, bit for bit.
+
+    Equal values may trade places in the sort, which can change only the
+    sign of a zero median.
+    """
+    s = np.sort(values)
+    m = s.size // 2
+    return float(s[m] if s.size % 2 else (s[m - 1] + s[m]) / 2.0)
 
 
-def _plateau_medians(delays: np.ndarray, coincidence: np.ndarray, period: float) -> dict[int, float]:
-    """Median coincidence over the middle half of each inter-dip interval."""
-    k_lo = int(math.floor(delays[0] / period)) - 1
-    k_hi = int(math.ceil(delays[-1] / period)) + 1
-    ks = np.arange(k_lo, k_hi + 1)
+def _by_length(starts: np.ndarray, sizes: np.ndarray):
+    """Each set of the runs ``range(start, start + size)`` that share one size.
+
+    Yields the places of the runs in `starts` and a matrix of their indices,
+    a row per run: one array operation serves every run of that size.  Runs
+    of k distinct sizes hold at least k (k + 1) / 2 indices, so N indices
+    make at most sqrt(2 N) sets, and the matrices hold N in all.
+    """
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():
+        places = np.flatnonzero(sizes == size)
+        yield places, starts[places, None] + np.arange(size)
+
+
+def _plateau_medians(
+    delays: np.ndarray, coincidence: np.ndarray, period: float, ks: np.ndarray
+) -> np.ndarray:
+    """Median coincidence over the middle half of each inter-dip interval k in `ks`.
+
+    Interval k lies between dips k and k + 1; its median is nan if it holds no
+    delay.  Equal values may trade places, as in `_median`.
+    """
     # The delays increase strictly: bisection finds exactly lo <= d <= hi.
-    starts = np.searchsorted(delays, (ks + 0.25) * period, side="left").tolist()
-    stops = np.searchsorted(delays, (ks + 0.75) * period, side="right").tolist()
-    return {
-        k: _median(coincidence[start:stop].tolist())
-        for k, start, stop in zip(range(k_lo, k_hi + 1), starts, stops)
-        if stop > start
-    }
+    starts = np.searchsorted(delays, (ks + 0.25) * period, side="left")
+    stops = np.searchsorted(delays, (ks + 0.75) * period, side="right")
+    medians = np.full(ks.size, np.nan)
+    held = np.flatnonzero(stops > starts)
+    for places, idx in _by_length(starts[held], (stops - starts)[held]):
+        s = np.sort(coincidence[idx], axis=1)
+        m = idx.shape[1] // 2
+        medians[held[places]] = s[:, m] if idx.shape[1] % 2 else (s[:, m - 1] + s[:, m]) / 2.0
+    return medians
 
 
 def locate_revivals(trace: HomTrace) -> list[RevivalRecord]:
@@ -233,44 +263,61 @@ def locate_revivals(trace: HomTrace) -> list[RevivalRecord]:
     if delays[-1] - delays[0] < period:
         raise ValueError("locate_revivals: trace must span at least one revival period")
     # The span check leaves at least two delays.
-    if _median(np.diff(delays).tolist()) > period / 10.0:
+    if _median(np.diff(delays)) > period / 10.0:
         warnings.warn(
             "locate_revivals: delay grid coarser than a tenth of the revival "
             "period; dip centers are unreliable",
             stacklevel=2,
         )
 
-    medians = _plateau_medians(delays, c, period)
-    global_plateau = _median(list(medians.values())) if medians else float(c.max())
+    n_lo = int(math.ceil(delays[0] / period))
+    n_hi = int(math.floor(delays[-1] / period))
+    # No delay lies in an interval outside these, so they hold every plateau.
+    medians = _plateau_medians(delays, c, period, np.arange(n_lo - 1, n_hi + 1))
+    held = medians[~np.isnan(medians)]
+    global_plateau = _median(held) if held.size else float(c.max())
 
     # The window of dip n is every delay d with |d - n * period| <= period / 4, for
     # which n = rint(d / period): one pass finds every window, each a contiguous run.
     near = np.rint(delays / period)
     inside = np.flatnonzero(np.abs(delays - near * period) <= period / 4.0)
-    n_lo = int(math.ceil(delays[0] / period))
-    n_hi = int(math.floor(delays[-1] / period))
-    runs = np.searchsorted(near[inside], np.arange(n_lo, n_hi + 2) - 0.5).tolist()
-    records: list[RevivalRecord] = []
-    for n, first, last in zip(range(n_lo, n_hi + 1), runs, runs[1:]):
-        if last - first < 3:
-            continue
-        start = int(inside[first])
-        local = c[start : int(inside[last - 1]) + 1].tolist()
-        low = min(local)
-        j = local.index(low)
-        # Reject window-edge minima: a revival must be an interior dip.
-        if not (low < local[0] and low < local[-1]):
-            continue
-        plateaus = [medians[k] for k in (n - 1, n) if k in medians]
-        c_max = sum(plateaus) / len(plateaus) if plateaus else global_plateau
-        if c_max <= 0.0:
-            continue
-        vis = (c_max - low) / c_max
-        vis = min(max(vis, 0.0), 1.0)
-        if vis < REVIVAL_VISIBILITY_FLOOR:
-            continue
-        records.append(RevivalRecord(n=n, center_ps=float(delays[start + j]), visibility=vis))
-    return records
+    runs = np.searchsorted(near[inside], np.arange(n_lo, n_hi + 2) - 0.5)
+    # Dip n_lo + w for each w here; its flanking intervals are medians[w] and medians[w + 1].
+    w = np.flatnonzero(np.diff(runs) >= 3)
+    first = inside[runs[w]]
+    last = inside[runs[w + 1] - 1]
+    # The first delay at each window's minimum, as `min` and `list.index` find it.
+    j = np.empty(w.size, dtype=np.intp)
+    for places, idx in _by_length(first, last + 1 - first):
+        j[places] = idx[np.arange(places.size), np.argmin(c[idx], axis=1)]
+    low = c[j]
+
+    # The mean of the flanking plateaus that hold delays, else the global plateau.
+    before, after = medians[w], medians[w + 1]
+    c_max = np.where(np.isnan(before), after, (before + after) / 2.0)
+    c_max = np.where(np.isnan(after), before, c_max)
+    c_max = np.where(np.isnan(c_max), global_plateau, c_max)
+    # Reject window-edge minima: a revival must be an interior dip.
+    kept = np.flatnonzero((low < c[first]) & (low < c[last]) & (c_max > 0.0))
+    vis = np.clip((c_max[kept] - low[kept]) / c_max[kept], 0.0, 1.0)
+    found = vis >= REVIVAL_VISIBILITY_FLOOR
+    kept, vis = kept[found], vis[found]
+    rows = zip((w[kept] + n_lo).tolist(), delays[j[kept]].tolist(), vis.tolist())
+    return [RevivalRecord(n=n, center_ps=center, visibility=v) for n, center, v in rows]
+
+
+def _quantile(values: np.ndarray, q: float) -> float:
+    """`np.quantile(values, q)` of floats, none of them nan, bit for bit, from one sort.
+
+    numpy's default method interpolates linearly at index ``(n - 1) q``,
+    from the upper neighbour when the fraction is at least a half.
+    """
+    s = np.sort(values)
+    index = (s.size - 1) * q
+    below = math.floor(index)
+    t = index - below
+    a, b = s[below], s[min(below + 1, s.size - 1)]
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
 
 
 def central_dip_width(trace: HomTrace, threshold: float = 0.01) -> float:
@@ -286,7 +333,7 @@ def central_dip_width(trace: HomTrace, threshold: float = 0.01) -> float:
     c = trace.coincidence
     # Plateau level; traces from the simulator are already normalized to 1
     # away from dips, the quantile keeps user-supplied traces honest.
-    plateau = float(np.quantile(c, 0.95))
+    plateau = _quantile(c, 0.95)
     if plateau <= 0.0:
         raise ValueError("central_dip_width: trace has no plateau")
     vis = 1.0 - c / plateau
@@ -294,19 +341,19 @@ def central_dip_width(trace: HomTrace, threshold: float = 0.01) -> float:
     i0 = int(np.argmin(np.abs(delays)))
     if vis[i0] <= threshold:
         raise ValueError("central_dip_width: no dip at zero delay above threshold")
+    # The first sample below threshold on each side of zero delay, and the
+    # sample before it, walking outward.
+    below = np.flatnonzero(vis < threshold)
+    side = int(np.searchsorted(below, i0))
+    if side == 0 or side == below.size:
+        raise ValueError("central_dip_width: dip not resolved within the trace")
 
-    def crossing(direction: int) -> float:
-        j = i0
-        while 0 <= j + direction < delays.size and vis[j + direction] >= threshold:
-            j += direction
-        if not (0 <= j + direction < delays.size):
-            raise ValueError("central_dip_width: dip not resolved within the trace")
-        a, b = j, j + direction
+    def crossing(a: int, b: int) -> float:
         frac = (vis[a] - threshold) / (vis[a] - vis[b])
         return float(delays[a] + frac * (delays[b] - delays[a]))
 
-    right = crossing(+1)
-    left = crossing(-1)
+    right = crossing(int(below[side]) - 1, int(below[side]))
+    left = crossing(int(below[side - 1]) + 1, int(below[side - 1]))
     inside = np.nonzero((delays > left) & (delays < right))[0]
     if inside.size < 20:
         raise ValueError(

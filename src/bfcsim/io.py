@@ -61,16 +61,33 @@ def _repr_cells(floats: list[np.ndarray], n_rows: int):
     return iter(texts[inverse].reshape(len(floats), n_rows).tolist())
 
 
+def _float_rows(cells: np.ndarray, n_cols: int) -> np.ndarray:
+    """CSV rows of float64 cells laid out row by row, from one `orjson.dumps`.
+
+    The text of the cells is ``[v,v,...,v]``: every n_cols-th comma ends a
+    row, and so does the closing bracket.  The bytes are returned as a view,
+    without the bracket that opened them.
+    """
+    text = np.frombuffer(
+        bytearray(orjson.dumps(cells, option=orjson.OPT_SERIALIZE_NUMPY)), dtype=np.uint8
+    )
+    commas = np.flatnonzero(text == ord(","))
+    text[commas[n_cols - 1 :: n_cols]] = ord("\n")
+    text[-1] = ord("\n")
+    return text[1:]
+
+
 def export_csv(path, header: list[str], columns) -> None:
     """Write equal-length 1-D columns as CSV under a header line.
 
     Integer columns are written with `str`, float columns as float64 in the
     shortest form that reads back exactly, spelled as `repr` spells it.  A
     table of only integer and float columns whose floats all have orjson's
-    text (the `_AS_IS` bands) is written by one `orjson.dumps` of its rows;
-    any other table formats each distinct float bit pattern once.  Header
-    cells are written as they are and must not need quoting.  Columns of
-    unequal length raise `ValueError`.
+    text (the `_AS_IS` bands) is written by one `orjson.dumps`: of the float
+    array laid out row by row if every column is float, else of its rows as
+    lists.  Any other table formats each distinct float bit pattern once.
+    Header cells are written as they are and must not need quoting.  Columns
+    of unequal length raise `ValueError`.
     """
     path = Path(path)
     columns = [np.asarray(c) for c in columns]
@@ -84,8 +101,12 @@ def export_csv(path, header: list[str], columns) -> None:
         and all(c.dtype.kind in "iuf" for c in columns)
         and all(np.all((m < 1e-9) | ((m >= 1e-4) & (m < 1e16))) for m in map(np.abs, floats))
     ):
-        rows = orjson.dumps(list(zip(*(c.tolist() for c in columns))))[2:-2]
-        data = (",".join(header) + "\n").encode("utf-8") + rows.replace(b"],[", b"\n") + b"\n"
+        if len(floats) == len(columns):
+            rows = _float_rows(np.column_stack(floats).ravel(), len(columns))
+        else:
+            rows = orjson.dumps(list(zip(*(c.tolist() for c in columns))))[2:-2]
+            rows = rows.replace(b"],[", b"\n") + b"\n"
+        data = [(",".join(header) + "\n").encode("utf-8"), rows]
     else:
         float_cells = _repr_cells(floats, n_rows) if floats else None
         cells = [
@@ -93,10 +114,10 @@ def export_csv(path, header: list[str], columns) -> None:
             for c in columns
         ]
         text = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
-        data = text.encode("utf-8")
+        data = [text.encode("utf-8")]
     try:
         with path.open("wb") as fh:
-            fh.write(data)
+            fh.writelines(data)
     except OSError as exc:
         raise RuntimeError(f"failed writing CSV {path}: {exc}") from exc
 

@@ -1,8 +1,11 @@
 """Shared fixtures: preset combs, their wide delay scans and quadrature-oracle values.
 
-Also the dense ideal JSI, `ideal_jsi`, which tests import as their reference.
+Also two references that tests import: the dense ideal JSI, `ideal_jsi`, and
+the per-window revival finder, `reference_revivals`.
 """
 
+import math
+import warnings
 from functools import cached_property
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 
 from bfcsim import DEFAULT_SOURCE, Jsi, build_comb, cavity_preset, simulate_hom_trace
 from bfcsim.config import _ZOOM_DELAYS_PS
-from bfcsim.hom import quadrature_visibility
+from bfcsim.hom import REVIVAL_VISIBILITY_FLOOR, RevivalRecord, quadrature_visibility
 
 WIDE_STEP_PS = 0.2
 WIDE_WINDOW_PS = 340.0
@@ -23,6 +26,70 @@ def ideal_jsi(comb):
     idx = np.arange(size)
     values[idx, idx[::-1]] = comb.bin_weights
     return Jsi(n_max=comb.n_max, values=values)
+
+
+def _median(values):
+    """`np.median` of a nonempty list of floats, none of them nan, bit for bit."""
+    s = sorted(values)
+    m = len(s) // 2
+    return s[m] if len(s) % 2 else (s[m - 1] + s[m]) / 2.0
+
+
+def _plateau_medians(delays, coincidence, period):
+    """Median coincidence over the middle half of each inter-dip interval that holds a delay."""
+    k_lo = int(math.floor(delays[0] / period)) - 1
+    k_hi = int(math.ceil(delays[-1] / period)) + 1
+    ks = np.arange(k_lo, k_hi + 1)
+    starts = np.searchsorted(delays, (ks + 0.25) * period, side="left").tolist()
+    stops = np.searchsorted(delays, (ks + 0.75) * period, side="right").tolist()
+    return {
+        k: _median(coincidence[start:stop].tolist())
+        for k, start, stop in zip(range(k_lo, k_hi + 1), starts, stops)
+        if stop > start
+    }
+
+
+def reference_revivals(trace):
+    """`locate_revivals` one window at a time, in Python floats."""
+    delays = trace.delays_ps
+    c = trace.coincidence
+    period = trace.revival_period_ps
+    if delays[-1] - delays[0] < period:
+        raise ValueError("locate_revivals: trace must span at least one revival period")
+    if _median(np.diff(delays).tolist()) > period / 10.0:
+        warnings.warn(
+            "locate_revivals: delay grid coarser than a tenth of the revival "
+            "period; dip centers are unreliable",
+            stacklevel=2,
+        )
+
+    medians = _plateau_medians(delays, c, period)
+    global_plateau = _median(list(medians.values())) if medians else float(c.max())
+
+    near = np.rint(delays / period)
+    inside = np.flatnonzero(np.abs(delays - near * period) <= period / 4.0)
+    n_lo = int(math.ceil(delays[0] / period))
+    n_hi = int(math.floor(delays[-1] / period))
+    runs = np.searchsorted(near[inside], np.arange(n_lo, n_hi + 2) - 0.5).tolist()
+    records = []
+    for n, first, last in zip(range(n_lo, n_hi + 1), runs, runs[1:]):
+        if last - first < 3:
+            continue
+        start = int(inside[first])
+        local = c[start : int(inside[last - 1]) + 1].tolist()
+        low = min(local)
+        j = local.index(low)
+        if not (low < local[0] and low < local[-1]):
+            continue
+        plateaus = [medians[k] for k in (n - 1, n) if k in medians]
+        c_max = sum(plateaus) / len(plateaus) if plateaus else global_plateau
+        if c_max <= 0.0:
+            continue
+        vis = min(max((c_max - low) / c_max, 0.0), 1.0)
+        if vis < REVIVAL_VISIBILITY_FLOOR:
+            continue
+        records.append(RevivalRecord(n=n, center_ps=float(delays[start + j]), visibility=vis))
+    return records
 
 
 @pytest.fixture(scope="session")

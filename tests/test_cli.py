@@ -72,6 +72,16 @@ time.sleep(600)
 """
 
 
+# A report in a fresh interpreter; prints whether numpy.ma was loaded before and after it.
+MA_PROBE = """\
+import sys
+from bfcsim.cli import main
+before = "numpy.ma" in sys.modules
+assert main(["report", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(before, "numpy.ma" in sys.modules)
+"""
+
+
 def _child_env() -> dict:
     return {**os.environ, "PYTHONPATH": str(Path(bfcsim.io.__file__).parents[1])}
 
@@ -663,3 +673,12 @@ class TestReportDeterminism:
         assert main(["report", "--config", fast_cfg_path, "--out", str(out)]) == 0
         with _locked(out):
             pass
+
+
+def test_report_does_not_import_numpy_ma(fast_cfg_path, tmp_path):
+    # numpy 1.x loads numpy.ma with numpy itself, numpy 2 only on first use; a
+    # report adds it in neither.
+    argv = [sys.executable, "-c", MA_PROBE, fast_cfg_path, str(tmp_path / "ma")]
+    done = subprocess.run(argv, env=_child_env(), capture_output=True, text=True, check=True)
+    before, after = done.stdout.split()[-2:]
+    assert after == before

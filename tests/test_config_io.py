@@ -10,6 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -690,6 +691,10 @@ def _one_edge_tables(test):
 @example([np.array([True, False]), np.array([0.5, 1.0])])  # `str` spells True, orjson true
 @example([np.array([2**70, -1]), np.array([0.5, 1.0])])  # object ints past 64 bits
 @example([np.array([0.1, 1e-5, math.nan], np.float32)])  # written as float64
+@example([np.array([0.1, 1.5, 3e-4, -0.0], np.float32), np.array([1.0, 2.0, 3.0, 1e-300])])
+@example([np.array([0.5, -0.0, 1e-300, 12345.678, 1e15 + 0.5])])  # one column
+@example([np.array([0.25]), np.array([-1e-12]), np.array([3e15])])  # one row
+@example([np.linspace(0.5, 4.0, 8)[::2], np.arange(8.0).reshape(4, 2)[:, 1] / 3.0])  # strided
 @example([np.array([0.0, -0.0, 0.0, -0.0]), np.array([-0.0, math.nan, -math.nan, 0.0])])
 @example([np.array([2**63 - 1, -(2**63), 0]), np.array([5e-324, -5e-324, math.inf])])
 @example([_EDGES])
@@ -738,9 +743,21 @@ def test_preset_traces_are_written_by_one_orjson_call(tmp_path, monkeypatch, pre
     def refuse(*args, **kwargs):
         raise AssertionError("the slow path wrote a preset's trace")
 
+    calls, dumps = [], orjson.dumps
+
+    def recording_dumps(obj, *args, **kwargs):
+        calls.append((obj, kwargs))
+        return dumps(obj, *args, **kwargs)
+
     monkeypatch.setattr(np, "unique", refuse)
-    write_artifact(tmp_path / "hom_trace.csv", trace)
-    write_artifact(tmp_path / "hom_trace_zoom.csv", zoom)
+    monkeypatch.setattr(orjson, "dumps", recording_dumps)
+    for name, value in (("hom_trace.csv", trace), ("hom_trace_zoom.csv", zoom)):
+        calls.clear()
+        write_artifact(tmp_path / name, value)
+        # One call, on the float array laid out row by row.
+        [(obj, kwargs)] = calls
+        assert isinstance(obj, np.ndarray) and obj.shape == (2 * value.delays_ps.size,)
+        assert kwargs == {"option": orjson.OPT_SERIALIZE_NUMPY}
     export_json(tmp_path / "report.json", report)
     monkeypatch.undo()
     for name, text in expected.items():

@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from bfcsim import (
     DEFAULT_SOURCE,
@@ -20,7 +20,14 @@ from bfcsim import (
     simulate_hom_trace,
     visibility_to_decay_parameter,
 )
-from bfcsim.hom import REVIVAL_VISIBILITY_FLOOR, HomTrace, RevivalRecord, _plateau_medians
+from bfcsim.hom import (
+    REVIVAL_VISIBILITY_FLOOR,
+    HomTrace,
+    RevivalRecord,
+    _plateau_medians,
+    _quantile,
+)
+from conftest import reference_revivals
 
 
 def revival_delays(cavity, n_values):
@@ -215,6 +222,13 @@ def _mask_plateau_medians(delays, coincidence, period):
     return medians
 
 
+def _held_medians(delays, coincidence, period):
+    """`_plateau_medians` over the oracle's intervals, for those that hold a delay."""
+    ks = np.arange(math.floor(delays[0] / period) - 1, math.ceil(delays[-1] / period) + 2)
+    medians = _plateau_medians(delays, coincidence, period, ks).tolist()
+    return {k: m for k, m in zip(ks.tolist(), medians) if not math.isnan(m)}
+
+
 def _mask_revival_windows(delays, period):
     n_lo = int(math.ceil(delays[0] / period))
     n_hi = int(math.floor(delays[-1] / period))
@@ -268,7 +282,7 @@ class TestRevivalWindowsMatchMaskOracle:
 
     def _check(self, trace):
         delays, c, period = trace.delays_ps, trace.coincidence, trace.revival_period_ps
-        assert _plateau_medians(delays, c, period) == _mask_plateau_medians(delays, c, period)
+        assert _held_medians(delays, c, period) == _mask_plateau_medians(delays, c, period)
         expected = _mask_locate_revivals(trace)
         assert expected
         assert locate_revivals(trace) == expected
@@ -342,8 +356,105 @@ def test_revivals_match_the_np_median_oracle(trace):
         warnings.simplefilter("ignore", UserWarning)  # the coarse-grid warning
         records = locate_revivals(trace)
     delays, c, period = trace.delays_ps, trace.coincidence, trace.revival_period_ps
-    assert _plateau_medians(delays, c, period) == _mask_plateau_medians(delays, c, period)
+    assert _held_medians(delays, c, period) == _mask_plateau_medians(delays, c, period)
     assert records == _mask_locate_revivals(trace)
+
+
+@st.composite
+def _sweep_traces(draw):
+    """Closed-form traces on the two grid shapes of perfbench's hom_sweep.
+
+    Uniform grids take 3 to 80 delays a period, so windows hold odd and even
+    counts down to 3 and the coarsest grids draw the coarse-grid warning.
+    Non-uniform grids put 2 to 40 dense delays around each dip and 0 to 12
+    coarse ones between, so a plateau interval may hold no delay.  Delays may
+    be thinned at random, noise added, and the rate rounded so minima tie.
+    """
+    comb = _preset_comb(draw(st.sampled_from(["45ghz", "15ghz", "5ghz"])))
+    period = 0.5 * comb.round_trip_ps
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        n = int((2 * k + 1) * draw(st.floats(3.0, 80.0))) + 1
+        half = (k + 0.5) * period
+        delays = -half + (2.0 * half / (n - 1)) * np.arange(n)
+    else:
+        h = period * draw(st.floats(0.02, 0.3))
+        n_dense = draw(st.integers(2, 40))
+        coarse = draw(st.integers(0, 12))
+        gap = np.arange(1, coarse + 1) / (coarse + 1)
+        pieces = []
+        for j in range(-k, k + 1):
+            pieces.append(j * period + np.linspace(-h, h, n_dense))
+            if j < k:
+                pieces.append(j * period + h + (period - 2.0 * h) * gap)
+        delays = np.concatenate(pieces)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    delays = np.unique(delays + period * draw(st.floats(-0.5, 0.5)))
+    delays = delays[rng.random(delays.size) < draw(st.sampled_from([1.0, 0.9, 0.5]))]
+    assume(delays.size > 1 and delays[-1] - delays[0] >= period)
+    c = simulate_hom_trace(comb, delays).coincidence
+    c = c + draw(st.sampled_from([0.0, 1e-4, 1e-2])) * rng.standard_normal(c.size)
+    quantum = draw(st.sampled_from([0.0, 1e-3, 5e-2]))
+    if quantum:
+        c = np.round(c / quantum) * quantum
+    return HomTrace(delays_ps=delays, coincidence=np.clip(c, 0.0, 1.0), comb=comb)
+
+
+def _sparse_trace(per_dip, half_width):
+    """The 45ghz trace at `per_dip` delays within `half_width` periods of each dip."""
+    comb = _preset_comb("45ghz")
+    period = 0.5 * comb.round_trip_ps
+    offsets = np.linspace(-half_width, half_width, per_dip) * period
+    return simulate_hom_trace(comb, np.concatenate([n * period + offsets for n in range(-3, 4)]))
+
+
+def _far_plateaus():
+    """Dips whose flanking intervals hold no delay, with plateaus elsewhere."""
+    comb = _preset_comb("45ghz")
+    period = 0.5 * comb.round_trip_ps
+    dips = [n * period + np.linspace(-0.1, 0.1, 9) * period for n in range(-3, 4)]
+    plateaus = np.array([1.4, 1.5, 1.6, 2.45, 2.55]) * period
+    delays = np.sort(np.concatenate(dips + [plateaus]))
+    c = simulate_hom_trace(comb, delays).coincidence.copy()
+    c[np.isin(delays, plateaus)] = [0.97, 0.99, 0.98, 1.0, 0.98]
+    return HomTrace(delays_ps=delays, coincidence=c, comb=comb)
+
+
+def _record_bits(records):
+    """Each record's n, with its type, and the bits of its two floats."""
+    floats = np.array([[r.center_ps, r.visibility] for r in records], dtype=float)
+    return [(type(r.n), r.n) for r in records], floats.view(np.uint64).tolist()
+
+
+@given(_sweep_traces())
+@example(_sparse_trace(3, 0.2))  # 3-sample windows, no plateau delay, coarse
+@example(_sparse_trace(8, 0.1))  # even windows, no plateau delay
+@example(_far_plateaus())  # the median of the other plateaus, not the maximum
+@example(
+    HomTrace(
+        delays_ps=np.arange(-30.0, 30.0, 0.5),
+        coincidence=np.tile([1.0, 0.5, 0.5, 1.0], 30),  # every window minimum is tied
+        comb=_preset_comb("45ghz"),
+    )
+)
+def test_revivals_match_the_per_window_reference(trace):
+    found = []
+    for locate in (locate_revivals, reference_revivals):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            records = locate(trace)
+        found.append((_record_bits(records), [str(w.message) for w in caught]))
+    assert found[0] == found[1]
+
+
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False, width=32), min_size=1, max_size=40),
+    st.sampled_from([0.95, 0.5, 0.0, 1.0]) | st.floats(0.0, 1.0),
+)
+def test_one_sort_quantile_is_np_quantile(values, q):
+    # Equal values may trade places in either sort, which can flip a zero's sign only.
+    values = np.array(values)
+    assert _quantile(values, q) == float(np.quantile(values, q))
 
 
 class TestCentralDipWidth:

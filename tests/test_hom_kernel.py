@@ -192,6 +192,25 @@ class TestKernelIdentities:
         c = simulate_hom_trace(comb, delays).coincidence
         assert np.max(np.abs(c - expected)) <= 1e-15
 
+    def test_trailing_zero_weights_are_dropped_bit_for_bit(self, cavity_5):
+        # A gaussian envelope of 245 GHz underflows to 0 past about 800 bins of 5 GHz.
+        with pytest.warns(UserWarning, match="greatly exceeds"):
+            comb = build_comb(cavity_5, SourceSpec(envelope_shape="gaussian"), n_max=1200)
+        n = comb.n_max
+        c = comb.bin_weights[n:] + comb.bin_weights[n::-1]
+        c[0] *= 0.5
+        c /= c.sum()
+        assert np.count_nonzero(c == 0.0) > 100 and c[-1] == 0.0
+        tau = np.linspace(0.0, 0.5 * comb.round_trip_ps, 201) * 1e-12
+        x = np.cos(2.0 * comb.fsr_rad_s * tau)
+        # Clenshaw's recurrence over every folded weight, the zeros too.
+        b1 = b2 = np.zeros_like(x)
+        for c_m in c[:0:-1]:
+            b1, b2 = c_m + 2.0 * x * b1 - b2, b1
+        untrimmed = c[0] + x * b1 - b2
+        trimmed = hom._comb_factor(comb, tau)
+        assert np.array_equal(trimmed.view(np.uint64), untrimmed.view(np.uint64))
+
     def test_recurrence_error_within_n_max_squared_eps(self, cavity_5):
         # Flat weights are the hardest case: no tail decays, and Clenshaw's
         # rounding grows as n_max**2 * eps near cos(2 Omega tau) = +-1
