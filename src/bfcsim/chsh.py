@@ -73,11 +73,28 @@ def violation_sigmas(s_value: float, s_sigma: float) -> float:
 
 
 def _angle_pairs(angles, caller: str):
-    """The four (phi1, phi2) settings of a CHSH test, in the order `_chsh_result` combines."""
+    """The four (phi1, phi2) settings of a CHSH test, in the order `_chsh_result` combines.
+
+    Every angle must be finite, and so must the phase ``2(phi1 + phi2)`` of
+    every setting counted, with each arm also at +90 degrees as in
+    `simulate_chsh_counts`.
+    """
     if len(angles) != 4:
         raise ValueError(f"{caller}: angles must be (phi1, phi1', phi2, phi2')")
     phi1, phi1p, phi2, phi2p = angles
-    return ((phi1, phi2), (phi1, phi2p), (phi1p, phi2), (phi1p, phi2p))
+    pairs = ((phi1, phi2), (phi1, phi2p), (phi1p, phi2), (phi1p, phi2p))
+    # A non-finite angle makes some phase non-finite too.
+    phases = [
+        2.0 * (p + q)
+        for a, b in pairs
+        for p, q in ((a, b), (a, b + 90.0), (a + 90.0, b), (a + 90.0, b + 90.0))
+    ]
+    if not all(map(math.isfinite, phases)):
+        raise ValueError(
+            f"{caller}: angles must be finite, and so must each setting's phase "
+            f"2(phi1 + phi2); got {tuple(map(float, angles))}"
+        )
+    return pairs
 
 
 def _chsh_result(e_values, errors) -> dict:

@@ -32,7 +32,7 @@ from .comb import CavitySpec, SourceSpec, cavity_preset, default_n_max
 from .jsi import FILTER_SHAPES, floor_fraction
 
 TOOL_VERSION = "0.1.0"
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 # Largest HOM delay grid a config may ask for, 2 * window_ps / step_ps + 1
 # delays; the default grid has 3,401.
@@ -41,6 +41,10 @@ MAX_HOM_DELAYS = 1_000_000
 # The `hom` stage's fine scan of the central dip: +/- 12 ps by 0.02 ps, 1,201 delays.
 _ZOOM_DELAYS_PS = np.arange(-12.0, 12.0 + 0.01, 0.02)
 _ZOOM_DELAYS_PS.setflags(write=False)
+
+# Largest `[chsh] integration`.  Each Poisson mean is integration times a fringe
+# rate of at most 1, and numpy's sampler rejects a mean above about 9.22e18.
+MAX_CHSH_INTEGRATION = 1e18
 
 # Largest HOM kernel cost a config may ask for: wide plus zoom delays times the
 # n_max + 1 terms of the comb factor.  5ghz at the delay cap is 1.47e8.
@@ -159,6 +163,11 @@ class ChshConfig:
 
     def __post_init__(self) -> None:
         _check(self, "chsh")
+        if self.integration > MAX_CHSH_INTEGRATION:
+            raise ConfigError(
+                f"[chsh] integration must be <= {MAX_CHSH_INTEGRATION:g}, "
+                f"got {self.integration!r}"
+            )
 
 
 @dataclass(frozen=True)

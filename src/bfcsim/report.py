@@ -288,7 +288,6 @@ def run_report(config: RunConfig) -> dict:
         "revival_spacing_ps": _revival_spacing(revivals),
         "central_dip_width_ps": dip_width,
         "central_visibility": central.visibility if central else math.nan,
-        "visibility_table": [[r.n, r.center_ps, r.visibility] for r in revivals],
         "k_time_theory": time_theory.k_number,
         "k_time_fitted": time_fitted.k_number,
         "k_freq_ideal": freq_ideal.k_number,

@@ -1,6 +1,7 @@
 """Bell-test module: fringe law, Poisson counts, correlations, S parameter, noise."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from bfcsim import (
     violation_sigmas,
 )
 from bfcsim.chsh import S_QUANTUM_MAX, fringe_rate
+from bfcsim.config import MAX_CHSH_INTEGRATION
 
 ANGLES = np.arange(0.0, 360.0, 10.0)
 
@@ -50,6 +52,14 @@ class TestSimulateFringeScan:
     def test_rejects_nonpositive_integration(self):
         with pytest.raises(ValueError):
             simulate_fringe_scan(0.0, ANGLES, 0.5, 0.0, seed=1)
+
+    def test_largest_accepted_integration_samples(self):
+        # The config's bound leaves every Poisson mean inside numpy's range,
+        # at the fringe maximum of visibility 1 too.
+        scan = simulate_fringe_scan(50.0, ANGLES, 1.0, MAX_CHSH_INTEGRATION, seed=1)
+        assert scan.counts.max() == pytest.approx(MAX_CHSH_INTEGRATION, rel=1e-6)
+        result = simulate_chsh_counts(1.0, MAX_CHSH_INTEGRATION, seed=1)
+        assert result["s_value"] == pytest.approx(S_QUANTUM_MAX, rel=1e-6)
 
 
 class TestSimulatedCorrelations:
@@ -122,6 +132,35 @@ class TestSimulatedChsh:
     def test_noise_past_tsirelson_is_a_result(self, seed):
         result = simulate_chsh_counts(1.0, 1e4, seed)
         assert result["s_value"] > S_QUANTUM_MAX + 3.0 * result["s_sigma"]
+
+
+class TestAnglesMustBeFinite:
+    # Both CHSH functions take their settings from `_angle_pairs`, the one check.
+    @pytest.mark.parametrize(
+        ("angles", "named"),
+        [
+            ((math.nan, 0.0, 0.0, 0.0), "(nan, 0.0, 0.0, 0.0)"),
+            ((0.0, 0.0, -math.inf, 0.0), "(0.0, 0.0, -inf, 0.0)"),
+            ((1e308, 1e308, 0.0, 0.0), "(1e+308, 1e+308, 0.0, 0.0)"),
+            ((-1e308, 0.0, -1e308, 0.0), "(-1e+308, 0.0, -1e+308, 0.0)"),
+        ],
+    )
+    @pytest.mark.parametrize("fn", [s_chsh, simulate_chsh_counts])
+    def test_non_finite_angle_or_phase_rejected(self, fn, angles, named):
+        args = (0.9, angles) if fn is s_chsh else (0.9, 1e4, 1, angles)
+        message = (
+            f"{fn.__name__}: angles must be finite, and so must each setting's phase "
+            f"2(phi1 + phi2); got {named}"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fn(*args)
+
+    def test_largest_finite_phases_accepted(self):
+        # 2(phi1 + phi2) stays finite at half the float range, also 90 degrees on.
+        half = 0.25 * np.finfo(float).max
+        angles = (half, -half, half, -half)
+        assert 0.0 <= s_chsh(0.9, angles)["s_value"] <= S_QUANTUM_MAX
+        assert simulate_chsh_counts(0.9, 1e4, 1, angles)["s_value"] <= 4.0
 
 
 class TestTsirelsonBound:

@@ -101,6 +101,18 @@ def _snapshot(path: Path) -> dict:
     return {p.name: p.read_bytes() for p in path.iterdir()}
 
 
+def _revival_rows(path: Path) -> list:
+    """The rows of a `revivals.csv`, read back as revival records."""
+    from bfcsim.hom import RevivalRecord
+
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "n,center_ps,visibility"
+    return [
+        RevivalRecord(int(n), float(center), float(v))
+        for n, center, v in (line.split(",") for line in lines[1:])
+    ]
+
+
 @pytest.fixture()
 def fast_cfg_path(tmp_path):
     path = tmp_path / "fast.cfg"
@@ -168,6 +180,7 @@ class TestExitCodes:
                 "[chsh] fringe_visibility must be in [0, 1], got 1.0000001",
             ),
             ("[chsh] integration=0", "[chsh] integration must be > 0, got 0.0"),
+            ("[chsh] integration=1e30", "[chsh] integration must be <= 1e+18, got 1e+30"),
             ("[comb] n_max=-1", "[comb] n_max must be >= 0, got -1"),
             ("[source] bpm_ghz=1e290", "[source] bpm_ghz=1e+290 (n_max 6.62e+288)"),
         ],
@@ -194,8 +207,37 @@ class TestExitCodes:
             ),
             (["chsh", "--visibility", "nan"], "[chsh] fringe_visibility must be finite, got nan"),
             (["chsh", "--integration", "0"], "[chsh] integration must be > 0, got 0.0"),
+            (
+                ["chsh", "--integration", "1e19"],
+                "[chsh] integration must be <= 1e+18, got 1e+19",
+            ),
+            (
+                ["chsh", "--angles", "nan", "0", "0", "0"],
+                "stage 'chsh' failed: s_chsh: angles must be finite, and so must each "
+                "setting's phase 2(phi1 + phi2); got (nan, 0.0, 0.0, 0.0)",
+            ),
+            (
+                ["chsh", "--angles", "0", "inf", "0", "0"],
+                "s_chsh: angles must be finite, and so must each setting's phase "
+                "2(phi1 + phi2); got (0.0, inf, 0.0, 0.0)",
+            ),
+            (
+                ["chsh", "--angles", "1e308", "1e308", "0", "0"],
+                "s_chsh: angles must be finite, and so must each setting's phase "
+                "2(phi1 + phi2); got (1e+308, 1e+308, 0.0, 0.0)",
+            ),
         ],
-        ids=["chsh-seed", "report-seed", "visibility", "visibility-nan", "integration"],
+        ids=[
+            "chsh-seed",
+            "report-seed",
+            "visibility",
+            "visibility-nan",
+            "integration",
+            "integration-too-large",
+            "angles-nan",
+            "angles-inf",
+            "angles-phase-overflow",
+        ],
     )
     def test_bad_flag_is_exit_1_before_any_output(self, argv, message, tmp_path, capsys):
         out = tmp_path / "o"
@@ -598,7 +640,8 @@ class TestRevivalSpacing:
         out = tmp_path / "o"
         assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
-        assert all(v >= REVIVAL_VISIBILITY_FLOOR for _, _, v in report["visibility_table"])
+        rows = _revival_rows(out / "revivals.csv")
+        assert all(r.visibility >= REVIVAL_VISIBILITY_FLOOR for r in rows)
         wide_step_ps = 0.2
         half_round_trip = report["round_trip_ps"] / 2
         assert report["revival_spacing_ps"] == pytest.approx(half_round_trip, abs=wide_step_ps)
@@ -612,6 +655,27 @@ class TestRevivalSpacing:
         records = [RevivalRecord(n, c, 0.5) for n, c in zip(range(-2, 3), centers)]
         assert _revival_spacing(records) == float(np.mean(np.diff(centers)))
         assert np.isnan(_revival_spacing(records[:1]))
+
+
+class TestOneHomePerTable:
+    def test_report_json_holds_no_table(self, fast_cfg_path, tmp_path):
+        # The per-dip table is in revivals.csv alone; report.json's only lists
+        # are the [lo, hi] acceptance bands.
+        from bfcsim.report import _revival_spacing
+
+        out = tmp_path / "r"
+        assert main(["report", "--config", fast_cfg_path, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["schema_version"] == "2"
+        nested = [key for key, value in report.items() if isinstance(value, (list, dict))]
+        assert nested == ["bands"]
+        for lo, hi in report["bands"].values():
+            assert isinstance(lo, (int, float)) and isinstance(hi, (int, float)) and lo <= hi
+
+        rows = _revival_rows(out / "revivals.csv")
+        assert len(rows) == report["revival_count"]
+        assert next(r.visibility for r in rows if r.n == 0) == report["central_visibility"]
+        assert _revival_spacing(rows) == report["revival_spacing_ps"]
 
 
 class TestOneStageGraph:

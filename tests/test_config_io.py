@@ -38,7 +38,7 @@ from bfcsim.io import (
 from bfcsim.jsi import FILTER_SHAPES, Jsi
 from bfcsim.schmidt import SchmidtSpectrum, time_bin_eigenvalues
 
-HASH_45GHZ = "d9d805a31ddd2f8378d787e7fcd0961ad98798e1bf557970866df38510a37b03"
+HASH_45GHZ = "a0a96271669117e926544023d3b1c606d46dd6c1139a4bf67cc61604c4f72cea"
 
 
 class TestConfigParsing:
@@ -267,10 +267,10 @@ class TestConfigParsing:
     def test_hash_digests_pinned(self):
         assert preset_config("45ghz").config_hash() == HASH_45GHZ
         assert preset_config("15ghz").config_hash() == (
-            "f4508154523d75a2e29f3cfad7e7a0a794ec940efea4bf4f183b07ccabf57a83"
+            "ee7105f31ab4f684fcfee22f17c2ff32328912d76e11efb68e0cca7294f74f35"
         )
         assert preset_config("5ghz").config_hash() == (
-            "a2b59edeb9f702a27dc38e2916f4955e4804a94b921a0b8b48c89be26b196784"
+            "795914019124290c02f3e9e824f1145680104ad52267ef6bcc15e155c931edc5"
         )
         sample = Path(__file__).resolve().parents[1] / "docs" / "sample.cfg"
         assert load_config(str(sample)).config_hash() == HASH_45GHZ
