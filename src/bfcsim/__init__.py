@@ -19,7 +19,6 @@ from .comb import (
 )
 from .hom import (
     HomTrace,
-    RevivalRecord,
     central_dip_width,
     dip_visibility_closed_form,
     locate_revivals,
@@ -45,7 +44,6 @@ from .schmidt import (
 )
 from .chsh import (
     DEFAULT_ANGLES_DEG,
-    FringeScan,
     s_chsh,
     s_fringe_from_visibility,
     simulate_chsh_counts,

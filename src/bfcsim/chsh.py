@@ -12,7 +12,6 @@ error, giving the violation significance ``(S - 2) / sigma_S``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,16 +19,6 @@ import numpy as np
 DEFAULT_ANGLES_DEG = (45.0, 90.0, 112.5, 157.5)
 
 S_QUANTUM_MAX = 2.0 * math.sqrt(2.0)
-
-
-@dataclass(frozen=True, eq=False)
-class FringeScan:
-    """Coincidence counts versus the scanned polarizer angle; both arrays are read-only."""
-
-    fixed_angle_deg: float
-    scan_angles_deg: np.ndarray
-    counts: np.ndarray
-
 
 
 def fringe_rate(phi1_deg: float, phi2_deg: float, visibility: float) -> float:
@@ -53,14 +42,18 @@ def simulate_fringe_scan(
     visibility: float,
     integration: float,
     seed: int,
-) -> FringeScan:
-    """Poisson-sampled fringe scan; `integration` sets the full-fringe mean count."""
+) -> np.recarray:
+    """Poisson-sampled fringe scan; `integration` sets the full-fringe mean count.
+
+    The scan is a read-only record array with the fields of a fringe CSV:
+    ``phi2_deg``, the scanned angle, and ``counts``.
+    """
     angles = np.array(scan_angles_deg, dtype=float)
     settings = [(fixed_deg, a) for a in angles]
     counts = _poisson_counts(settings, visibility, integration, np.random.default_rng(seed))
-    angles.setflags(write=False)
-    counts.setflags(write=False)
-    return FringeScan(fixed_angle_deg=fixed_deg, scan_angles_deg=angles, counts=counts)
+    scan = np.rec.fromarrays([angles, counts], dtype=[("phi2_deg", float), ("counts", np.int64)])
+    scan.flags.writeable = False
+    return scan
 
 
 def violation_sigmas(s_value: float, s_sigma: float) -> float:

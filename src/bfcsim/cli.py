@@ -99,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> RunConfig:
-    out = args.out or os.environ.get("BFCSIM_OUT")
+    # An empty $BFCSIM_OUT counts as unset; an empty --out is rejected as a config's is.
+    out = args.out if args.out is not None else (os.environ.get("BFCSIM_OUT") or None)
     if args.config:
         cfg = load_config(args.config, output_dir=out)
     else:
@@ -170,10 +171,8 @@ def _cmd_chsh(cfg: RunConfig, args) -> None:
         "s_fringe": s_fringe,
         **result,
     }
-    write_stage(
-        cfg.output_dir,
-        {**{f"fringe_p1_{int(f.fixed_angle_deg)}.csv": f for f in fringes}, "chsh.json": summary},
-    )
+    files = {f"fringe_p1_{fixed:g}.csv": scan for fixed, scan in fringes.items()}
+    write_stage(cfg.output_dir, {**files, "chsh.json": summary})
     print(
         f"S = {result['s_value']:.4f} +/- {result['s_sigma']:.4f} "
         f"({result['violation_sigmas']:.1f} sigma above the classical bound)"

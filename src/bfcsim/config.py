@@ -90,7 +90,7 @@ _FIELDS = {
         "integration": ("integration", 1.0, "> 0"),
         "seed": ("seed", int, ">= 0"),
     },
-    "output": {"dir": ("output_dir", str, None)},
+    "output": {"dir": ("output_dir", str, "nonempty")},
 }
 
 _RULES = {
@@ -98,6 +98,7 @@ _RULES = {
     ">= 0": lambda v: v >= 0,
     "in [0, 1)": lambda v: 0 <= v < 1,
     "in [0, 1]": lambda v: 0 <= v <= 1,
+    "nonempty": bool,
 }
 
 
@@ -190,6 +191,7 @@ class RunConfig:
                 f"{n_wide:.4g} delays; at most {MAX_HOM_DELAYS} are allowed"
             )
         _check(self, "comb")
+        _check(self, "output")
         # The report locates revival dips and fits the time-bin spectrum,
         # both of which need the dips at +/- one period inside the scan.
         period = 0.5 * self.cavity.round_trip_ps
@@ -342,18 +344,18 @@ def build_config(sections: dict[str, dict], output_dir: str | None = None) -> Ru
         **_JSI_PRESET_DEFAULTS.get(preset_name, {}),
         **jsi,
     }
-    run = {**_fields(sections, "comb"), **_fields(sections, "output")}
-    if output_dir:
-        run["output_dir"] = output_dir
-    return RunConfig(
+    config = RunConfig(
         cavity=cavity,
         source=source,
         hom=HomConfig(**_fields(sections, "hom")),
         jsi=JsiConfig(**jsi),
         chsh=ChshConfig(**_fields(sections, "chsh")),
         preset_name=preset_name,
-        **run,
+        **_fields(sections, "comb"),
+        **_fields(sections, "output"),
     )
+    # `output_dir` replaces the file's dir, which must pass its check all the same.
+    return config if output_dir is None else dataclasses.replace(config, output_dir=output_dir)
 
 
 def load_config(path: str, output_dir: str | None = None) -> RunConfig:

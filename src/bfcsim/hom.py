@@ -77,13 +77,6 @@ class HomTrace:
         return 0.5 * self.comb.round_trip_ps
 
 
-@dataclass(frozen=True)
-class RevivalRecord:
-    n: int
-    center_ps: float
-    visibility: float
-
-
 # The quadrature oracle samples the spectral intensity this many times per
 # cavity linewidth, out to this many bins past the outermost comb bin.
 POINTS_PER_LINEWIDTH = 32
@@ -249,13 +242,15 @@ def _plateau_medians(
     return medians
 
 
-def locate_revivals(trace: HomTrace) -> list[RevivalRecord]:
+def locate_revivals(trace: HomTrace) -> np.recarray:
     """Find revival dips near integer multiples of half the round-trip time.
 
     Each candidate window of width half a period is searched for a strict
     interior minimum; the plateau reference for the visibility is the
     median coincidence over the middle half of the flanking inter-dip
-    intervals.  Dips below `REVIVAL_VISIBILITY_FLOOR` are dropped.
+    intervals.  Dips below `REVIVAL_VISIBILITY_FLOOR` are dropped.  The
+    dips are the rows of a read-only record array with the fields of
+    ``revivals.csv``: ``n``, ``center_ps`` and ``visibility``.
     """
     delays = trace.delays_ps
     c = trace.coincidence
@@ -302,8 +297,12 @@ def locate_revivals(trace: HomTrace) -> list[RevivalRecord]:
     vis = np.clip((c_max[kept] - low[kept]) / c_max[kept], 0.0, 1.0)
     found = vis >= REVIVAL_VISIBILITY_FLOOR
     kept, vis = kept[found], vis[found]
-    rows = zip((w[kept] + n_lo).tolist(), delays[j[kept]].tolist(), vis.tolist())
-    return [RevivalRecord(n=n, center_ps=center, visibility=v) for n, center, v in rows]
+    revivals = np.rec.fromarrays(
+        [w[kept] + n_lo, delays[j[kept]], vis],
+        dtype=[("n", np.int64), ("center_ps", float), ("visibility", float)],
+    )
+    revivals.flags.writeable = False
+    return revivals
 
 
 def _quantile(values: np.ndarray, q: float) -> float:

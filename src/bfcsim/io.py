@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from .chsh import FringeScan
 from .hom import HomTrace
 from .jsi import Jsi
 from .schmidt import SchmidtSpectrum
@@ -230,18 +229,22 @@ def visibilities_from_csv(path) -> list[tuple[int, float]]:
         raise ValueError(f"{path}: every row must have the header's {width} cells")
     points, seen = [], set()
     for r in rows[1:]:
-        n = int(r[0])
+        try:
+            n, v = int(r[0]), float(r[1])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         if n in seen:
             raise ValueError(f"{path}: n={n} is on more than one row")
         seen.add(n)
-        points.append((n, float(r[1])))
+        points.append((n, v))
     return points
 
 
 def write_artifact(path, value) -> None:
     """Write one artifact in the layout of its type (see docs/formats.md).
 
-    A dict is written as JSON and a str as text; a list holds revival records.
+    A dict is written as JSON and a str as text; a record array is written
+    with its field names as the header.
     """
     if isinstance(value, dict):
         export_json(path, value)
@@ -256,8 +259,6 @@ def write_artifact(path, value) -> None:
     elif isinstance(value, SchmidtSpectrum):
         # n is the bin label, or the rank for a decomposed matrix.
         export_csv(path, ["n", "eigenvalue"], [value.bin_indices, value.eigenvalues])
-    elif isinstance(value, FringeScan):
-        export_csv(path, ["phi2_deg", "counts"], [value.scan_angles_deg, value.counts])
     else:
-        fields = ["n", "center_ps", "visibility"]
-        export_csv(path, fields, [[getattr(r, f) for r in value] for f in fields])
+        names = list(value.dtype.names)
+        export_csv(path, names, [value[f] for f in names])

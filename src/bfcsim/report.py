@@ -26,7 +26,7 @@ from . import io as io_mod
 from .chsh import DEFAULT_ANGLES_DEG
 from .comb import CombSpectrum, build_comb
 from .config import _ZOOM_DELAYS_PS, TOOL_VERSION, SCHEMA_VERSION, RunConfig
-from .hom import HomTrace, RevivalRecord, central_dip_width, locate_revivals, simulate_hom_trace
+from .hom import HomTrace, central_dip_width, locate_revivals, simulate_hom_trace
 from .jsi import FilterSpec, Jsi, crosstalk_db, filter_bandwidth_hz, scan_correlation_matrix
 from .schmidt import (
     REFERENCE_IDEAL_K_FREQ,
@@ -102,7 +102,7 @@ def hom_stage(config: RunConfig, comb: CombSpectrum) -> tuple[HomTrace, HomTrace
 
 
 @_stage("revivals")
-def revivals_stage(trace: HomTrace) -> list[RevivalRecord]:
+def revivals_stage(trace: HomTrace) -> np.recarray:
     return locate_revivals(trace)
 
 
@@ -167,10 +167,11 @@ def freq_schmidt_stage(
 
 @_stage("chsh")
 def chsh_stage(config: RunConfig, angles=DEFAULT_ANGLES_DEG):
-    """S_fringe, analytic and simulated CHSH results, and the four fringe scans.
+    """S_fringe, analytic and simulated CHSH results, and the fringe scans by fixed angle.
 
-    The fringe scans run at ``fringe_visibility``, the CHSH values at
-    ``chsh_visibility``; fringe scan i uses seed ``seed + i``.
+    The four fringe scans fix the first polarizer at 45, 90, 135 and 180
+    degrees; they run at ``fringe_visibility``, the CHSH values at
+    ``chsh_visibility``, and fringe scan i uses seed ``seed + i``.
     """
     c = config.chsh
     s_fringe = chsh_mod.s_fringe_from_visibility(c.fringe_visibility)
@@ -179,12 +180,12 @@ def chsh_stage(config: RunConfig, angles=DEFAULT_ANGLES_DEG):
         c.chsh_visibility, c.integration, c.seed, angles=angles
     )
     scan_angles = np.arange(0.0, 360.0, 10.0)
-    fringes = [
-        chsh_mod.simulate_fringe_scan(
+    fringes = {
+        fixed: chsh_mod.simulate_fringe_scan(
             fixed, scan_angles, c.fringe_visibility, c.integration, seed=c.seed + i
         )
         for i, fixed in enumerate((45.0, 90.0, 135.0, 180.0))
-    ]
+    }
     return s_fringe, analytic, simulated, fringes
 
 
@@ -246,18 +247,18 @@ def _bands_for(preset: str) -> dict:
     return {k: list(v) for k, v in bands.items()}
 
 
-def _revival_spacing(revivals: list[RevivalRecord]) -> float:
+def _revival_spacing(revivals: np.recarray) -> float:
     """Mean dip spacing (ps) per step of n, nan for fewer than two dips.
 
     Where an index is missing (no dip found), a position step is not an n
     step, so the spacing is taken over n from the outermost dips.
     """
-    if len(revivals) < 2:
+    n, centers = revivals.n, revivals.center_ps
+    if n.size < 2:
         return math.nan
-    first, last = revivals[0], revivals[-1]
-    if last.n - first.n == len(revivals) - 1:
-        return float(np.mean(np.diff([r.center_ps for r in revivals])))
-    return (last.center_ps - first.center_ps) / (last.n - first.n)
+    if n[-1] - n[0] == n.size - 1:
+        return float(np.mean(np.diff(centers)))
+    return float((centers[-1] - centers[0]) / (n[-1] - n[0]))
 
 
 def run_report(config: RunConfig) -> dict:
@@ -267,14 +268,14 @@ def run_report(config: RunConfig) -> dict:
     trace, zoom = hom_stage(config, comb)
     revivals = revivals_stage(trace)
     dip_width = dip_width_stage(zoom)
-    points = [(r.n, r.visibility) for r in revivals]
+    points = list(zip(revivals.n.tolist(), revivals.visibility.tolist()))
     window_n, time_theory, time_fitted = time_schmidt_stage(config, points)
     scan, jsi_sidecar = jsi_stage(config, comb)
     freq_degraded, freq_ideal = freq_schmidt_stage(scan, comb)
     s_fringe, chsh_analytic, chsh_simulated, fringes = chsh_stage(config)
     dim = dimensionality_stage(config, time_theory.k_number, freq_ideal.k_number)
 
-    central = next((r for r in revivals if r.n == 0), None)
+    central = revivals.visibility[revivals.n == 0]
     report = {
         "cavity_label": cavity.label or config.preset_name or "custom",
         "fsr_ghz": cavity.fsr_hz / 1e9,
@@ -287,7 +288,7 @@ def run_report(config: RunConfig) -> dict:
         "revival_count": len(revivals),
         "revival_spacing_ps": _revival_spacing(revivals),
         "central_dip_width_ps": dip_width,
-        "central_visibility": central.visibility if central else math.nan,
+        "central_visibility": float(central[0]) if central.size else math.nan,
         "k_time_theory": time_theory.k_number,
         "k_time_fitted": time_fitted.k_number,
         "k_freq_ideal": freq_ideal.k_number,
@@ -326,7 +327,7 @@ def run_report(config: RunConfig) -> dict:
             "jsi_scan.json": jsi_sidecar,
             "schmidt_frequency_ideal.csv": freq_ideal,
             "schmidt_frequency_degraded.csv": freq_degraded,
-            **{f"chsh_fringe_p1_{int(f.fixed_angle_deg)}.csv": f for f in fringes},
+            **{f"chsh_fringe_p1_{fixed:g}.csv": scan for fixed, scan in fringes.items()},
             "chsh.json": {
                 "s_fringe": s_fringe,
                 "analytic": chsh_analytic,

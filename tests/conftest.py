@@ -1,7 +1,8 @@
 """Shared fixtures: preset combs, their wide delay scans and quadrature-oracle values.
 
-Also two references that tests import: the dense ideal JSI, `ideal_jsi`, and
-the per-window revival finder, `reference_revivals`.
+Also the references that tests import: the dense ideal JSI, `ideal_jsi`, the
+per-window revival finder, `reference_revivals`, and `revival_rows`, which
+builds the record array that `locate_revivals` returns.
 """
 
 import math
@@ -13,7 +14,7 @@ import pytest
 
 from bfcsim import DEFAULT_SOURCE, Jsi, build_comb, cavity_preset, simulate_hom_trace
 from bfcsim.config import _ZOOM_DELAYS_PS
-from bfcsim.hom import REVIVAL_VISIBILITY_FLOOR, RevivalRecord, quadrature_visibility
+from bfcsim.hom import REVIVAL_VISIBILITY_FLOOR, quadrature_visibility
 
 WIDE_STEP_PS = 0.2
 WIDE_WINDOW_PS = 340.0
@@ -47,6 +48,12 @@ def _plateau_medians(delays, coincidence, period):
         for k, start, stop in zip(range(k_lo, k_hi + 1), starts, stops)
         if stop > start
     }
+
+
+def revival_rows(rows):
+    """(n, center_ps, visibility) tuples as a record array of `locate_revivals`' fields."""
+    dtype = [("n", np.int64), ("center_ps", np.float64), ("visibility", np.float64)]
+    return np.rec.fromrecords(list(rows), dtype=dtype)
 
 
 def reference_revivals(trace):
@@ -88,8 +95,8 @@ def reference_revivals(trace):
         vis = min(max((c_max - low) / c_max, 0.0), 1.0)
         if vis < REVIVAL_VISIBILITY_FLOOR:
             continue
-        records.append(RevivalRecord(n=n, center_ps=float(delays[start + j]), visibility=vis))
-    return records
+        records.append((n, float(delays[start + j]), vis))
+    return revival_rows(records)
 
 
 @pytest.fixture(scope="session")

@@ -17,6 +17,7 @@ import pytest
 import bfcsim
 import bfcsim.io
 from bfcsim.cli import build_parser, main
+from conftest import revival_rows
 
 FAST_CONFIG = """\
 [cavity] preset="45ghz"
@@ -101,16 +102,14 @@ def _snapshot(path: Path) -> dict:
     return {p.name: p.read_bytes() for p in path.iterdir()}
 
 
-def _revival_rows(path: Path) -> list:
-    """The rows of a `revivals.csv`, read back as revival records."""
-    from bfcsim.hom import RevivalRecord
-
+def _revival_rows(path: Path) -> np.recarray:
+    """The rows of a `revivals.csv`, read back as `locate_revivals` returns them."""
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "n,center_ps,visibility"
-    return [
-        RevivalRecord(int(n), float(center), float(v))
+    return revival_rows(
+        (int(n), float(center), float(v))
         for n, center, v in (line.split(",") for line in lines[1:])
-    ]
+    )
 
 
 @pytest.fixture()
@@ -183,17 +182,34 @@ class TestExitCodes:
             ("[chsh] integration=1e30", "[chsh] integration must be <= 1e+18, got 1e+30"),
             ("[comb] n_max=-1", "[comb] n_max must be >= 0, got -1"),
             ("[source] bpm_ghz=1e290", "[source] bpm_ghz=1e+290 (n_max 6.62e+288)"),
+            # Rejected although --out replaces it.
+            ('[output] dir=""', "[output] dir must be nonempty, got ''"),
         ],
     )
     def test_bad_config_is_exit_1_before_any_output(
-        self, command, line, message, tmp_path, capsys
+        self, command, line, message, tmp_path, capsys, monkeypatch
     ):
+        monkeypatch.chdir(tmp_path)
         bad = tmp_path / "bad.cfg"
         bad.write_text(f'[cavity] preset="45ghz"\n{line}\n')
         out = tmp_path / "o"
         assert main([command, "--config", str(bad), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_empty_config_dir_is_exit_1_before_any_output(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        # With no --out, an empty dir would be the working directory.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("BFCSIM_OUT", raising=False)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text('[cavity] preset="45ghz"\n[output] dir=""\n')
+        assert main([command, "--config", str(bad)]) == 1
+        assert "[output] dir must be nonempty, got ''" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
 
     # --visibility and --integration belong to chsh alone.
     @pytest.mark.parametrize(
@@ -226,6 +242,7 @@ class TestExitCodes:
                 "s_chsh: angles must be finite, and so must each setting's phase "
                 "2(phi1 + phi2); got (1e+308, 1e+308, 0.0, 0.0)",
             ),
+            *[([c, "--out", ""], "[output] dir must be nonempty, got ''") for c in COMMANDS],
         ],
         ids=[
             "chsh-seed",
@@ -237,13 +254,20 @@ class TestExitCodes:
             "angles-nan",
             "angles-inf",
             "angles-phase-overflow",
+            *[f"{command}-empty-out" for command in COMMANDS],
         ],
     )
-    def test_bad_flag_is_exit_1_before_any_output(self, argv, message, tmp_path, capsys):
+    def test_bad_flag_is_exit_1_before_any_output(
+        self, argv, message, tmp_path, capsys, monkeypatch
+    ):
+        # The --out of argv, if any, comes last and wins; an empty one would be
+        # the working directory.
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "o"
-        assert main([*argv, "--out", str(out)]) == 1
+        assert main([argv[0], "--out", str(out), *argv[1:]]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["hom", "jsi", "schmidt"])
     def test_seed_flag_only_where_something_is_random(self, command, tmp_path):
@@ -399,6 +423,15 @@ class TestSubcommands:
         assert main(["chsh", "--config", fast_cfg_path]) == 0
         assert (target / "chsh.json").exists()
 
+    def test_empty_env_var_is_unset(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("BFCSIM_OUT", "")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(FAST_CONFIG + '[output] dir="fromcfg"\n')
+        assert main(["chsh", "--config", str(cfg)]) == 0
+        assert sorted(p.name for p in (tmp_path / "fromcfg").iterdir()) == sorted(ARTIFACTS["chsh"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "fromcfg"]
+
     def test_seed_flag_changes_counts(self, fast_cfg_path, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         main(["chsh", "--config", fast_cfg_path, "--out", str(out1), "--seed", "1"])
@@ -477,6 +510,16 @@ class TestMeasuredInputFiles:
         text = "n,visibility\n1,0.99\n2,0.98\n1,0.5\n"
         assert self._run(fast_cfg_path, tmp_path, "schmidt-visibilities", text, out) == 1
         assert "input.csv: n=1 is on more than one row" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row", ["1.0,0.5", "1,abc", "1e400,0.2"])
+    def test_unreadable_cell_is_exit_1_naming_the_file(
+        self, fast_cfg_path, tmp_path, capsys, row
+    ):
+        out = tmp_path / "out"
+        text = f"n,visibility\n{row}\n2,0.98\n"
+        assert self._run(fast_cfg_path, tmp_path, "schmidt-visibilities", text, out) == 1
+        assert f"stage 'schmidt-time' failed: {tmp_path / 'input.csv'}: " in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -622,12 +665,11 @@ class TestWriteStage:
 class TestRevivalSpacing:
     def test_spacing_counts_n_steps_across_missing_dips(self):
         # A window whose minimum falls on its edge has no dip, so n skips values.
-        from bfcsim.hom import RevivalRecord
         from bfcsim.report import _revival_spacing
 
         ns = [-3, -1, 0, 2, 3]
         centers = [-33.1, -11.03, 0.0, 22.05, 33.08]
-        records = [RevivalRecord(n, c, 0.5) for n, c in zip(ns, centers)]
+        records = revival_rows((n, c, 0.5) for n, c in zip(ns, centers))
         assert ns[-1] - ns[0] > len(ns) - 1
         assert _revival_spacing(records) == pytest.approx(11.03, abs=0.05)
 
@@ -648,11 +690,10 @@ class TestRevivalSpacing:
         assert report["k_time_fitted"] == pytest.approx(report["k_time_theory"], rel=0.01)
 
     def test_contiguous_n_keeps_the_mean_of_differences(self):
-        from bfcsim.hom import RevivalRecord
         from bfcsim.report import _revival_spacing
 
         centers = [-22.1, -11.03, 0.0, 11.07, 22.05]
-        records = [RevivalRecord(n, c, 0.5) for n, c in zip(range(-2, 3), centers)]
+        records = revival_rows((n, c, 0.5) for n, c in zip(range(-2, 3), centers))
         assert _revival_spacing(records) == float(np.mean(np.diff(centers)))
         assert np.isnan(_revival_spacing(records[:1]))
 
@@ -676,6 +717,35 @@ class TestOneHomePerTable:
         assert len(rows) == report["revival_count"]
         assert next(r.visibility for r in rows if r.n == 0) == report["central_visibility"]
         assert _revival_spacing(rows) == report["revival_spacing_ps"]
+
+
+class TestRowResults:
+    def test_read_only_record_arrays_named_by_their_csv_headers(self, fast_cfg_path, tmp_path):
+        # A result that is only rows is a record array whose fields are its CSV header.
+        from bfcsim.report import comb_stage, hom_stage
+
+        cfg = bfcsim.load_config(fast_cfg_path)
+        revivals = bfcsim.locate_revivals(hom_stage(cfg, comb_stage(cfg))[0])
+        scan = bfcsim.simulate_fringe_scan(45.0, [0.0, 10.0], 0.9, 100.0, seed=1)
+        out = tmp_path / "o"
+        assert main(["hom", "--config", fast_cfg_path, "--out", str(out)]) == 0
+        assert main(["chsh", "--config", fast_cfg_path, "--out", str(out)]) == 0
+
+        def header(name):
+            return tuple((out / name).read_text().split("\n", 1)[0].split(","))
+
+        assert revivals.dtype.names == header("revivals.csv") == ("n", "center_ps", "visibility")
+        for name in FRINGES:
+            assert scan.dtype.names == header(name) == ("phi2_deg", "counts")
+        for rows in (revivals, scan):
+            assert isinstance(rows, np.recarray) and rows.size
+            for field in rows.dtype.names:
+                with pytest.raises(ValueError, match="read-only"):
+                    rows[field][0] = 0
+                with pytest.raises(ValueError, match="read-only"):
+                    setattr(rows, field, 0)
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0] = rows[-1]
 
 
 class TestOneStageGraph:

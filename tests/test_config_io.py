@@ -15,7 +15,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bfcsim import ConfigError, load_config, preset_config
-from bfcsim.chsh import FringeScan
 from bfcsim.comb import ENVELOPE_SHAPES
 from bfcsim.config import (
     _FIELDS,
@@ -27,7 +26,7 @@ from bfcsim.config import (
     build_config,
     parse_config_text,
 )
-from bfcsim.hom import TRUNCATION_OVERSHOOT_TOL, HomTrace, RevivalRecord
+from bfcsim.hom import TRUNCATION_OVERSHOOT_TOL, HomTrace
 from bfcsim.io import (
     export_csv,
     export_json,
@@ -37,6 +36,7 @@ from bfcsim.io import (
 )
 from bfcsim.jsi import FILTER_SHAPES, Jsi
 from bfcsim.schmidt import SchmidtSpectrum, time_bin_eigenvalues
+from conftest import revival_rows
 
 HASH_45GHZ = "a0a96271669117e926544023d3b1c606d46dd6c1139a4bf67cc61604c4f72cea"
 
@@ -398,6 +398,14 @@ class TestRoundTrips:
         path = tmp_path / "v.csv"
         path.write_text("n,visibility\n1,0.99\n2,0.97\n")
         assert visibilities_from_csv(path) == [(1, 0.99), (2, 0.97)]
+        for row, error in [
+            ("1.0,0.5", "invalid literal for int"),
+            ("1,abc", "could not convert string to float"),
+            ("1e400,0.2", "invalid literal for int"),
+        ]:
+            path.write_text(f"n,visibility\n{row}\n2,0.97\n")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {error}"):
+                visibilities_from_csv(path)
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
@@ -481,16 +489,27 @@ class TestCsvBytes:
 
         scan = simulate_fringe_scan(45.0, np.arange(0.0, 360.0, 10.0), 0.95, 2000.0, seed=7)
         assert scan.counts.dtype == np.int64
-        rows = zip(scan.scan_angles_deg, scan.counts)
+        rows = zip(scan.phi2_deg, scan.counts)
         self._check(tmp_path, scan, ["phi2_deg", "counts"], rows)
 
     def test_revival_records(self, tmp_path, trace_45):
         from bfcsim import locate_revivals
-        from bfcsim.hom import RevivalRecord
 
-        records = locate_revivals(trace_45) + [RevivalRecord(-3, -0.0, 5e-324)]
+        records = revival_rows([*locate_revivals(trace_45).tolist(), (-3, -0.0, 5e-324)])
         rows = ((r.n, r.center_ps, r.visibility) for r in records)
         self._check(tmp_path, records, ["n", "center_ps", "visibility"], rows)
+
+    def test_any_record_array_by_its_field_names(self, tmp_path):
+        ids = np.array([-(2**63), 0, 7, 2**63 - 1], np.int64)
+        weights = np.array([-0.0, 5e-324, 1.0 / 3.0, -1e300])
+        rows = np.rec.fromarrays([ids, weights], names="id,weight")
+        self._check(tmp_path, rows, ["id", "weight"], zip(ids, weights))
+        lines = (tmp_path / "a.csv").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "id,weight"
+        read = [line.split(",") for line in lines[1:]]
+        assert [int(i) for i, _ in read] == ids.tolist()
+        bits = np.array([float(w) for _, w in read]).view(np.uint64)
+        assert bits.tolist() == weights.view(np.uint64).tolist()
 
 
 _CELLS = st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False)
@@ -802,7 +821,7 @@ def _fringe_scans(draw):
     size = draw(st.integers(0, 12))
     angles = np.array(draw(st.lists(_ROW_FLOATS, min_size=size, max_size=size)), float)
     counts = draw(st.lists(st.integers(0, 2**63 - 1), min_size=size, max_size=size))
-    scan = FringeScan(45.0, angles, np.array(counts, np.int64))
+    scan = np.rec.fromarrays([angles, np.array(counts, np.int64)], names="phi2_deg,counts")
     return scan, [("phi2_deg", float, angles), ("counts", int, scan.counts)]
 
 
@@ -811,7 +830,7 @@ def _revival_records(draw):
     rows = draw(st.lists(st.tuples(_INT64, _ROW_FLOATS, _ROW_FLOATS), max_size=12))
     n, centers, visibilities = zip(*rows) if rows else ((), (), ())
     columns = [("n", int, n), ("center_ps", float, centers), ("visibility", float, visibilities)]
-    return [RevivalRecord(*row) for row in rows], columns
+    return revival_rows(rows), columns
 
 
 def _layout(name, comb):

@@ -23,11 +23,10 @@ from bfcsim import (
 from bfcsim.hom import (
     REVIVAL_VISIBILITY_FLOOR,
     HomTrace,
-    RevivalRecord,
     _plateau_medians,
     _quantile,
 )
-from conftest import reference_revivals
+from conftest import reference_revivals, revival_rows
 
 
 def revival_delays(cavity, n_values):
@@ -257,8 +256,8 @@ def _mask_locate_revivals(trace):
         vis = min(max((c_max - float(local[j])) / c_max, 0.0), 1.0)
         if vis < REVIVAL_VISIBILITY_FLOOR:
             continue
-        records.append(RevivalRecord(n=n, center_ps=float(delays[idx[j]]), visibility=vis))
-    return records
+        records.append((n, float(delays[idx[j]]), vis))
+    return revival_rows(records)
 
 
 def _edge_grid(period, n_periods):
@@ -284,8 +283,8 @@ class TestRevivalWindowsMatchMaskOracle:
         delays, c, period = trace.delays_ps, trace.coincidence, trace.revival_period_ps
         assert _held_medians(delays, c, period) == _mask_plateau_medians(delays, c, period)
         expected = _mask_locate_revivals(trace)
-        assert expected
-        assert locate_revivals(trace) == expected
+        assert expected.size
+        assert locate_revivals(trace).tolist() == expected.tolist()
 
     @pytest.mark.parametrize("fixture", ["trace_45", "trace_15", "trace_5"])
     def test_preset_wide_traces(self, fixture, request):
@@ -357,7 +356,7 @@ def test_revivals_match_the_np_median_oracle(trace):
         records = locate_revivals(trace)
     delays, c, period = trace.delays_ps, trace.coincidence, trace.revival_period_ps
     assert _held_medians(delays, c, period) == _mask_plateau_medians(delays, c, period)
-    assert records == _mask_locate_revivals(trace)
+    assert records.tolist() == _mask_locate_revivals(trace).tolist()
 
 
 @st.composite
@@ -421,9 +420,9 @@ def _far_plateaus():
 
 
 def _record_bits(records):
-    """Each record's n, with its type, and the bits of its two floats."""
-    floats = np.array([[r.center_ps, r.visibility] for r in records], dtype=float)
-    return [(type(r.n), r.n) for r in records], floats.view(np.uint64).tolist()
+    """The type of n, each n, and the bits of each row's two floats."""
+    floats = np.column_stack([records.center_ps, records.visibility])
+    return records.n.dtype, records.n.tolist(), floats.view(np.uint64).tolist()
 
 
 @given(_sweep_traces())
