@@ -80,11 +80,9 @@ def export_csv(path, header: list[str], columns) -> None:
     """Write equal-length 1-D columns as CSV under a header line.
 
     Integer columns are written with `str`, float columns as float64 in the
-    shortest form that reads back exactly, spelled as `repr` spells it.  A
-    table of only integer and float columns whose floats all have orjson's
-    text (the `_AS_IS` bands) is written by one `orjson.dumps`: of the float
-    array laid out row by row if every column is float, else of its rows as
-    lists.  Any other table formats each distinct float bit pattern once.
+    shortest form that reads back exactly, spelled as `repr` spells it.  An
+    all-float table in orjson's `_AS_IS` bands is written by one `orjson.dumps`
+    of its cells row by row; any other table spells each distinct float once.
     Header cells are written as they are and must not need quoting.  Columns
     of unequal length raise `ValueError`.
     """
@@ -95,16 +93,11 @@ def export_csv(path, header: list[str], columns) -> None:
     if any(c.shape != (n_rows,) for c in columns):
         raise ValueError(f"{path}: CSV columns must be 1-D and of equal length")
     floats = [c for c in columns if c.dtype.kind == "f"]
-    if (
-        n_rows
-        and all(c.dtype.kind in "iuf" for c in columns)
-        and all(np.all((m < 1e-9) | ((m >= 1e-4) & (m < 1e16))) for m in map(np.abs, floats))
-    ):
-        if len(floats) == len(columns):
-            rows = _float_rows(np.column_stack(floats).ravel(), len(columns))
-        else:
-            rows = orjson.dumps(list(zip(*(c.tolist() for c in columns))))[2:-2]
-            rows = rows.replace(b"],[", b"\n") + b"\n"
+    in_band = len(floats) == len(columns) and all(
+        np.all((m < 1e-9) | ((m >= 1e-4) & (m < 1e16))) for m in map(np.abs, floats)
+    )
+    if n_rows and in_band:
+        rows = _float_rows(np.column_stack(floats).ravel(), len(columns))
         data = [(",".join(header) + "\n").encode("utf-8"), rows]
     else:
         float_cells = _repr_cells(floats, n_rows) if floats else None

@@ -118,16 +118,19 @@ def time_schmidt_stage(
     """Window-limited bin count, closed-form spectrum, and (given points) the fitted one.
 
     ``visibility_points`` is a list of ``(n, visibility)`` or the path of a
-    CSV holding them.
+    CSV holding them; the fit's errors about points read from a file name it.
     """
     window_n = window_limited_n_max(config.cavity, config.hom.window_ps)
     theory = time_bin_eigenvalues(config.cavity, window_n)
-    if isinstance(visibility_points, (str, os.PathLike)):
-        visibility_points = io_mod.visibilities_from_csv(visibility_points)
-    fitted = None
-    if visibility_points is not None:
-        fitted = time_bin_spectrum_from_visibilities(visibility_points, window_n)
-    return window_n, theory, fitted
+    if visibility_points is None:
+        return window_n, theory, None
+    if not isinstance(visibility_points, (str, os.PathLike)):
+        return window_n, theory, time_bin_spectrum_from_visibilities(visibility_points, window_n)
+    points = io_mod.visibilities_from_csv(visibility_points)
+    try:
+        return window_n, theory, time_bin_spectrum_from_visibilities(points, window_n)
+    except ValueError as exc:
+        raise ValueError(f"{visibility_points}: {exc}") from exc
 
 
 @_stage("jsi")

@@ -523,6 +523,19 @@ class TestMeasuredInputFiles:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "rows", ["1,1e400\n2,0.98\n", "1,nan\n2,0.98\n", "1,0.99\n"], ids=["inf", "nan", "one-row"]
+    )
+    def test_points_the_fit_rejects_are_exit_1_naming_the_file(
+        self, fast_cfg_path, tmp_path, capsys, rows
+    ):
+        out = tmp_path / "out"
+        text = "n,visibility\n" + rows
+        assert self._run(fast_cfg_path, tmp_path, "schmidt-visibilities", text, out) == 1
+        err = capsys.readouterr().err
+        assert f"failed: {tmp_path / 'input.csv'}: fit_decay_parameter: " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "rows", [(1, 10**160), (1, 10**400), (10**154, -(10**154))], ids=["1e160", "1e400", "sum"]
     )
     def test_n_whose_square_overflows_is_exit_1(self, fast_cfg_path, tmp_path, capsys, rows):

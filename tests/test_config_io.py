@@ -651,8 +651,10 @@ _EDGES = np.array(
 
 
 # Floats whose orjson text is repr's: 0, below 1e-9 and [1e-4, 1e16) in
-# magnitude.  A table of only these (and integers) is written by one
-# orjson.dumps; any float, raw or not, almost never draws such a table.
+# magnitude.  A table of only these is written by one orjson.dumps of its
+# cells; a table with an integer column goes through the writer that spells
+# each distinct float once, as any other table does.  Any float, raw or not,
+# almost never draws an all-float table of these.
 _IN_BAND_FLOATS = (
     st.floats(-1e-9, 1e-9, exclude_min=True, exclude_max=True)
     | st.floats(1e-4, 1e16, exclude_max=True)
@@ -692,10 +694,11 @@ _BAND_EDGES = np.array(
 
 
 def _one_edge_tables(test):
-    """Examples of an in-band table with one cell at an edge of orjson's bands.
+    """Examples of a table with an integer column and one float at an edge of orjson's bands.
 
-    The edges are 1e-9, 1e-4 and 1e16, one ulp either side of each, and all
-    of them negated; each table holds one of them.
+    The integer column sends the table through the writer that spells each
+    distinct float once.  The edges are 1e-9, 1e-4 and 1e16, one ulp either
+    side of each, and all of them negated; each table holds one of them.
     """
     for edge in (1e-9, 1e-4, 1e16):
         for cell in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf)):
@@ -720,6 +723,9 @@ def _one_edge_tables(test):
 @example([_EDGES[::-1], np.array([0.0] * 6 + [-0.0] * 6)])
 @example([_BAND_EDGES])
 @example([np.array([1e-5, 5e-5, 1.23e-5, 9.99e-6, 1.5e-7, 1e16, 1.7976931348623157e308])])
+@example([np.arange(0.0, 360.0, 10.0), np.arange(36)])  # a fringe scan: angles and counts
+# The negative fifth-place band, with one and with 17 significant digits.
+@example([np.array([-1e-05, -5e-05, -1.2345678901234567e-05, -9.999999999999999e-05])])
 def test_export_csv_bytes_match_the_csv_writer(tmp_path_factory, columns):
     path = tmp_path_factory.getbasetemp() / "oracle.csv"
     header = [f"c{i}" for i in range(len(columns))]
