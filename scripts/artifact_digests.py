@@ -5,7 +5,8 @@ Usage: python scripts/artifact_digests.py OUT_DIR
 Runs `report` on the three presets and on `docs/sample.cfg`, and each
 subcommand (`hom`, `jsi`, `jsi --input`, `schmidt`, `schmidt --input
 --visibilities`, `chsh`) on a small fast config and on `--preset 15ghz`,
-each into its own directory under OUT_DIR, which must be new or empty.
+and `chsh` with every override flag set on the fast config, each into its
+own directory under OUT_DIR, which must be new or empty.
 Prints one sorted JSON map of ``run/file -> sha256``; ``run/stdout`` is
 the run's standard output.
 Two checkouts, or two interpreters, that print the same map produced
@@ -77,6 +78,8 @@ def run_all(out_dir: Path) -> dict[str, str]:
             ["schmidt", *source, "--input", matrix, "--visibilities", vis],
         )
         _run(f"chsh-{label}", ["chsh", *source])
+    flags = ["--angles", "0", "45", "22.5", "67.5", "--visibility", "0.9", "--integration", "5000"]
+    _run("chsh-flags-fast", ["chsh", "--config", "fast.cfg", *flags, "--seed", "5"])
 
     return {
         path.relative_to(".").as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()

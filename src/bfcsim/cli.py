@@ -1,7 +1,8 @@
 """Command-line entry point: hom | jsi | schmidt | chsh | report subcommands.
 
 Every subcommand is a view over the stages in `bfcsim.report`: it runs the
-stages it needs, hands its files to the `write` stage and prints one line.
+stages it needs, hands the files they built to the `write` stage unchanged
+and prints one line; no artifact's content is assembled here.
 Exit codes: 0 success, 1 configuration/validation error, 2 runtime error;
 a failed stage exits as the error it raised would.
 The output directory resolves as --out, then $BFCSIM_OUT, then the config.
@@ -13,6 +14,7 @@ import argparse
 import dataclasses
 import functools
 import os
+import re
 import sys
 
 from .chsh import DEFAULT_ANGLES_DEG
@@ -77,6 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_schmidt.add_argument("--visibilities", help="n,visibility CSV for the time-bin fit")
 
     p_chsh = sub.add_parser("chsh", help="fringe scans and the CHSH S parameter")
+    # Python 3.13's pattern plus inf and nan, so a value such as -1e3 is not read as an option.
+    p_chsh._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
     add_common(p_chsh)
     p_chsh.add_argument(
         "--visibility", type=float, help="visibility of the fringe scans and the CHSH counts"
@@ -164,18 +168,11 @@ def _cmd_schmidt(cfg: RunConfig, args) -> None:
 
 def _cmd_chsh(cfg: RunConfig, args) -> None:
     angles = tuple(args.angles) if args.angles else DEFAULT_ANGLES_DEG
-    s_fringe, _, result, fringes = chsh_stage(cfg, angles)
-    summary = {
-        **dataclasses.asdict(cfg.chsh),
-        "angles_deg": list(angles),
-        "s_fringe": s_fringe,
-        **result,
-    }
-    files = {f"fringe_p1_{fixed:g}.csv": scan for fixed, scan in fringes.items()}
-    write_stage(cfg.output_dir, {**files, "chsh.json": summary})
+    summary, _, fringes = chsh_stage(cfg, angles)
+    write_stage(cfg.output_dir, {**fringes, "chsh.json": summary})
     print(
-        f"S = {result['s_value']:.4f} +/- {result['s_sigma']:.4f} "
-        f"({result['violation_sigmas']:.1f} sigma above the classical bound)"
+        f"S = {summary['s_value']:.4f} +/- {summary['s_sigma']:.4f} "
+        f"({summary['violation_sigmas']:.1f} sigma above the classical bound)"
     )
 
 

@@ -12,6 +12,7 @@ timestamps enter any artifact, so repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import fcntl
 import functools
 import math
@@ -170,26 +171,31 @@ def freq_schmidt_stage(
 
 @_stage("chsh")
 def chsh_stage(config: RunConfig, angles=DEFAULT_ANGLES_DEG):
-    """S_fringe, analytic and simulated CHSH results, and the fringe scans by fixed angle.
+    """chsh.json's dict, the noiseless `s_chsh` result, and the fringe scans by file name.
 
-    The four fringe scans fix the first polarizer at 45, 90, 135 and 180
-    degrees; they run at ``fringe_visibility``, the CHSH values at
-    ``chsh_visibility``, and fringe scan i uses seed ``seed + i``.
+    `chsh` and `report` both write the dict: the ``[chsh]`` settings, ``angles_deg``,
+    ``s_fringe`` and the result counted at ``chsh_visibility``.  Fringe scan i fixes the
+    first polarizer at 45, 90, 135, 180 degrees, at ``fringe_visibility`` and seed ``seed + i``.
     """
     c = config.chsh
-    s_fringe = chsh_mod.s_fringe_from_visibility(c.fringe_visibility)
     analytic = chsh_mod.s_chsh(visibility=c.chsh_visibility, angles=angles)
-    simulated = chsh_mod.simulate_chsh_counts(
+    counted = chsh_mod.simulate_chsh_counts(
         c.chsh_visibility, c.integration, c.seed, angles=angles
     )
+    summary = {
+        **dataclasses.asdict(c),
+        "angles_deg": list(angles),
+        "s_fringe": chsh_mod.s_fringe_from_visibility(c.fringe_visibility),
+        **counted,
+    }
     scan_angles = np.arange(0.0, 360.0, 10.0)
     fringes = {
-        fixed: chsh_mod.simulate_fringe_scan(
+        f"fringe_p1_{fixed:g}.csv": chsh_mod.simulate_fringe_scan(
             fixed, scan_angles, c.fringe_visibility, c.integration, seed=c.seed + i
         )
         for i, fixed in enumerate((45.0, 90.0, 135.0, 180.0))
     }
-    return s_fringe, analytic, simulated, fringes
+    return summary, analytic, fringes
 
 
 @_stage("dimensionality")
@@ -275,7 +281,7 @@ def run_report(config: RunConfig) -> dict:
     window_n, time_theory, time_fitted = time_schmidt_stage(config, points)
     scan, jsi_sidecar = jsi_stage(config, comb)
     freq_degraded, freq_ideal = freq_schmidt_stage(scan, comb)
-    s_fringe, chsh_analytic, chsh_simulated, fringes = chsh_stage(config)
+    chsh_summary, chsh_analytic, fringes = chsh_stage(config)
     dim = dimensionality_stage(config, time_theory.k_number, freq_ideal.k_number)
 
     central = revivals.visibility[revivals.n == 0]
@@ -303,12 +309,12 @@ def run_report(config: RunConfig) -> dict:
         "product_nt_nomega": dim["product_nt_nomega"],
         "product_kt_komega": dim["product_kt_komega"],
         "fringe_visibility": config.chsh.fringe_visibility,
-        "s_fringe": s_fringe,
+        "s_fringe": chsh_summary["s_fringe"],
         "chsh_visibility": config.chsh.chsh_visibility,
         "s_chsh_analytic": chsh_analytic["s_value"],
-        "s_chsh_simulated": chsh_simulated["s_value"],
-        "s_sigma_simulated": chsh_simulated["s_sigma"],
-        "violation_sigmas_simulated": chsh_simulated["violation_sigmas"],
+        "s_chsh_simulated": chsh_summary["s_value"],
+        "s_sigma_simulated": chsh_summary["s_sigma"],
+        "violation_sigmas_simulated": chsh_summary["violation_sigmas"],
         "time_dimensionality": dim["total_dimensionality"] // dim["polarization_factor"],
         "freq_dimensionality": dim["freq_dimensionality"],
         "total_dimensionality": dim["total_dimensionality"],
@@ -330,12 +336,8 @@ def run_report(config: RunConfig) -> dict:
             "jsi_scan.json": jsi_sidecar,
             "schmidt_frequency_ideal.csv": freq_ideal,
             "schmidt_frequency_degraded.csv": freq_degraded,
-            **{f"chsh_fringe_p1_{fixed:g}.csv": scan for fixed, scan in fringes.items()},
-            "chsh.json": {
-                "s_fringe": s_fringe,
-                "analytic": chsh_analytic,
-                "simulated": chsh_simulated,
-            },
+            **{"chsh_" + name: fringe for name, fringe in fringes.items()},
+            "chsh.json": chsh_summary,
             "report.json": report,
             "summary.txt": summary_text(report),
         },

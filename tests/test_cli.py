@@ -242,6 +242,17 @@ class TestExitCodes:
                 "s_chsh: angles must be finite, and so must each setting's phase "
                 "2(phi1 + phi2); got (1e+308, 1e+308, 0.0, 0.0)",
             ),
+            # Negative values in exponent form, and -inf, reach the checks.
+            (["chsh", "--integration", "-1e3"], "[chsh] integration must be > 0, got -1000.0"),
+            (
+                ["chsh", "--visibility", "-1e-3"],
+                "[chsh] fringe_visibility must be in [0, 1], got -0.001",
+            ),
+            (
+                ["chsh", "--angles", "-inf", "0", "0", "0"],
+                "stage 'chsh' failed: s_chsh: angles must be finite, and so must each "
+                "setting's phase 2(phi1 + phi2); got (-inf, 0.0, 0.0, 0.0)",
+            ),
             *[([c, "--out", ""], "[output] dir must be nonempty, got ''") for c in COMMANDS],
         ],
         ids=[
@@ -254,6 +265,9 @@ class TestExitCodes:
             "angles-nan",
             "angles-inf",
             "angles-phase-overflow",
+            "integration-negative-exponent",
+            "visibility-negative-exponent",
+            "angles-negative-inf",
             *[f"{command}-empty-out" for command in COMMANDS],
         ],
     )
@@ -431,6 +445,12 @@ class TestSubcommands:
         assert main(["chsh", "--config", str(cfg)]) == 0
         assert sorted(p.name for p in (tmp_path / "fromcfg").iterdir()) == sorted(ARTIFACTS["chsh"])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "fromcfg"]
+
+    def test_negative_exponent_angle_is_a_value(self, fast_cfg_path, tmp_path):
+        out = tmp_path / "o"
+        argv = ["chsh", "--config", fast_cfg_path, "--out", str(out)]
+        assert main(argv + ["--angles", "-1e1", "0", "0", "0"]) == 0
+        assert json.loads((out / "chsh.json").read_text())["angles_deg"] == [-10.0, 0.0, 0.0, 0.0]
 
     def test_seed_flag_changes_counts(self, fast_cfg_path, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -771,7 +791,15 @@ class TestOneStageGraph:
         ("jsi", "jsi_matrix.json", "jsi_scan.json"),
         ("schmidt", "schmidt_time.csv", "schmidt_time_theory.csv"),
         ("schmidt", "schmidt_frequency.csv", "schmidt_frequency_degraded.csv"),
+        ("chsh", "chsh.json", "chsh.json"),
     ] + [("chsh", f"fringe_p1_{a}.csv", f"chsh_fringe_p1_{a}.csv") for a in (45, 90, 135, 180)]
+
+    def test_pairs_cover_every_subcommand_file(self):
+        # dimensionality.json's values are report.json's, in another layout.
+        paired = {(command, name) for command, name, _ in self.PAIRS}
+        for command in ("hom", "jsi", "schmidt", "chsh"):
+            for name in ARTIFACTS[command]:
+                assert (command, name) in paired or name == "dimensionality.json", (command, name)
 
     def test_subcommand_artifacts_match_the_report(self, fast_cfg_path, tmp_path):
         for command in ("report", "hom", "jsi", "schmidt", "chsh"):
