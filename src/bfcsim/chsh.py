@@ -45,8 +45,8 @@ def simulate_fringe_scan(
 ) -> np.recarray:
     """Poisson-sampled fringe scan; `integration` sets the full-fringe mean count.
 
-    The scan is a read-only record array with the fields of a fringe CSV:
-    ``phi2_deg``, the scanned angle, and ``counts``.
+    The scan is a read-only record array with the fields ``phi2_deg``, the
+    scanned angle, and ``counts``, the columns of ``chsh_fringes.csv`` after ``phi1_deg``.
     """
     angles = np.array(scan_angles_deg, dtype=float)
     settings = [(fixed_deg, a) for a in angles]

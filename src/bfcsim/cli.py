@@ -149,14 +149,14 @@ def _cmd_jsi(cfg: RunConfig, args) -> None:
 
 def _cmd_schmidt(cfg: RunConfig, args) -> None:
     _, theory, fitted = time_schmidt_stage(cfg, args.visibilities)
-    time_spec = fitted if fitted is not None else theory
+    kind, time_spec = ("theory", theory) if fitted is None else ("fitted", fitted)
     freq_spec, _ = freq_schmidt_stage(_matrix(cfg, args)[0])
     dim = dimensionality_stage(cfg, time_spec.k_number, freq_spec.k_number)
     write_stage(
         cfg.output_dir,
         {
-            "schmidt_time.csv": time_spec,
-            "schmidt_frequency.csv": freq_spec,
+            f"schmidt_time_{kind}.csv": time_spec,
+            "schmidt_frequency_degraded.csv": freq_spec,
             "dimensionality.json": dim,
         },
     )
@@ -169,7 +169,7 @@ def _cmd_schmidt(cfg: RunConfig, args) -> None:
 def _cmd_chsh(cfg: RunConfig, args) -> None:
     angles = tuple(args.angles) if args.angles else DEFAULT_ANGLES_DEG
     summary, _, fringes = chsh_stage(cfg, angles)
-    write_stage(cfg.output_dir, {**fringes, "chsh.json": summary})
+    write_stage(cfg.output_dir, {"chsh_fringes.csv": fringes, "chsh.json": summary})
     print(
         f"S = {summary['s_value']:.4f} +/- {summary['s_sigma']:.4f} "
         f"({summary['violation_sigmas']:.1f} sigma above the classical bound)"

@@ -123,7 +123,9 @@ def scan_correlation_matrix(
     fsr_hz = comb.fsr_rad_s / (2.0 * math.pi)
     targets = np.arange(-max_bin, max_bin + 1)
     offsets = comb.bins[None, :] - targets[:, None]
-    t = filter_transmission(filt, offsets, fsr_hz)
+    # The offsets are integers in [-reach, reach]: each transmission is computed once.
+    reach = max_bin + comb.n_max
+    t = filter_transmission(filt, np.arange(-reach, reach + 1), fsr_hz)[offsets + reach]
     values = (t[:, ::-1] * comb.bin_weights[::-1]) @ t.T
 
     r = floor_fraction(pump_power_mw)

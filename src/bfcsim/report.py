@@ -171,11 +171,11 @@ def freq_schmidt_stage(
 
 @_stage("chsh")
 def chsh_stage(config: RunConfig, angles=DEFAULT_ANGLES_DEG):
-    """chsh.json's dict, the noiseless `s_chsh` result, and the fringe scans by file name.
+    """chsh.json's dict, the noiseless `s_chsh` result, and the fringe scans' read-only table.
 
     `chsh` and `report` both write the dict: the ``[chsh]`` settings, ``angles_deg``,
-    ``s_fringe`` and the result counted at ``chsh_visibility``.  Fringe scan i fixes the
-    first polarizer at 45, 90, 135, 180 degrees, at ``fringe_visibility`` and seed ``seed + i``.
+    ``s_fringe`` and the result counted at ``chsh_visibility``.  The table holds scan i's rows
+    in turn: first polarizer at 45, 90, 135, 180 degrees, ``fringe_visibility``, seed ``seed + i``.
     """
     c = config.chsh
     analytic = chsh_mod.s_chsh(visibility=c.chsh_visibility, angles=angles)
@@ -188,13 +188,18 @@ def chsh_stage(config: RunConfig, angles=DEFAULT_ANGLES_DEG):
         "s_fringe": chsh_mod.s_fringe_from_visibility(c.fringe_visibility),
         **counted,
     }
-    scan_angles = np.arange(0.0, 360.0, 10.0)
-    fringes = {
-        f"fringe_p1_{fixed:g}.csv": chsh_mod.simulate_fringe_scan(
-            fixed, scan_angles, c.fringe_visibility, c.integration, seed=c.seed + i
-        )
-        for i, fixed in enumerate((45.0, 90.0, 135.0, 180.0))
-    }
+    fixed, scan_angles = (45.0, 90.0, 135.0, 180.0), np.arange(0.0, 360.0, 10.0)
+    scans = np.concatenate(
+        [
+            chsh_mod.simulate_fringe_scan(p1, scan_angles, c.fringe_visibility, c.integration, seed)
+            for seed, p1 in enumerate(fixed, start=c.seed)
+        ]
+    )
+    fringes = np.rec.fromarrays(
+        [np.repeat(fixed, scan_angles.size), scans["phi2_deg"], scans["counts"]],
+        dtype=[("phi1_deg", float), ("phi2_deg", float), ("counts", np.int64)],
+    )
+    fringes.flags.writeable = False
     return summary, analytic, fringes
 
 
@@ -332,11 +337,11 @@ def run_report(config: RunConfig) -> dict:
             "revivals.csv": revivals,
             "schmidt_time_theory.csv": time_theory,
             "schmidt_time_fitted.csv": time_fitted,
-            "jsi_scan.csv": scan,
-            "jsi_scan.json": jsi_sidecar,
+            "jsi_matrix.csv": scan,
+            "jsi_matrix.json": jsi_sidecar,
             "schmidt_frequency_ideal.csv": freq_ideal,
             "schmidt_frequency_degraded.csv": freq_degraded,
-            **{"chsh_" + name: fringe for name, fringe in fringes.items()},
+            "chsh_fringes.csv": fringes,
             "chsh.json": chsh_summary,
             "report.json": report,
             "summary.txt": summary_text(report),

@@ -28,28 +28,27 @@ FAST_CONFIG = """\
 """
 
 
-FRINGES = [f"fringe_p1_{a}.csv" for a in (45, 90, 135, 180)]
 # Every file each command writes.
 ARTIFACTS = {
     "hom": ["hom_trace.csv", "hom_trace_zoom.csv", "revivals.csv"],
     "jsi": ["jsi_matrix.csv", "jsi_matrix.json"],
-    "schmidt": ["dimensionality.json", "schmidt_frequency.csv", "schmidt_time.csv"],
-    "chsh": ["chsh.json"] + FRINGES,
+    "schmidt": ["dimensionality.json", "schmidt_frequency_degraded.csv", "schmidt_time_theory.csv"],
+    "chsh": ["chsh.json", "chsh_fringes.csv"],
     "report": [
         "hom_trace.csv",
         "hom_trace_zoom.csv",
         "revivals.csv",
         "schmidt_time_theory.csv",
         "schmidt_time_fitted.csv",
-        "jsi_scan.csv",
-        "jsi_scan.json",
+        "jsi_matrix.csv",
+        "jsi_matrix.json",
         "schmidt_frequency_ideal.csv",
         "schmidt_frequency_degraded.csv",
+        "chsh_fringes.csv",
         "chsh.json",
         "report.json",
         "summary.txt",
-    ]
-    + ["chsh_" + f for f in FRINGES],
+    ],
 }
 COMMANDS = list(ARTIFACTS)
 
@@ -377,15 +376,14 @@ class TestSubcommands:
         assert code == 0
         dim = json.loads((out / "dimensionality.json").read_text())
         assert dim["total_dimensionality"] >= 2
-        assert (out / "schmidt_time.csv").exists()
-        assert (out / "schmidt_frequency.csv").exists()
+        assert (out / "schmidt_time_fitted.csv").exists()
+        assert (out / "schmidt_frequency_degraded.csv").exists()
 
     def test_chsh_writes_fringes_and_result(self, fast_cfg_path, tmp_path):
         out = tmp_path / "chsh"
         code = main(["chsh", "--config", fast_cfg_path, "--out", str(out)])
         assert code == 0
-        for fixed in (45, 90, 135, 180):
-            assert (out / f"fringe_p1_{fixed}.csv").exists()
+        assert (out / "chsh_fringes.csv").exists()
         result = json.loads((out / "chsh.json").read_text())
         assert 0.0 < result["s_value"] <= 2.8285
 
@@ -599,7 +597,7 @@ class TestWriteStage:
         out = tmp_path / "o"
         assert main(["chsh", "--config", fast_cfg_path, "--out", str(out)]) == 0
         before = _snapshot(out)
-        # The fringe CSVs are staged beside their targets; the process dies before
+        # The fringe CSV is staged beside its target; the process dies before
         # writing chsh.json.
         killed = subprocess.Popen(
             [sys.executable, "-c", KILLED_RUN, fast_cfg_path, str(out)], env=_child_env()
@@ -607,7 +605,7 @@ class TestWriteStage:
         assert killed.wait(timeout=60) == 9
         assert {n: (out / n).read_bytes() for n in before} == before
         staged = set(p.name for p in out.iterdir()) - set(before)
-        assert staged == {".bfcsim-staging-" + name for name in FRINGES}
+        assert staged == {".bfcsim-staging-chsh_fringes.csv"}
         assert main(["chsh", "--config", fast_cfg_path, "--out", str(out)]) == 0
         assert _snapshot(out) == before
 
@@ -755,11 +753,12 @@ class TestOneHomePerTable:
 class TestRowResults:
     def test_read_only_record_arrays_named_by_their_csv_headers(self, fast_cfg_path, tmp_path):
         # A result that is only rows is a record array whose fields are its CSV header.
-        from bfcsim.report import comb_stage, hom_stage
+        from bfcsim.report import chsh_stage, comb_stage, hom_stage
 
         cfg = bfcsim.load_config(fast_cfg_path)
         revivals = bfcsim.locate_revivals(hom_stage(cfg, comb_stage(cfg))[0])
         scan = bfcsim.simulate_fringe_scan(45.0, [0.0, 10.0], 0.9, 100.0, seed=1)
+        fringes = chsh_stage(cfg)[2]
         out = tmp_path / "o"
         assert main(["hom", "--config", fast_cfg_path, "--out", str(out)]) == 0
         assert main(["chsh", "--config", fast_cfg_path, "--out", str(out)]) == 0
@@ -768,9 +767,10 @@ class TestRowResults:
             return tuple((out / name).read_text().split("\n", 1)[0].split(","))
 
         assert revivals.dtype.names == header("revivals.csv") == ("n", "center_ps", "visibility")
-        for name in FRINGES:
-            assert scan.dtype.names == header(name) == ("phi2_deg", "counts")
-        for rows in (revivals, scan):
+        fields = ("phi1_deg", "phi2_deg", "counts")
+        assert fringes.dtype.names == header("chsh_fringes.csv") == fields
+        assert scan.dtype.names == ("phi2_deg", "counts")
+        for rows in (revivals, scan, fringes):
             assert isinstance(rows, np.recarray) and rows.size
             for field in rows.dtype.names:
                 with pytest.raises(ValueError, match="read-only"):
@@ -782,33 +782,32 @@ class TestRowResults:
 
 
 class TestOneStageGraph:
-    # (subcommand, its file, the report's file with the same content)
-    PAIRS = [
-        ("hom", "hom_trace.csv", "hom_trace.csv"),
-        ("hom", "hom_trace_zoom.csv", "hom_trace_zoom.csv"),
-        ("hom", "revivals.csv", "revivals.csv"),
-        ("jsi", "jsi_matrix.csv", "jsi_scan.csv"),
-        ("jsi", "jsi_matrix.json", "jsi_scan.json"),
-        ("schmidt", "schmidt_time.csv", "schmidt_time_theory.csv"),
-        ("schmidt", "schmidt_frequency.csv", "schmidt_frequency_degraded.csv"),
-        ("chsh", "chsh.json", "chsh.json"),
-    ] + [("chsh", f"fringe_p1_{a}.csv", f"chsh_fringe_p1_{a}.csv") for a in (45, 90, 135, 180)]
-
-    def test_pairs_cover_every_subcommand_file(self):
-        # dimensionality.json's values are report.json's, in another layout.
-        paired = {(command, name) for command, name, _ in self.PAIRS}
-        for command in ("hom", "jsi", "schmidt", "chsh"):
-            for name in ARTIFACTS[command]:
-                assert (command, name) in paired or name == "dimensionality.json", (command, name)
-
     def test_subcommand_artifacts_match_the_report(self, fast_cfg_path, tmp_path):
+        # dimensionality.json is the one exception: it takes freq_dimensionality and
+        # product_kt_komega from the matrix's K_freq, report.json from the ideal K_freq.
         for command in ("report", "hom", "jsi", "schmidt", "chsh"):
             out = tmp_path / command
             assert main([command, "--config", fast_cfg_path, "--out", str(out)]) == 0
         report = tmp_path / "report"
-        for command, name, report_name in self.PAIRS:
-            got = (tmp_path / command / name).read_bytes()
-            assert got == (report / report_name).read_bytes(), (command, name)
+        for command in ("hom", "jsi", "schmidt", "chsh"):
+            for path in sorted((tmp_path / command).iterdir()):
+                if path.name != "dimensionality.json":
+                    got = path.read_bytes()
+                    assert got == (report / path.name).read_bytes(), (command, path.name)
+
+    def test_fringe_table_is_the_four_scans(self, fast_cfg_path, tmp_path):
+        out = tmp_path / "c"
+        assert main(["chsh", "--config", fast_cfg_path, "--out", str(out)]) == 0
+        table = np.loadtxt(out / "chsh_fringes.csv", delimiter=",", skiprows=1, ndmin=2)
+        c = bfcsim.load_config(fast_cfg_path).chsh
+        for i, p1 in enumerate((45.0, 90.0, 135.0, 180.0)):
+            scan = bfcsim.simulate_fringe_scan(
+                p1, np.arange(0, 360, 10), c.fringe_visibility, c.integration, c.seed + i
+            )
+            rows = table[table[:, 0] == p1]
+            assert np.array_equal(rows[:, 1], scan.phi2_deg)
+            assert np.array_equal(rows[:, 2], scan.counts)
+        assert np.array_equal(table[:, 0], np.repeat([45.0, 90.0, 135.0, 180.0], 36))
 
 
 class TestReportDeterminism:
