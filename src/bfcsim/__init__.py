@@ -33,11 +33,11 @@ from .jsi import (
     scan_correlation_matrix,
 )
 from .schmidt import (
-    SchmidtSpectrum,
     dimensionality_report,
     ideal_frequency_spectrum,
     jsa_from_jsi,
     schmidt_decompose,
+    schmidt_number,
     time_bin_eigenvalues,
     time_bin_spectrum_from_visibilities,
     window_limited_n_max,

@@ -148,10 +148,10 @@ def _cmd_jsi(cfg: RunConfig, args) -> None:
 
 
 def _cmd_schmidt(cfg: RunConfig, args) -> None:
-    _, theory, fitted = time_schmidt_stage(cfg, args.visibilities)
-    kind, time_spec = ("theory", theory) if fitted is None else ("fitted", fitted)
-    freq_spec, _ = freq_schmidt_stage(_matrix(cfg, args)[0])
-    dim = dimensionality_stage(cfg, time_spec.k_number, freq_spec.k_number)
+    kind = "theory" if args.visibilities is None else "fitted"
+    time_spec = time_schmidt_stage(cfg, args.visibilities)
+    freq_spec = freq_schmidt_stage(_matrix(cfg, args)[0])
+    dim = dimensionality_stage(cfg, time_spec, freq_spec)
     write_stage(
         cfg.output_dir,
         {

@@ -12,7 +12,6 @@ import orjson
 
 from .hom import HomTrace
 from .jsi import Jsi
-from .schmidt import SchmidtSpectrum
 
 
 # orjson writes repr's shortest digits (Ryu) about ten times faster than repr,
@@ -159,7 +158,7 @@ def _json_matrix(rows: list[str]) -> np.ndarray | None:
 
 
 def jsi_from_csv(path) -> Jsi:
-    """Load a matrix in the `write_artifact` layout; weights are renormalized.
+    """Load a matrix in the `write_artifact` layout; its cells are kept as written.
 
     The header is ``bin`` and then the idler bin labels; each row is a
     signal bin label and then its cells.  Labels are integers running
@@ -200,11 +199,10 @@ def jsi_from_csv(path) -> Jsi:
     values = cells[:, 1:]
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{path}: matrix cells must be finite")
-    total = values.sum()
-    if total <= 0.0:
+    if values.sum() <= 0.0:
         raise ValueError(f"{path}: matrix has no weight")
     try:
-        return Jsi(n_max=n_max, values=values / total)
+        return Jsi(n_max=n_max, values=values)
     except ValueError as exc:  # `Jsi`'s own checks, such as a negative cell
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -249,9 +247,6 @@ def write_artifact(path, value) -> None:
         # A header row and a leading column of signal/idler bin indices.
         bins = value.bins
         export_csv(path, ["bin", *map(str, bins.tolist())], [bins, *value.values.T])
-    elif isinstance(value, SchmidtSpectrum):
-        # n is the bin label, or the rank for a decomposed matrix.
-        export_csv(path, ["n", "eigenvalue"], [value.bin_indices, value.eigenvalues])
     else:
         names = list(value.dtype.names)
         export_csv(path, names, [value[f] for f in names])

@@ -31,11 +31,11 @@ from .hom import HomTrace, central_dip_width, locate_revivals, simulate_hom_trac
 from .jsi import FilterSpec, Jsi, crosstalk_db, filter_bandwidth_hz, scan_correlation_matrix
 from .schmidt import (
     REFERENCE_IDEAL_K_FREQ,
-    SchmidtSpectrum,
     dimensionality_report,
     ideal_frequency_spectrum,
     jsa_from_jsi,
     schmidt_decompose,
+    schmidt_number,
     time_bin_eigenvalues,
     time_bin_spectrum_from_visibilities,
     window_limited_n_max,
@@ -113,23 +113,21 @@ def dip_width_stage(zoom: HomTrace) -> float:
 
 
 @_stage("schmidt-time")
-def time_schmidt_stage(
-    config: RunConfig, visibility_points=None
-) -> tuple[int, SchmidtSpectrum, SchmidtSpectrum | None]:
-    """Window-limited bin count, closed-form spectrum, and (given points) the fitted one.
+def time_schmidt_stage(config: RunConfig, visibility_points=None) -> np.recarray:
+    """The closed-form time-bin spectrum, or given points, the one fitted to them.
 
-    ``visibility_points`` is a list of ``(n, visibility)`` or the path of a
-    CSV holding them; the fit's errors about points read from a file name it.
+    Both run over the window-limited bins.  ``visibility_points`` is a list of
+    ``(n, visibility)`` or the path of a CSV holding them; the fit's errors
+    about points read from a file name it.
     """
     window_n = window_limited_n_max(config.cavity, config.hom.window_ps)
-    theory = time_bin_eigenvalues(config.cavity, window_n)
     if visibility_points is None:
-        return window_n, theory, None
+        return time_bin_eigenvalues(config.cavity, window_n)
     if not isinstance(visibility_points, (str, os.PathLike)):
-        return window_n, theory, time_bin_spectrum_from_visibilities(visibility_points, window_n)
+        return time_bin_spectrum_from_visibilities(visibility_points, window_n)
     points = io_mod.visibilities_from_csv(visibility_points)
     try:
-        return window_n, theory, time_bin_spectrum_from_visibilities(points, window_n)
+        return time_bin_spectrum_from_visibilities(points, window_n)
     except ValueError as exc:
         raise ValueError(f"{visibility_points}: {exc}") from exc
 
@@ -160,13 +158,9 @@ def measured_jsi_stage(path) -> tuple[Jsi, dict]:
 
 
 @_stage("schmidt-frequency")
-def freq_schmidt_stage(
-    matrix: Jsi, comb: CombSpectrum | None = None
-) -> tuple[SchmidtSpectrum, SchmidtSpectrum | None]:
-    """Spectrum of the (degraded) matrix, and, given the comb, the ideal spectrum."""
-    degraded = schmidt_decompose(jsa_from_jsi(matrix))
-    ideal = ideal_frequency_spectrum(comb) if comb is not None else None
-    return degraded, ideal
+def freq_schmidt_stage(matrix: Jsi) -> np.recarray:
+    """Spectrum of the (degraded) matrix."""
+    return schmidt_decompose(jsa_from_jsi(matrix))
 
 
 @_stage("chsh")
@@ -204,8 +198,9 @@ def chsh_stage(config: RunConfig, angles=DEFAULT_ANGLES_DEG):
 
 
 @_stage("dimensionality")
-def dimensionality_stage(config: RunConfig, k_time: float, k_freq: float):
-    """The dimensionality report for the given Schmidt numbers."""
+def dimensionality_stage(config: RunConfig, time_spectrum, freq_spectrum) -> dict:
+    """The dimensionality report for the Schmidt numbers of the two spectra."""
+    k_time, k_freq = schmidt_number(time_spectrum), schmidt_number(freq_spectrum)
     return dimensionality_report(k_time, k_freq, config.cavity, config.source)
 
 
@@ -283,11 +278,13 @@ def run_report(config: RunConfig) -> dict:
     revivals = revivals_stage(trace)
     dip_width = dip_width_stage(zoom)
     points = list(zip(revivals.n.tolist(), revivals.visibility.tolist()))
-    window_n, time_theory, time_fitted = time_schmidt_stage(config, points)
+    time_theory = time_schmidt_stage(config)
+    time_fitted = time_schmidt_stage(config, points)
     scan, jsi_sidecar = jsi_stage(config, comb)
-    freq_degraded, freq_ideal = freq_schmidt_stage(scan, comb)
+    freq_degraded = freq_schmidt_stage(scan)
+    freq_ideal = ideal_frequency_spectrum(comb)
     chsh_summary, chsh_analytic, fringes = chsh_stage(config)
-    dim = dimensionality_stage(config, time_theory.k_number, freq_ideal.k_number)
+    dim = dimensionality_stage(config, time_theory, freq_ideal)
 
     central = revivals.visibility[revivals.n == 0]
     report = {
@@ -298,16 +295,16 @@ def run_report(config: RunConfig) -> dict:
         "round_trip_ps": cavity.round_trip_ps,
         "envelope_shape": config.source.envelope_shape,
         "n_max": comb.n_max,
-        "window_n_max": window_n,
+        "window_n_max": window_limited_n_max(cavity, config.hom.window_ps),
         "revival_count": len(revivals),
         "revival_spacing_ps": _revival_spacing(revivals),
         "central_dip_width_ps": dip_width,
         "central_visibility": float(central[0]) if central.size else math.nan,
-        "k_time_theory": time_theory.k_number,
-        "k_time_fitted": time_fitted.k_number,
-        "k_freq_ideal": freq_ideal.k_number,
+        "k_time_theory": dim["k_time"],
+        "k_time_fitted": schmidt_number(time_fitted),
+        "k_freq_ideal": dim["k_freq"],
         "k_freq_ideal_reference": REFERENCE_IDEAL_K_FREQ.get(config.preset_name),
-        "k_freq_degraded": freq_degraded.k_number,
+        "k_freq_degraded": schmidt_number(freq_degraded),
         "crosstalk_db": jsi_sidecar["crosstalk_db"],
         "n_freq_bins": dim["n_freq_bins"],
         "n_time_bins": dim["n_time_bins"],

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,37 +34,30 @@ from .jsi import Jsi
 REFERENCE_IDEAL_K_FREQ = {"45ghz": 4.9, "15ghz": 20.0, "5ghz": 34.0}
 
 
-@dataclass(frozen=True, eq=False)
-class SchmidtSpectrum:
-    """Normalized Schmidt eigenvalues (descending) and their labels, both read-only.
-
-    ``bin_indices`` is the physical bin label of each eigenvalue where one
-    exists (time basis, ideal frequency basis), else its rank.
-    """
-
-    eigenvalues: np.ndarray
-    bin_indices: np.ndarray
-
-    @property
-    def k_number(self) -> float:
-        return 1.0 / float(np.sum(self.eigenvalues * self.eigenvalues))
-
-
 def _spectrum_from_weights(
     weights: np.ndarray, bin_indices: np.ndarray | None = None
-) -> SchmidtSpectrum:
-    """Weights normalized and sorted descending, with their labels (default: the rank)."""
+) -> np.recarray:
+    """Weights normalized and sorted descending, as read-only ``(n, eigenvalue)`` rows.
+
+    ``n`` is the physical bin label of each eigenvalue where one exists
+    (time basis, ideal frequency basis), else its rank.
+    """
     lam = np.asarray(weights, dtype=float)
     total = lam.sum()
     if total <= 0.0:
         raise ValueError("Schmidt eigenvalues cannot be normalized: zero total weight")
     lam = lam / total
     order = np.argsort(lam)[::-1]
-    lam = lam[order]
-    idx = np.arange(lam.size) if bin_indices is None else np.asarray(bin_indices)[order]
-    lam.setflags(write=False)
-    idx.setflags(write=False)
-    return SchmidtSpectrum(eigenvalues=lam, bin_indices=idx)
+    n = np.arange(lam.size) if bin_indices is None else np.asarray(bin_indices)[order]
+    spectrum = np.rec.fromarrays([n, lam[order]], dtype=[("n", np.int64), ("eigenvalue", float)])
+    spectrum.flags.writeable = False
+    return spectrum
+
+
+def schmidt_number(spectrum: np.recarray) -> float:
+    """K = 1 / sum(lambda^2) of a spectrum's normalized eigenvalues."""
+    e = spectrum.eigenvalue
+    return 1.0 / float(np.sum(e * e))
 
 
 def jsa_from_jsi(jsi: Jsi) -> np.ndarray:
@@ -81,7 +73,7 @@ def jsa_from_jsi(jsi: Jsi) -> np.ndarray:
     return amp / norm
 
 
-def schmidt_decompose(jsa: np.ndarray) -> SchmidtSpectrum:
+def schmidt_decompose(jsa: np.ndarray) -> np.recarray:
     """Schmidt spectrum of an amplitude matrix via singular values.
 
     Eigenvalues are the squared singular values normalized to 1, making
@@ -95,7 +87,7 @@ def schmidt_decompose(jsa: np.ndarray) -> SchmidtSpectrum:
     return _spectrum_from_weights(s * s)
 
 
-def time_bin_eigenvalues(cavity: CavitySpec, n_max: int) -> SchmidtSpectrum:
+def time_bin_eigenvalues(cavity: CavitySpec, n_max: int) -> np.recarray:
     """Closed-form time-bin Schmidt spectrum for |n| <= n_max."""
     if n_max < 0:
         raise ValueError("time_bin_eigenvalues: n_max must be >= 0")
@@ -128,7 +120,7 @@ def fit_decay_parameter(visibility_points) -> float:
     return float(np.abs(n) @ visibility_to_decay_parameter(v)) / den
 
 
-def time_bin_spectrum_from_visibilities(visibility_points, n_max: int) -> SchmidtSpectrum:
+def time_bin_spectrum_from_visibilities(visibility_points, n_max: int) -> np.recarray:
     """Time-bin Schmidt spectrum with pi/F replaced by a fitted decay rate."""
     if n_max < 0:
         raise ValueError("time_bin_spectrum_from_visibilities: n_max must be >= 0")
@@ -174,7 +166,7 @@ def dimensionality_report(
     }
 
 
-def ideal_frequency_spectrum(comb: CombSpectrum) -> SchmidtSpectrum:
+def ideal_frequency_spectrum(comb: CombSpectrum) -> np.recarray:
     """Frequency-bin Schmidt spectrum of the ideal (anticorrelated) JSI.
 
     For a strictly anticorrelated matrix the singular values are the

@@ -33,7 +33,7 @@ from bfcsim import (
 from bfcsim.config import preset_config
 from bfcsim.hom import quadrature_visibility
 from bfcsim.report import run_report
-from bfcsim.schmidt import ideal_frequency_spectrum
+from bfcsim.schmidt import ideal_frequency_spectrum, schmidt_number
 from conftest import ideal_jsi
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "central_dip_width.json"
@@ -56,7 +56,7 @@ def test_criterion_1_time_bin_schmidt_numbers():
     details = []
     ok = True
     for preset, n_max, expected, tol in cases:
-        k = time_bin_eigenvalues(cavity_preset(preset), n_max).k_number
+        k = schmidt_number(time_bin_eigenvalues(cavity_preset(preset), n_max))
         ok &= abs(k - expected) <= tol
         details.append(f"{preset} N={n_max}: K={k:.4f} vs {expected}+/-{tol}")
     elapsed = time.perf_counter() - t0
@@ -171,30 +171,30 @@ def test_criterion_8_property_suite(cavity_45, cavity_15, comb_45, comb_15):
     # eigenvalue normalization to 1e-10
     for n_max in (5, 30):
         spec = time_bin_eigenvalues(cavity_45, n_max)
-        checks.append((f"norm n_max={n_max}", abs(float(spec.eigenvalues.sum()) - 1.0) <= 1e-10))
+        checks.append((f"norm n_max={n_max}", abs(float(spec.eigenvalue.sum()) - 1.0) <= 1e-10))
 
     # K = d for uniform diagonal amplitudes
     for d in (2, 5, 19):
-        k = schmidt_decompose(np.eye(d) / math.sqrt(d)).k_number
+        k = schmidt_number(schmidt_decompose(np.eye(d) / math.sqrt(d)))
         checks.append((f"uniform d={d}", abs(k - d) <= 1e-9))
 
     # invariance under scaling and permutation
     rng = np.random.default_rng(23)
     a = rng.random((40, 40))
-    k_ref = schmidt_decompose(a).k_number
+    k_ref = schmidt_number(schmidt_decompose(a))
     perm = rng.permutation(40)
-    checks.append(("scaling", abs(schmidt_decompose(3.7 * a).k_number - k_ref) <= 1e-9 * k_ref))
-    checks.append(
-        ("permutation", abs(schmidt_decompose(a[perm][:, perm]).k_number - k_ref) <= 1e-9 * k_ref)
-    )
+    k_scaled = schmidt_number(schmidt_decompose(3.7 * a))
+    checks.append(("scaling", abs(k_scaled - k_ref) <= 1e-9 * k_ref))
+    k_permuted = schmidt_number(schmidt_decompose(a[perm][:, perm]))
+    checks.append(("permutation", abs(k_permuted - k_ref) <= 1e-9 * k_ref))
 
     # degraded-JSI K strictly decreases from the 2 mW to the 4 mW floor
-    k2 = schmidt_decompose(
-        jsa_from_jsi(scan_correlation_matrix(comb_45, DELTA, 2, 2.0))
-    ).k_number
-    k4 = schmidt_decompose(
-        jsa_from_jsi(scan_correlation_matrix(comb_45, DELTA, 2, 4.0))
-    ).k_number
+    k2 = schmidt_number(
+        schmidt_decompose(jsa_from_jsi(scan_correlation_matrix(comb_45, DELTA, 2, 2.0)))
+    )
+    k4 = schmidt_number(
+        schmidt_decompose(jsa_from_jsi(scan_correlation_matrix(comb_45, DELTA, 2, 4.0)))
+    )
     checks.append((f"floor degrades K ({k2:.3f} -> {k4:.3f})", k4 < k2))
 
     # bin-count product agreement within 15% (nearly identical linewidths)
@@ -203,10 +203,10 @@ def test_criterion_8_property_suite(cavity_45, cavity_15, comb_45, comb_15):
     checks.append(("bin-count products 15%", abs(p15 / p45 - 1.0) <= 0.15))
 
     # Schmidt product agreement within 25%
-    kt45 = time_bin_eigenvalues(cavity_45, 30).k_number
-    kt15 = time_bin_eigenvalues(cavity_15, 10).k_number
-    kf45 = ideal_frequency_spectrum(comb_45).k_number
-    kf15 = ideal_frequency_spectrum(comb_15).k_number
+    kt45 = schmidt_number(time_bin_eigenvalues(cavity_45, 30))
+    kt15 = schmidt_number(time_bin_eigenvalues(cavity_15, 10))
+    kf45 = schmidt_number(ideal_frequency_spectrum(comb_45))
+    kf15 = schmidt_number(ideal_frequency_spectrum(comb_15))
     checks.append(
         ("Schmidt products 25%", abs((kt15 * kf15) / (kt45 * kf45) - 1.0) <= 0.25)
     )
@@ -215,7 +215,7 @@ def test_criterion_8_property_suite(cavity_45, cavity_15, comb_45, comb_15):
     worst = 0.0
     for seed in range(3):
         m = np.random.default_rng(seed).random((50, 50))
-        lam = schmidt_decompose(m).eigenvalues
+        lam = schmidt_decompose(m).eigenvalue
         gram = np.clip(np.linalg.eigvalsh(m.T @ m), 0.0, None)
         lam_oracle = np.sort(gram / gram.sum())[::-1]
         worst = max(worst, float(np.max(np.abs(lam - lam_oracle))))
@@ -235,4 +235,4 @@ def test_criterion_7b_ideal_jsi_consistency(comb_45):
     # matrix decomposes exactly to the comb weights.
     spec = schmidt_decompose(jsa_from_jsi(ideal_jsi(comb_45)))
     expected = np.sort(comb_45.bin_weights)[::-1]
-    assert float(np.max(np.abs(spec.eigenvalues - expected))) <= 1e-10
+    assert float(np.max(np.abs(spec.eigenvalue - expected))) <= 1e-10

@@ -753,15 +753,31 @@ class TestOneHomePerTable:
 class TestRowResults:
     def test_read_only_record_arrays_named_by_their_csv_headers(self, fast_cfg_path, tmp_path):
         # A result that is only rows is a record array whose fields are its CSV header.
-        from bfcsim.report import chsh_stage, comb_stage, hom_stage
+        from bfcsim.report import (
+            chsh_stage,
+            comb_stage,
+            freq_schmidt_stage,
+            hom_stage,
+            jsi_stage,
+            time_schmidt_stage,
+        )
 
         cfg = bfcsim.load_config(fast_cfg_path)
-        revivals = bfcsim.locate_revivals(hom_stage(cfg, comb_stage(cfg))[0])
+        comb = comb_stage(cfg)
+        revivals = bfcsim.locate_revivals(hom_stage(cfg, comb)[0])
         scan = bfcsim.simulate_fringe_scan(45.0, [0.0, 10.0], 0.9, 100.0, seed=1)
         fringes = chsh_stage(cfg)[2]
+        points = list(zip(revivals.n.tolist(), revivals.visibility.tolist()))
+        spectra = (
+            time_schmidt_stage(cfg),
+            time_schmidt_stage(cfg, points),
+            bfcsim.ideal_frequency_spectrum(comb),
+            freq_schmidt_stage(jsi_stage(cfg, comb)[0]),
+        )
         out = tmp_path / "o"
         assert main(["hom", "--config", fast_cfg_path, "--out", str(out)]) == 0
         assert main(["chsh", "--config", fast_cfg_path, "--out", str(out)]) == 0
+        assert main(["schmidt", "--config", fast_cfg_path, "--out", str(out)]) == 0
 
         def header(name):
             return tuple((out / name).read_text().split("\n", 1)[0].split(","))
@@ -770,7 +786,11 @@ class TestRowResults:
         fields = ("phi1_deg", "phi2_deg", "counts")
         assert fringes.dtype.names == header("chsh_fringes.csv") == fields
         assert scan.dtype.names == ("phi2_deg", "counts")
-        for rows in (revivals, scan, fringes):
+        for name in ("schmidt_time_theory.csv", "schmidt_frequency_degraded.csv"):
+            assert header(name) == ("n", "eigenvalue")
+        for spectrum in spectra:
+            assert spectrum.dtype.names == ("n", "eigenvalue")
+        for rows in (revivals, scan, fringes, *spectra):
             assert isinstance(rows, np.recarray) and rows.size
             for field in rows.dtype.names:
                 with pytest.raises(ValueError, match="read-only"):

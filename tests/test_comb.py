@@ -110,7 +110,7 @@ def peak_weights(cavity, n_max):
     These are the time-bin Schmidt eigenvalues exp(-2 pi |n| / F) / sum.
     """
     spectrum = time_bin_eigenvalues(cavity, n_max)
-    return dict(zip(spectrum.bin_indices.tolist(), spectrum.eigenvalues.tolist()))
+    return dict(zip(spectrum.n.tolist(), spectrum.eigenvalue.tolist()))
 
 
 class TestTemporalEnvelope:

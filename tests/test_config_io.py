@@ -35,7 +35,7 @@ from bfcsim.io import (
     write_artifact,
 )
 from bfcsim.jsi import FILTER_SHAPES, Jsi
-from bfcsim.schmidt import SchmidtSpectrum, time_bin_eigenvalues
+from bfcsim.schmidt import time_bin_eigenvalues
 from conftest import revival_rows
 
 HASH_45GHZ = "a0a96271669117e926544023d3b1c606d46dd6c1139a4bf67cc61604c4f72cea"
@@ -478,10 +478,10 @@ class TestCsvBytes:
 
         labelled = time_bin_eigenvalues(cavity_45, 5)
         ranked = schmidt_decompose(np.random.default_rng(3).random((6, 6)))
-        assert ranked.bin_indices.tolist() == list(range(6))
-        rows = zip(labelled.bin_indices, labelled.eigenvalues)
+        assert ranked.n.tolist() == list(range(6))
+        rows = zip(labelled.n, labelled.eigenvalue)
         self._check(tmp_path, labelled, ["n", "eigenvalue"], rows)
-        rows = zip(np.arange(ranked.eigenvalues.size), ranked.eigenvalues)
+        rows = zip(np.arange(ranked.eigenvalue.size), ranked.eigenvalue)
         self._check(tmp_path, ranked, ["n", "eigenvalue"], rows)
 
     def test_fringe_scan_with_int64_counts(self, tmp_path):
@@ -596,7 +596,7 @@ def test_scan_matrix_is_read_without_loadtxt(tmp_path, monkeypatch, comb_5, shap
 
     monkeypatch.setattr(np, "loadtxt", no_loadtxt)
     back = jsi_from_csv(path)
-    assert np.array_equal(back.values, scan.values / scan.values.sum())
+    assert np.array_equal(back.values, scan.values)
 
 
 @given(_jsi_values())
@@ -604,9 +604,9 @@ def test_jsi_csv_reads_back_exactly(tmp_path_factory, values):
     path = tmp_path_factory.getbasetemp() / "round_trip_jsi.csv"
     write_artifact(path, Jsi(n_max=values.shape[0] // 2, values=values))
     back = jsi_from_csv(path)
-    # The reader renormalizes; the cells themselves come back bit for bit.
+    # The cells come back bit for bit, as written.
     assert back.n_max == values.shape[0] // 2
-    assert np.array_equal(back.values, values / values.sum())
+    assert np.array_equal(back.values, values)
 
 
 # Each n once: the format rejects a repeated n (test_visibilities_csv).
@@ -819,7 +819,8 @@ def _spectra(draw, labelled):
     lam = np.array(sorted(weights / weights.sum(), reverse=True) + sorted(tail, reverse=True))
     labels = np.array(draw(st.lists(_INT64, min_size=lam.size, max_size=lam.size)))
     n = labels if labelled else np.arange(lam.size)
-    return SchmidtSpectrum(lam, n), [("n", int, n), ("eigenvalue", float, lam)]
+    spectrum = np.rec.fromarrays([n, lam], dtype=[("n", np.int64), ("eigenvalue", float)])
+    return spectrum, [("n", int, n), ("eigenvalue", float, lam)]
 
 
 @st.composite

@@ -22,7 +22,7 @@ from bfcsim import (
     window_limited_n_max,
 )
 from bfcsim.jsi import Jsi
-from bfcsim.schmidt import fit_decay_parameter, ideal_frequency_spectrum
+from bfcsim.schmidt import fit_decay_parameter, ideal_frequency_spectrum, schmidt_number
 from conftest import ideal_jsi
 
 
@@ -64,25 +64,25 @@ class TestSchmidtDecompose:
     @pytest.mark.parametrize("d", [2, 5, 19])
     def test_uniform_diagonal_gives_k_equals_d(self, d):
         spec = schmidt_decompose(np.eye(d) / math.sqrt(d))
-        assert spec.k_number == pytest.approx(d, abs=1e-10)
+        assert schmidt_number(spec) == pytest.approx(d, abs=1e-10)
 
     def test_participation_ratio_by_hand(self):
         amp = np.diag(np.sqrt([0.5, 0.3, 0.2]))
         spec = schmidt_decompose(amp)
-        assert np.allclose(spec.eigenvalues, [0.5, 0.3, 0.2], atol=1e-12)
-        assert spec.k_number == pytest.approx(1.0 / 0.38, rel=1e-12)
+        assert np.allclose(spec.eigenvalue, [0.5, 0.3, 0.2], atol=1e-12)
+        assert schmidt_number(spec) == pytest.approx(1.0 / 0.38, rel=1e-12)
 
     def test_rank_one_is_separable(self):
         amp = np.outer([1.0, 2.0, 3.0], [2.0, 1.0, 1.0])
-        assert schmidt_decompose(amp).k_number == pytest.approx(1.0, abs=1e-12)
+        assert schmidt_number(schmidt_decompose(amp)) == pytest.approx(1.0, abs=1e-12)
 
     def test_scaling_and_permutation_invariance(self):
         rng = np.random.default_rng(5)
         a = rng.random((12, 12))
-        k = schmidt_decompose(a).k_number
-        assert schmidt_decompose(17.3 * a).k_number == pytest.approx(k, rel=1e-12)
+        k = schmidt_number(schmidt_decompose(a))
+        assert schmidt_number(schmidt_decompose(17.3 * a)) == pytest.approx(k, rel=1e-12)
         perm = rng.permutation(12)
-        assert schmidt_decompose(a[perm][:, perm]).k_number == pytest.approx(k, rel=1e-12)
+        assert schmidt_number(schmidt_decompose(a[perm][:, perm])) == pytest.approx(k, rel=1e-12)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError):
@@ -93,22 +93,22 @@ class TestSchmidtDecompose:
         for _ in range(5):
             a = rng.random((50, 50))
             spec = schmidt_decompose(a)
-            assert np.max(np.abs(spec.eigenvalues - gram_eigenvalues(a))) < 1e-10
+            assert np.max(np.abs(spec.eigenvalue - gram_eigenvalues(a))) < 1e-10
 
     def test_matches_gram_oracle_301(self, comb_5):
         # production-size matrix: the 5 GHz comb's amplitude is 293x293
         amp = jsa_from_jsi(ideal_jsi(comb_5))
         spec = schmidt_decompose(amp)
-        assert np.max(np.abs(spec.eigenvalues - gram_eigenvalues(amp))) < 1e-10
+        assert np.max(np.abs(spec.eigenvalue - gram_eigenvalues(amp))) < 1e-10
         rng = np.random.default_rng(13)
         a = rng.random((301, 301))
         spec = schmidt_decompose(a)
-        assert np.max(np.abs(spec.eigenvalues - gram_eigenvalues(a))) < 1e-10
+        assert np.max(np.abs(spec.eigenvalue - gram_eigenvalues(a))) < 1e-10
 
     def test_ideal_jsi_eigenvalues_are_bin_weights(self, comb_45):
         spec = schmidt_decompose(jsa_from_jsi(ideal_jsi(comb_45)))
         expected = np.sort(comb_45.bin_weights)[::-1]
-        assert np.max(np.abs(spec.eigenvalues - expected)) < 1e-10
+        assert np.max(np.abs(spec.eigenvalue - expected)) < 1e-10
 
 
 @st.composite
@@ -132,7 +132,7 @@ def _check_spectrum(spec, weight_of=None):
     are the ranks.  With it they are the bins -N..N, and each eigenvalue is
     the normalized weight of its label.
     """
-    lam, labels = spec.eigenvalues, spec.bin_indices
+    lam, labels = spec.eigenvalue, spec.n
     assert abs(float(lam.sum()) - 1.0) <= 1e-10
     assert np.all(np.diff(lam) <= 0.0) and float(lam.min()) >= 0.0
     assert labels.shape == lam.shape
@@ -144,7 +144,7 @@ def _check_spectrum(spec, weight_of=None):
         assert sorted(labels.tolist()) == list(range(-n_max, n_max + 1))
         weights = weight_of(labels)
         assert np.allclose(lam, weights / weights.sum(), rtol=1e-12, atol=0.0)
-    assert 1.0 - 1e-9 <= spec.k_number <= np.count_nonzero(lam) + 1e-9
+    assert 1.0 - 1e-9 <= schmidt_number(spec) <= np.count_nonzero(lam) + 1e-9
 
 
 @settings(max_examples=30, deadline=None)
@@ -153,7 +153,7 @@ def test_schmidt_spectrum_invariants(values):
     jsa = np.sqrt(values)
     spec = schmidt_decompose(jsa)
     _check_spectrum(spec)
-    assert spec.k_number <= np.linalg.matrix_rank(jsa) + 1e-9
+    assert schmidt_number(spec) <= np.linalg.matrix_rank(jsa) + 1e-9
 
 
 @st.composite
@@ -195,39 +195,40 @@ def test_ideal_frequency_spectrum_invariants(cavity, bpm_hz, envelope, data):
 
 class TestTimeBinEigenvalues:
     def test_single_bin(self, cavity_45):
-        assert time_bin_eigenvalues(cavity_45, 0).k_number == 1.0
+        assert schmidt_number(time_bin_eigenvalues(cavity_45, 0)) == 1.0
 
     def test_45ghz_schmidt_number(self, cavity_45):
-        assert time_bin_eigenvalues(cavity_45, 30).k_number == pytest.approx(18.30, abs=0.05)
+        assert schmidt_number(time_bin_eigenvalues(cavity_45, 30)) == pytest.approx(18.30, abs=0.05)
 
     def test_5ghz_schmidt_number(self, cavity_5):
-        assert time_bin_eigenvalues(cavity_5, 3).k_number == pytest.approx(5.16, abs=0.05)
+        assert schmidt_number(time_bin_eigenvalues(cavity_5, 3)) == pytest.approx(5.16, abs=0.05)
 
     def test_truncated_geometric_closed_form(self, cavity_15):
         q = math.exp(-2 * math.pi / cavity_15.finesse)
         for n_max in (1, 4, 9, 25):
             s1 = sum(q ** abs(n) for n in range(-n_max, n_max + 1))
             s2 = sum(q ** (2 * abs(n)) for n in range(-n_max, n_max + 1))
-            got = time_bin_eigenvalues(cavity_15, n_max).k_number
+            got = schmidt_number(time_bin_eigenvalues(cavity_15, n_max))
             assert got == pytest.approx(s1 * s1 / s2, rel=1e-12)
 
     def test_infinite_bin_limit(self, cavity_45):
         q = math.exp(-2 * math.pi / cavity_45.finesse)
         limit = (1 + q) ** 3 / ((1 - q) * (1 + q**2))
         n_max = int(10 * cavity_45.finesse)
-        assert time_bin_eigenvalues(cavity_45, n_max).k_number == pytest.approx(limit, abs=1e-6)
+        k = schmidt_number(time_bin_eigenvalues(cavity_45, n_max))
+        assert k == pytest.approx(limit, abs=1e-6)
 
     def test_eigenvalues_carry_bin_labels(self, cavity_45):
         spec = time_bin_eigenvalues(cavity_45, 3)
-        assert spec.bin_indices is not None
-        assert spec.bin_indices[0] == 0  # largest eigenvalue is the central bin
+        assert spec.n is not None
+        assert spec.n[0] == 0  # largest eigenvalue is the central bin
 
 
 class TestVisibilityFit:
     def test_closed_loop_recovers_theory(self, cavity_45):
         points = [(n, dip_visibility_closed_form(n, cavity_45)) for n in range(1, 31)]
         spec = time_bin_spectrum_from_visibilities(points, 30)
-        assert spec.k_number == pytest.approx(18.30, abs=0.01)
+        assert schmidt_number(spec) == pytest.approx(18.30, abs=0.01)
 
     def test_fitted_rate_is_pi_over_finesse(self, cavity_45):
         points = [(n, dip_visibility_closed_form(n, cavity_45)) for n in (1, 5, 12, 30)]
@@ -241,11 +242,11 @@ class TestVisibilityFit:
             v = dip_visibility_closed_form(n, cavity_45) + rng.normal(0.0, 0.01)
             points.append((n, float(np.clip(v, 1e-6, 1.0))))
         spec = time_bin_spectrum_from_visibilities(points, 30)
-        assert spec.k_number == pytest.approx(18.02, abs=0.75)
+        assert schmidt_number(spec) == pytest.approx(18.02, abs=0.75)
 
     def test_no_decay_gives_uniform_spectrum(self):
         spec = time_bin_spectrum_from_visibilities([(0, 1.0), (1, 1.0)], 30)
-        assert spec.k_number == pytest.approx(61.0, rel=1e-12)
+        assert schmidt_number(spec) == pytest.approx(61.0, rel=1e-12)
 
     def test_degenerate_fit_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -300,19 +301,19 @@ class TestDimensionality:
 
 class TestProductAgreement:
     def test_schmidt_product_between_cavities(self, cavity_45, cavity_15, comb_45, comb_15):
-        k45 = time_bin_eigenvalues(cavity_45, 30).k_number
-        k15 = time_bin_eigenvalues(cavity_15, 10).k_number
-        kf45 = ideal_frequency_spectrum(comb_45).k_number
-        kf15 = ideal_frequency_spectrum(comb_15).k_number
+        k45 = schmidt_number(time_bin_eigenvalues(cavity_45, 30))
+        k15 = schmidt_number(time_bin_eigenvalues(cavity_15, 10))
+        kf45 = schmidt_number(ideal_frequency_spectrum(comb_45))
+        kf15 = schmidt_number(ideal_frequency_spectrum(comb_15))
         assert abs((k15 * kf15) / (k45 * kf45) - 1.0) <= 0.25
 
     def test_floor_degrades_schmidt_number(self, comb_45):
         delta = FilterSpec(fwhm_hz=0.0)
-        k2 = schmidt_decompose(
-            jsa_from_jsi(scan_correlation_matrix(comb_45, delta, 2, 2.0))
-        ).k_number
-        k4 = schmidt_decompose(
-            jsa_from_jsi(scan_correlation_matrix(comb_45, delta, 2, 4.0))
-        ).k_number
+        k2 = schmidt_number(
+            schmidt_decompose(jsa_from_jsi(scan_correlation_matrix(comb_45, delta, 2, 2.0)))
+        )
+        k4 = schmidt_number(
+            schmidt_decompose(jsa_from_jsi(scan_correlation_matrix(comb_45, delta, 2, 4.0)))
+        )
         assert k4 < k2
 
