@@ -59,8 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="path to a config file")
-        p.add_argument(
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--config", help="path to a config file")
+        source.add_argument(
             "--preset",
             help=f"cavity preset ({', '.join(sorted(CAVITY_PRESETS))}); default 45ghz",
         )
@@ -105,10 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_config(args) -> RunConfig:
     # An empty $BFCSIM_OUT counts as unset; an empty --out is rejected as a config's is.
     out = args.out if args.out is not None else (os.environ.get("BFCSIM_OUT") or None)
-    if args.config:
+    for flag in ("input", "visibilities"):
+        if getattr(args, flag, None) == "":
+            raise ValueError(f"--{flag} must be nonempty, got ''")
+    if args.config is not None:
         cfg = load_config(args.config, output_dir=out)
     else:
-        cfg = preset_config(args.preset or "45ghz", output_dir=out)
+        cfg = preset_config("45ghz" if args.preset is None else args.preset, output_dir=out)
     chsh = {}
     if getattr(args, "seed", None) is not None:
         chsh["seed"] = args.seed
@@ -119,13 +123,6 @@ def _resolve_config(args) -> RunConfig:
     if chsh:
         cfg = dataclasses.replace(cfg, chsh=dataclasses.replace(cfg.chsh, **chsh))
     return cfg
-
-
-def _matrix(cfg: RunConfig, args):
-    """The measured matrix from --input, else the scan, with its sidecar."""
-    if args.input:
-        return measured_jsi_stage(args.input)
-    return jsi_stage(cfg, comb_stage(cfg))
 
 
 def _cmd_hom(cfg: RunConfig, args) -> None:
@@ -141,22 +138,24 @@ def _cmd_hom(cfg: RunConfig, args) -> None:
 
 
 def _cmd_jsi(cfg: RunConfig, args) -> None:
-    matrix, sidecar = _matrix(cfg, args)
+    matrix, sidecar = (
+        jsi_stage(cfg, comb_stage(cfg)) if args.input is None else measured_jsi_stage(args.input)
+    )
     out = write_stage(cfg.output_dir, {"jsi_matrix.csv": matrix, "jsi_matrix.json": sidecar})
     xtalk = sidecar["crosstalk_db"]
     print(f"wrote {out / 'jsi_matrix.csv'}; crosstalk {xtalk if xtalk is not None else 'none'} dB")
 
 
 def _cmd_schmidt(cfg: RunConfig, args) -> None:
-    kind = "theory" if args.visibilities is None else "fitted"
     time_spec = time_schmidt_stage(cfg, args.visibilities)
-    freq_spec = freq_schmidt_stage(_matrix(cfg, args)[0])
+    source = comb_stage(cfg) if args.input is None else measured_jsi_stage(args.input)[0]
+    freq_spec = freq_schmidt_stage(source)
     dim = dimensionality_stage(cfg, time_spec, freq_spec)
     write_stage(
         cfg.output_dir,
         {
-            f"schmidt_time_{kind}.csv": time_spec,
-            "schmidt_frequency_degraded.csv": freq_spec,
+            f"schmidt_time_{'theory' if args.visibilities is None else 'fitted'}.csv": time_spec,
+            f"schmidt_frequency_{'ideal' if args.input is None else 'degraded'}.csv": freq_spec,
             "dimensionality.json": dim,
         },
     )

@@ -158,9 +158,11 @@ def measured_jsi_stage(path) -> tuple[Jsi, dict]:
 
 
 @_stage("schmidt-frequency")
-def freq_schmidt_stage(matrix: Jsi) -> np.recarray:
-    """Spectrum of the (degraded) matrix."""
-    return schmidt_decompose(jsa_from_jsi(matrix))
+def freq_schmidt_stage(source: CombSpectrum | Jsi) -> np.recarray:
+    """The comb's ideal spectrum, or given a matrix, its decomposed (degraded) spectrum."""
+    if isinstance(source, CombSpectrum):
+        return ideal_frequency_spectrum(source)
+    return schmidt_decompose(jsa_from_jsi(source))
 
 
 @_stage("chsh")
@@ -282,7 +284,7 @@ def run_report(config: RunConfig) -> dict:
     time_fitted = time_schmidt_stage(config, points)
     scan, jsi_sidecar = jsi_stage(config, comb)
     freq_degraded = freq_schmidt_stage(scan)
-    freq_ideal = ideal_frequency_spectrum(comb)
+    freq_ideal = freq_schmidt_stage(comb)
     chsh_summary, chsh_analytic, fringes = chsh_stage(config)
     dim = dimensionality_stage(config, time_theory, freq_ideal)
 
@@ -338,6 +340,7 @@ def run_report(config: RunConfig) -> dict:
             "jsi_matrix.json": jsi_sidecar,
             "schmidt_frequency_ideal.csv": freq_ideal,
             "schmidt_frequency_degraded.csv": freq_degraded,
+            "dimensionality.json": dim,
             "chsh_fringes.csv": fringes,
             "chsh.json": chsh_summary,
             "report.json": report,

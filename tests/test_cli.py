@@ -32,7 +32,7 @@ FAST_CONFIG = """\
 ARTIFACTS = {
     "hom": ["hom_trace.csv", "hom_trace_zoom.csv", "revivals.csv"],
     "jsi": ["jsi_matrix.csv", "jsi_matrix.json"],
-    "schmidt": ["dimensionality.json", "schmidt_frequency_degraded.csv", "schmidt_time_theory.csv"],
+    "schmidt": ["dimensionality.json", "schmidt_frequency_ideal.csv", "schmidt_time_theory.csv"],
     "chsh": ["chsh.json", "chsh_fringes.csv"],
     "report": [
         "hom_trace.csv",
@@ -44,6 +44,7 @@ ARTIFACTS = {
         "jsi_matrix.json",
         "schmidt_frequency_ideal.csv",
         "schmidt_frequency_degraded.csv",
+        "dimensionality.json",
         "chsh_fringes.csv",
         "chsh.json",
         "report.json",
@@ -253,6 +254,11 @@ class TestExitCodes:
                 "setting's phase 2(phi1 + phi2); got (-inf, 0.0, 0.0, 0.0)",
             ),
             *[([c, "--out", ""], "[output] dir must be nonempty, got ''") for c in COMMANDS],
+            (["schmidt", "--config", ""], "cannot read config"),
+            (["schmidt", "--preset", ""], "unknown cavity preset ''"),
+            (["jsi", "--input", ""], "--input must be nonempty, got ''"),
+            (["schmidt", "--input", ""], "--input must be nonempty, got ''"),
+            (["schmidt", "--visibilities", ""], "--visibilities must be nonempty, got ''"),
         ],
         ids=[
             "chsh-seed",
@@ -268,6 +274,11 @@ class TestExitCodes:
             "visibility-negative-exponent",
             "angles-negative-inf",
             *[f"{command}-empty-out" for command in COMMANDS],
+            "empty-config",
+            "empty-preset",
+            "jsi-empty-input",
+            "schmidt-empty-input",
+            "empty-visibilities",
         ],
     )
     def test_bad_flag_is_exit_1_before_any_output(
@@ -287,6 +298,18 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([command, "--seed", "1", "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_and_preset_together_is_a_usage_error(
+        self, command, fast_cfg_path, tmp_path, capsys
+    ):
+        out = tmp_path / "o"
+        argv = [command, "--config", fast_cfg_path, "--preset", "5ghz", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--preset: not allowed with argument --config" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_value_error_in_a_stage_is_exit_1(self, tmp_path, capsys):
         # Too coarse a scan locates too few revivals to fit the time-bin decay.
@@ -377,7 +400,26 @@ class TestSubcommands:
         dim = json.loads((out / "dimensionality.json").read_text())
         assert dim["total_dimensionality"] >= 2
         assert (out / "schmidt_time_fitted.csv").exists()
-        assert (out / "schmidt_frequency_degraded.csv").exists()
+        assert (out / "schmidt_frequency_ideal.csv").exists()
+
+    def test_schmidt_from_a_measured_matrix(self, fast_cfg_path, tmp_path):
+        jsi = tmp_path / "jsi"
+        assert main(["jsi", "--config", fast_cfg_path, "--out", str(jsi)]) == 0
+        out = tmp_path / "schmidt"
+        matrix = str(jsi / "jsi_matrix.csv")
+        argv = ["schmidt", "--config", fast_cfg_path, "--out", str(out), "--input", matrix]
+        assert main(argv) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "dimensionality.json",
+            "schmidt_frequency_degraded.csv",
+            "schmidt_time_theory.csv",
+        ]
+        rows = np.loadtxt(out / "schmidt_frequency_degraded.csv", delimiter=",", skiprows=1)
+        spectrum = np.rec.fromarrays(
+            [rows[:, 0].astype(np.int64), rows[:, 1]], names=("n", "eigenvalue")
+        )
+        dim = json.loads((out / "dimensionality.json").read_text())
+        assert dim["k_freq"] == bfcsim.schmidt_number(spectrum)
 
     def test_chsh_writes_fringes_and_result(self, fast_cfg_path, tmp_path):
         out = tmp_path / "chsh"
@@ -786,7 +828,7 @@ class TestRowResults:
         fields = ("phi1_deg", "phi2_deg", "counts")
         assert fringes.dtype.names == header("chsh_fringes.csv") == fields
         assert scan.dtype.names == ("phi2_deg", "counts")
-        for name in ("schmidt_time_theory.csv", "schmidt_frequency_degraded.csv"):
+        for name in ("schmidt_time_theory.csv", "schmidt_frequency_ideal.csv"):
             assert header(name) == ("n", "eigenvalue")
         for spectrum in spectra:
             assert spectrum.dtype.names == ("n", "eigenvalue")
@@ -803,17 +845,14 @@ class TestRowResults:
 
 class TestOneStageGraph:
     def test_subcommand_artifacts_match_the_report(self, fast_cfg_path, tmp_path):
-        # dimensionality.json is the one exception: it takes freq_dimensionality and
-        # product_kt_komega from the matrix's K_freq, report.json from the ideal K_freq.
         for command in ("report", "hom", "jsi", "schmidt", "chsh"):
             out = tmp_path / command
             assert main([command, "--config", fast_cfg_path, "--out", str(out)]) == 0
         report = tmp_path / "report"
         for command in ("hom", "jsi", "schmidt", "chsh"):
             for path in sorted((tmp_path / command).iterdir()):
-                if path.name != "dimensionality.json":
-                    got = path.read_bytes()
-                    assert got == (report / path.name).read_bytes(), (command, path.name)
+                got = path.read_bytes()
+                assert got == (report / path.name).read_bytes(), (command, path.name)
 
     def test_fringe_table_is_the_four_scans(self, fast_cfg_path, tmp_path):
         out = tmp_path / "c"
