@@ -77,18 +77,15 @@ class CavitySpec:
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Downconversion source: phase-matching bandwidth and pump settings."""
+    """Downconversion source: phase-matching bandwidth and envelope, degenerate wavelength."""
 
     phase_matching_fwhm_hz: float = 245e9
     envelope_shape: str = "sinc_squared"
-    pump_power_mw: float = 2.0
     degenerate_wavelength_nm: float = 1316.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.phase_matching_fwhm_hz < math.inf):
             raise ValueError("SourceSpec: phase_matching_fwhm_hz must be finite and > 0")
-        if not (0.0 <= self.pump_power_mw < math.inf):
-            raise ValueError("SourceSpec: pump_power_mw must be finite and >= 0")
         if self.envelope_shape not in ENVELOPE_SHAPES:
             raise ValueError(
                 f"SourceSpec: envelope_shape must be one of {ENVELOPE_SHAPES}, "

@@ -3,15 +3,16 @@
 The config format is a flat sectioned key-value text, e.g.::
 
     [cavity] preset="45ghz"
-    [source] bpm_ghz=245, envelope="sinc_squared", pump_mw=2
+    [source] bpm_ghz=245, envelope="sinc_squared"
     [hom] window_ps=340, step_ps=0.2
     [jsi] filter_fwhm_pm=300, max_bin=2, pump_mw=2
     [chsh] fringe_visibility=0.9796, chsh_visibility=0.9497, seed=12345
     [output] dir="out"
 
 Pairs may follow the section tag on the same line (comma-separated) or
-appear on their own lines.  Unknown sections or keys are errors.  Quotes
-around a value are optional; the value takes its key's type.  A key
+appear on their own lines.  Unknown sections or keys, and a key given twice
+in a section, are errors.  `#` always starts a comment.  Quotes around a
+value are optional but must match; the value takes its key's type.  A key
 missing from the file takes the default of the dataclass field it sets;
 its range check is in its `_FIELDS` row, and the bounds that span keys
 are in `RunConfig`.
@@ -69,7 +70,6 @@ _FIELDS = {
     "source": {
         "bpm_ghz": ("phase_matching_fwhm_hz", 1e9, None),
         "envelope": ("envelope_shape", str, None),
-        "pump_mw": ("pump_power_mw", 1.0, None),
         "wavelength_nm": ("degenerate_wavelength_nm", 1.0, None),
     },
     "comb": {"n_max": ("n_max", int, ">= 0")},
@@ -139,20 +139,16 @@ class JsiConfig:
 
     def __post_init__(self) -> None:
         _check(self, "jsi")
-        _check_floor("jsi", self.pump_power_mw)
-
-
-def _check_floor(section: str, pump_mw: float) -> None:
-    """The accidental floor at the JSI pump power must stay below the peak cell."""
-    try:
-        floor = floor_fraction(pump_mw)
-    except OverflowError:  # the quadratic term of a pump past ~1e154 mW
-        floor = math.inf
-    if floor >= 1.0:
-        raise ConfigError(
-            f"[{section}] pump_mw={pump_mw!r} puts the accidental floor at "
-            f"{floor:.3f} of the peak cell; it must stay below 1"
-        )
+        # The accidental floor at the JSI pump power must stay below the peak cell.
+        try:
+            floor = floor_fraction(self.pump_power_mw)
+        except OverflowError:  # the quadratic term of a pump past ~1e154 mW
+            floor = math.inf
+        if floor >= 1.0:
+            raise ConfigError(
+                f"[jsi] pump_mw={self.pump_power_mw!r} puts the accidental floor at "
+                f"{floor:.3f} of the peak cell; it must stay below 1"
+            )
 
 
 @dataclass(frozen=True)
@@ -273,8 +269,12 @@ def parse_config_text(text: str) -> dict[str, dict]:
             key = pm.group(1).lower()
             if key not in _KNOWN_KEYS[current]:
                 raise ConfigError(f"line {line_no}: unknown key {key!r} in section [{current}]")
+            if key in sections[current]:
+                raise ConfigError(f"line {line_no}: repeated key {key!r} in section [{current}]")
             value = pm.group(2)
-            if len(value) >= 2 and value[0] == value[-1] and value[0] in "\"'":
+            if value[0] in "\"'" or value[-1] in "\"'":
+                if len(value) < 2 or value[0] != value[-1]:
+                    raise ConfigError(f"line {line_no}: unmatched quote in {chunk!r}")
                 value = value[1:-1]
             sections[current][key] = value
     return sections
@@ -336,14 +336,7 @@ def build_config(sections: dict[str, dict], output_dir: str | None = None) -> Ru
         cavity = _construct("cavity", CavitySpec, _fields(sections, "cavity"))
 
     source = _construct("source", SourceSpec, _fields(sections, "source"))
-    jsi = _fields(sections, "jsi")
-    if "pump_power_mw" not in jsi:  # the JSI scan takes the source's pump
-        _check_floor("source", source.pump_power_mw)
-    jsi = {
-        "pump_power_mw": source.pump_power_mw,
-        **_JSI_PRESET_DEFAULTS.get(preset_name, {}),
-        **jsi,
-    }
+    jsi = {**_JSI_PRESET_DEFAULTS.get(preset_name, {}), **_fields(sections, "jsi")}
     config = RunConfig(
         cavity=cavity,
         source=source,

@@ -17,6 +17,7 @@ import pytest
 import bfcsim
 import bfcsim.io
 from bfcsim.cli import build_parser, main
+from bfcsim.config import _FIELDS
 from conftest import revival_rows
 
 FAST_CONFIG = """\
@@ -182,6 +183,9 @@ class TestExitCodes:
             ("[chsh] integration=1e30", "[chsh] integration must be <= 1e+18, got 1e+30"),
             ("[comb] n_max=-1", "[comb] n_max must be >= 0, got -1"),
             ("[source] bpm_ghz=1e290", "[source] bpm_ghz=1e+290 (n_max 6.62e+288)"),
+            ("[source] pump_mw=2", "line 2: unknown key 'pump_mw' in section [source]"),
+            ('[output] dir="run#1"', "line 2: unmatched quote in 'dir=\"run'"),
+            ('[cavity] preset="5ghz"', "line 2: repeated key 'preset' in section [cavity]"),
             # Rejected although --out replaces it.
             ('[output] dir=""', "[output] dir must be nonempty, got ''"),
         ],
@@ -915,3 +919,56 @@ def test_report_does_not_import_numpy_ma(fast_cfg_path, tmp_path):
     done = subprocess.run(argv, env=_child_env(), capture_output=True, text=True, check=True)
     before, after = done.stdout.split()[-2:]
     assert after == before
+
+
+# Every config key but [output] dir: its value in the base config, then a second one.
+EVERY_KEY = {
+    ("cavity", "fsr_ghz"): ("45.32", "45"),
+    ("cavity", "linewidth_ghz"): ("1.56", "1.5"),
+    ("cavity", "label"): ("fast", "other"),
+    ("source", "bpm_ghz"): ("245", "300"),
+    ("source", "envelope"): ("sinc_squared", "gaussian"),
+    ("source", "wavelength_nm"): ("1316", "1550"),
+    ("comb", "n_max"): ("6", "5"),
+    ("hom", "window_ps"): ("40", "45"),
+    ("hom", "step_ps"): ("0.1", "0.2"),
+    ("hom", "accidentals"): ("0", "0.1"),
+    ("jsi", "filter_fwhm_pm"): ("300", "100"),
+    ("jsi", "filter_shape"): ("gaussian", "lorentzian"),
+    ("jsi", "max_bin"): ("2", "3"),
+    ("jsi", "pump_mw"): ("2", "4"),
+    ("chsh", "fringe_visibility"): ("0.9796", "0.9"),
+    ("chsh", "chsh_visibility"): ("0.9497", "0.9"),
+    ("chsh", "integration"): ("2000", "1000"),
+    ("chsh", "seed"): ("7", "8"),
+}
+
+
+def _every_key_report(out: Path, changed=None) -> dict:
+    """A report on EVERY_KEY's base values, `changed` set to its second value.
+
+    Returns every artifact but `config_hash` and the summary line that quotes it.
+    """
+    values = {key: pair[key == changed] for key, pair in EVERY_KEY.items()}
+    cfg = out.parent / f"{out.name}.cfg"
+    cfg.write_text("".join(f"[{section}] {key}={v}\n" for (section, key), v in values.items()))
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    files = _snapshot(out)
+    report = json.loads(files.pop("report.json"))
+    del report["config_hash"]
+    return {**files, "report.json": report, "summary.txt": files["summary.txt"].split(b"\n", 1)[1]}
+
+
+@pytest.fixture(scope="module")
+def every_key_base(tmp_path_factory):
+    return _every_key_report(tmp_path_factory.mktemp("every-key") / "base")
+
+
+def test_every_config_key_is_listed():
+    every = {(section, key) for section, rows in _FIELDS.items() for key in rows}
+    assert set(EVERY_KEY) == every - {("output", "dir")}
+
+
+@pytest.mark.parametrize("key", list(EVERY_KEY), ids=[f"{s}.{k}" for s, k in EVERY_KEY])
+def test_every_config_key_moves_an_artifact(key, every_key_base, tmp_path):
+    assert _every_key_report(tmp_path / "changed", key) != every_key_base

@@ -38,7 +38,7 @@ from bfcsim.jsi import FILTER_SHAPES, Jsi
 from bfcsim.schmidt import time_bin_eigenvalues
 from conftest import revival_rows
 
-HASH_45GHZ = "a0a96271669117e926544023d3b1c606d46dd6c1139a4bf67cc61604c4f72cea"
+HASH_45GHZ = "e0046df193a06e378c6e99612e291c58a1d3cdc556e4999a9536731c23ded5cc"
 
 
 class TestConfigParsing:
@@ -54,7 +54,7 @@ class TestConfigParsing:
         path = tmp_path / "run.cfg"
         path.write_text(
             "[cavity] fsr_ghz=45.32, linewidth_ghz=1.56\n"
-            "[source] bpm_ghz=245, envelope=\"gaussian\", pump_mw=2\n"
+            "[source] bpm_ghz=245, envelope=\"gaussian\"\n"
             "[hom]\n"
             "window_ps = 100\n"
             "step_ps = 0.5\n"
@@ -88,6 +88,28 @@ class TestConfigParsing:
         sections = parse_config_text("# a comment\n[cavity] preset=45ghz  # trailing\n")
         assert sections["cavity"]["preset"] == "45ghz"
 
+    def test_quote_left_open_by_a_comment_or_comma_rejected(self):
+        # `#` starts a comment and `,` ends a pair, also inside quotes.
+        cut = ['dir="run#1"', "label='my#cav'", 'label="a,b"']
+        for pair in cut + ["label='x\"", "label=x'", 'label="']:
+            section = "output" if pair.startswith("dir") else "cavity"
+            with pytest.raises(ConfigError, match="^line 2: unmatched quote in "):
+                parse_config_text(f"# run\n[{section}] {pair}\n")
+        sections = parse_config_text('[cavity] label="my cav"  # c\n')
+        assert sections["cavity"]["label"] == "my cav"
+
+    def test_key_given_twice_rejected(self):
+        for text, line, key, section in (
+            ('[cavity] preset="45ghz", preset="5ghz"', 1, "preset", "cavity"),
+            ("[hom] step_ps=0.2\n[cavity] preset=45ghz\n[hom] STEP_PS=0.5", 3, "step_ps", "hom"),
+        ):
+            message = f"line {line}: repeated key '{key}' in section [{section}]"
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                parse_config_text(text)
+        # A section may appear twice with different keys.
+        sections = parse_config_text("[hom] window_ps=100\n[cavity] preset=45ghz\n[hom] step_ps=1")
+        assert sections["hom"] == {"window_ps": "100", "step_ps": "1"}
+
     def test_preset_and_explicit_cavity_conflict(self):
         text = '[cavity] preset="45ghz", fsr_ghz=45.32\n'
         with pytest.raises(ConfigError, match="not both"):
@@ -114,7 +136,6 @@ class TestConfigParsing:
                 "[hom] accidentals=nan",
                 "[source] bpm_ghz=inf",
                 "[source] bpm_ghz=1e300",  # finite, but not in Hz
-                "[source] pump_mw=nan",
                 "[source] wavelength_nm=inf",
                 "[jsi] filter_fwhm_pm=inf",
                 "[jsi] pump_mw=nan",
@@ -156,12 +177,10 @@ class TestConfigParsing:
             build_config(parse_config_text(text))
         ok = build_config(parse_config_text('[cavity] preset="45ghz"\n[jsi] pump_mw=8.5\n'))
         assert ok.jsi.pump_power_mw == 8.5
-        # The floor's quadratic term overflows past ~1e154 mW.  The JSI pump
-        # defaults to the source's, and the error names the key it came from.
-        for line in ("[jsi] pump_mw=1e300", "[source] pump_mw=1e300"):
-            message = re.escape(line.replace("=1e300", "=1e+300")) + " puts the accidental floor"
-            with pytest.raises(ConfigError, match=message + " at inf"):
-                build_config(parse_config_text(f'[cavity] preset="45ghz"\n{line}\n'))
+        # The floor's quadratic term overflows past ~1e154 mW.
+        message = re.escape("[jsi] pump_mw=1e+300 puts the accidental floor at inf")
+        with pytest.raises(ConfigError, match=message):
+            build_config(parse_config_text('[cavity] preset="45ghz"\n[jsi] pump_mw=1e300\n'))
 
     def test_comb_half_count_past_the_float_range_rejected(self):
         # 1e308 Hz is finite; three times it over the FSR is not.
@@ -267,13 +286,16 @@ class TestConfigParsing:
     def test_hash_digests_pinned(self):
         assert preset_config("45ghz").config_hash() == HASH_45GHZ
         assert preset_config("15ghz").config_hash() == (
-            "ee7105f31ab4f684fcfee22f17c2ff32328912d76e11efb68e0cca7294f74f35"
+            "f9116f362df60208b64abe61a5546cb73304771b99f0d1757b1cec8921a7df92"
         )
         assert preset_config("5ghz").config_hash() == (
-            "795914019124290c02f3e9e824f1145680104ad52267ef6bcc15e155c931edc5"
+            "330ae29b0e4f0d4771ee18a6c7d5f42ee87bc2edb469c3a6c3e4ec596638971b"
         )
-        sample = Path(__file__).resolve().parents[1] / "docs" / "sample.cfg"
-        assert load_config(str(sample)).config_hash() == HASH_45GHZ
+        root = Path(__file__).resolve().parents[1]
+        assert load_config(str(root / "docs" / "sample.cfg")).config_hash() == HASH_45GHZ
+        # The README's example config spells out the 45ghz preset's defaults.
+        readme = re.search(r"```ini\n(.*?)```", (root / "README.md").read_text(), re.S).group(1)
+        assert build_config(parse_config_text(readme)).config_hash() == HASH_45GHZ
 
 
 def _floats(lo, hi):
@@ -286,7 +308,6 @@ SECTION_KEYS = {
     "source": {
         "bpm_ghz": ("phase_matching_fwhm_hz", 1e9, _floats(1.0, 1000.0)),
         "envelope": ("envelope_shape", None, st.sampled_from(ENVELOPE_SHAPES)),
-        "pump_mw": ("pump_power_mw", 1.0, _floats(0.0, 8.5)),
         "wavelength_nm": ("degenerate_wavelength_nm", 1.0, _floats(400.0, 2000.0)),
     },
     "hom": {
