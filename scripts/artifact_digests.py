@@ -5,8 +5,8 @@ Usage: python scripts/artifact_digests.py OUT_DIR
 Runs `report` on the three presets and on `docs/sample.cfg`, and each
 subcommand (`hom`, `jsi`, `jsi --input`, `schmidt`, `schmidt --input
 --visibilities`, `chsh`) on a small fast config and on `--preset 15ghz`,
-and `chsh` with every override flag set on the fast config, each into its
-own directory under OUT_DIR, which must be new or empty.
+and `chsh --seed` on the fast config with its other `[chsh]` keys changed,
+each into its own directory under OUT_DIR, which must be new or empty.
 Prints one sorted JSON map of ``run/file -> sha256``; ``run/stdout`` is
 the run's standard output.
 Two checkouts, or two interpreters, that print the same map produced
@@ -36,6 +36,10 @@ FAST_CONFIG = """\
 [jsi] max_bin=2, pump_mw=2
 [chsh] integration=2000, seed=7
 """
+# The fast config with its [chsh] visibilities and integration changed; --seed replaces its seed.
+CHSH_CONFIG = FAST_CONFIG.replace(
+    "integration=2000", "fringe_visibility=0.9, chsh_visibility=0.9, integration=5000"
+)
 
 
 def _run(name: str, argv: list[str]) -> None:
@@ -78,8 +82,8 @@ def run_all(out_dir: Path) -> dict[str, str]:
             ["schmidt", *source, "--input", matrix, "--visibilities", vis],
         )
         _run(f"chsh-{label}", ["chsh", *source])
-    flags = ["--angles", "0", "45", "22.5", "67.5", "--visibility", "0.9", "--integration", "5000"]
-    _run("chsh-flags-fast", ["chsh", "--config", "fast.cfg", *flags, "--seed", "5"])
+    Path("chsh.cfg").write_text(CHSH_CONFIG, encoding="utf-8")
+    _run("chsh-seed-fast", ["chsh", "--config", "chsh.cfg", "--seed", "5"])
 
     return {
         path.relative_to(".").as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()

@@ -5,7 +5,7 @@ stages it needs, hands the files they built to the `write` stage unchanged
 and prints one line; no artifact's content is assembled here.
 Exit codes: 0 success, 1 configuration/validation error, 2 runtime error;
 a failed stage exits as the error it raised would.
-The output directory resolves as --out, then $BFCSIM_OUT, then the config.
+The output directory is --out if given, else the config's.
 """
 
 from __future__ import annotations
@@ -13,11 +13,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import os
-import re
 import sys
 
-from .chsh import DEFAULT_ANGLES_DEG
 from .comb import CAVITY_PRESETS
 from .config import RunConfig, SCHEMA_VERSION, TOOL_VERSION, load_config, preset_config
 from .report import (
@@ -65,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--preset",
             help=f"cavity preset ({', '.join(sorted(CAVITY_PRESETS))}); default 45ghz",
         )
-        p.add_argument("--out", help="output directory (overrides $BFCSIM_OUT and config)")
+        p.add_argument("--out", help="output directory (overrides the config's)")
 
     p_hom = sub.add_parser("hom", help="simulate the coincidence trace and locate revivals")
     add_common(p_hom)
@@ -80,48 +77,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_schmidt.add_argument("--visibilities", help="n,visibility CSV for the time-bin fit")
 
     p_chsh = sub.add_parser("chsh", help="fringe scans and the CHSH S parameter")
-    # Python 3.13's pattern plus inf and nan, so a value such as -1e3 is not read as an option.
-    p_chsh._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
     add_common(p_chsh)
-    p_chsh.add_argument(
-        "--visibility", type=float, help="visibility of the fringe scans and the CHSH counts"
-    )
-    p_chsh.add_argument("--integration", type=float, help="mean counts at the fringe maximum")
-    p_chsh.add_argument(
-        "--angles",
-        type=float,
-        nargs=4,
-        metavar=("PHI1", "PHI1P", "PHI2", "PHI2P"),
-        help="CHSH analyzer angles in degrees",
-    )
+    p_chsh.add_argument("--seed", type=int, help="seed of the simulated CHSH and fringe counts")
 
     p_report = sub.add_parser("report", help="full reproduction pipeline")
     add_common(p_report)
-    # Only these two commands have a random stage.
-    for p in (p_chsh, p_report):
-        p.add_argument("--seed", type=int, help="seed of the simulated CHSH and fringe counts")
     return parser
 
 
 def _resolve_config(args) -> RunConfig:
-    # An empty $BFCSIM_OUT counts as unset; an empty --out is rejected as a config's is.
-    out = args.out if args.out is not None else (os.environ.get("BFCSIM_OUT") or None)
     for flag in ("input", "visibilities"):
         if getattr(args, flag, None) == "":
             raise ValueError(f"--{flag} must be nonempty, got ''")
     if args.config is not None:
-        cfg = load_config(args.config, output_dir=out)
+        cfg = load_config(args.config, output_dir=args.out)
     else:
-        cfg = preset_config("45ghz" if args.preset is None else args.preset, output_dir=out)
-    chsh = {}
+        cfg = preset_config("45ghz" if args.preset is None else args.preset, output_dir=args.out)
     if getattr(args, "seed", None) is not None:
-        chsh["seed"] = args.seed
-    if getattr(args, "visibility", None) is not None:
-        chsh["fringe_visibility"] = chsh["chsh_visibility"] = args.visibility
-    if getattr(args, "integration", None) is not None:
-        chsh["integration"] = args.integration
-    if chsh:
-        cfg = dataclasses.replace(cfg, chsh=dataclasses.replace(cfg.chsh, **chsh))
+        cfg = dataclasses.replace(cfg, chsh=dataclasses.replace(cfg.chsh, seed=args.seed))
     return cfg
 
 
@@ -166,8 +139,7 @@ def _cmd_schmidt(cfg: RunConfig, args) -> None:
 
 
 def _cmd_chsh(cfg: RunConfig, args) -> None:
-    angles = tuple(args.angles) if args.angles else DEFAULT_ANGLES_DEG
-    summary, _, fringes = chsh_stage(cfg, angles)
+    summary, _, fringes = chsh_stage(cfg)
     write_stage(cfg.output_dir, {"chsh_fringes.csv": fringes, "chsh.json": summary})
     print(
         f"S = {summary['s_value']:.4f} +/- {summary['s_sigma']:.4f} "

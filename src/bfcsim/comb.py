@@ -197,7 +197,7 @@ DEFAULT_SOURCE = SourceSpec()
 
 
 def cavity_preset(name: str) -> CavitySpec:
-    key = name.strip().lower()
+    key = name.lower()
     if key not in CAVITY_PRESETS:
         raise ValueError(
             f"unknown cavity preset {name!r}; available: {', '.join(sorted(CAVITY_PRESETS))}"

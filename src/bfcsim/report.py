@@ -17,7 +17,6 @@ import fcntl
 import functools
 import math
 import os
-import shutil
 from pathlib import Path
 
 import numpy as np
@@ -166,7 +165,7 @@ def freq_schmidt_stage(source: CombSpectrum | Jsi) -> np.recarray:
 
 
 @_stage("chsh")
-def chsh_stage(config: RunConfig, angles=DEFAULT_ANGLES_DEG):
+def chsh_stage(config: RunConfig):
     """chsh.json's dict, the noiseless `s_chsh` result, and the fringe scans' read-only table.
 
     `chsh` and `report` both write the dict: the ``[chsh]`` settings, ``angles_deg``,
@@ -174,13 +173,11 @@ def chsh_stage(config: RunConfig, angles=DEFAULT_ANGLES_DEG):
     in turn: first polarizer at 45, 90, 135, 180 degrees, ``fringe_visibility``, seed ``seed + i``.
     """
     c = config.chsh
-    analytic = chsh_mod.s_chsh(visibility=c.chsh_visibility, angles=angles)
-    counted = chsh_mod.simulate_chsh_counts(
-        c.chsh_visibility, c.integration, c.seed, angles=angles
-    )
+    analytic = chsh_mod.s_chsh(visibility=c.chsh_visibility)
+    counted = chsh_mod.simulate_chsh_counts(c.chsh_visibility, c.integration, c.seed)
     summary = {
         **dataclasses.asdict(c),
-        "angles_deg": list(angles),
+        "angles_deg": list(DEFAULT_ANGLES_DEG),
         "s_fringe": chsh_mod.s_fringe_from_visibility(c.fringe_visibility),
         **counted,
     }
@@ -227,12 +224,10 @@ def write_stage(out_dir, artifacts: dict) -> Path:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise RuntimeError(f"output directory {out} is locked by another run") from None
-        # Left by a killed run: under the lock no live run is using them.  Earlier
-        # versions staged into a directory of this prefix.
+        # Left by a killed run: under the lock no live run is using them.  A directory
+        # of this prefix, which an earlier version staged into, is left as it is.
         for stale in out.glob(_STAGING_PREFIX + "*"):
-            if stale.is_dir() and not stale.is_symlink():
-                shutil.rmtree(stale, ignore_errors=True)
-            else:
+            if not stale.is_dir():
                 stale.unlink(missing_ok=True)
         staged = {name: out / (_STAGING_PREFIX + name) for name in artifacts}
         try:

@@ -99,6 +99,16 @@ def _locked(path: Path):
         os.close(fd)
 
 
+def _perfect_chsh(tmp_path: Path, integration: int) -> str:
+    """A 45ghz config whose fringe and CHSH visibilities are both 1."""
+    cfg = tmp_path / "perfect.cfg"
+    cfg.write_text(
+        '[cavity] preset="45ghz"\n'
+        f"[chsh] fringe_visibility=1, chsh_visibility=1, integration={integration}\n"
+    )
+    return str(cfg)
+
+
 def _snapshot(path: Path) -> dict:
     return {p.name: p.read_bytes() for p in path.iterdir()}
 
@@ -181,6 +191,13 @@ class TestExitCodes:
             ),
             ("[chsh] integration=0", "[chsh] integration must be > 0, got 0.0"),
             ("[chsh] integration=1e30", "[chsh] integration must be <= 1e+18, got 1e+30"),
+            ("[chsh] fringe_visibility=nan", "[chsh] fringe_visibility must be finite, got nan"),
+            # Negative values in exponent form reach the range checks.
+            (
+                "[chsh] chsh_visibility=-1e-3",
+                "[chsh] chsh_visibility must be in [0, 1], got -0.001",
+            ),
+            ("[chsh] integration=-1e3", "[chsh] integration must be > 0, got -1000.0"),
             ("[comb] n_max=-1", "[comb] n_max must be >= 0, got -1"),
             ("[source] bpm_ghz=1e290", "[source] bpm_ghz=1e+290 (n_max 6.62e+288)"),
             ("[source] pump_mw=2", "line 2: unknown key 'pump_mw' in section [source]"),
@@ -203,83 +220,49 @@ class TestExitCodes:
         assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
 
     @pytest.mark.parametrize("command", COMMANDS)
+    def test_padded_config_preset_is_exit_1_before_any_output(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
+        # Not 15ghz's cavity with 45ghz's JSI defaults and no k_time_theory band.
+        monkeypatch.chdir(tmp_path)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text('[cavity] preset=" 15ghz"\n')
+        out = tmp_path / "o"
+        assert main([command, "--config", str(bad), "--out", str(out)]) == 1
+        assert "unknown cavity preset ' 15ghz'" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_empty_config_dir_is_exit_1_before_any_output(
         self, command, tmp_path, capsys, monkeypatch
     ):
         # With no --out, an empty dir would be the working directory.
         monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("BFCSIM_OUT", raising=False)
         bad = tmp_path / "bad.cfg"
         bad.write_text('[cavity] preset="45ghz"\n[output] dir=""\n')
         assert main([command, "--config", str(bad)]) == 1
         assert "[output] dir must be nonempty, got ''" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
 
-    # --visibility and --integration belong to chsh alone.
     @pytest.mark.parametrize(
         ("argv", "message"),
         [
             (["chsh", "--seed", "-1"], "seed must be >= 0"),
-            (["report", "--seed", "-1"], "seed must be >= 0"),
-            (
-                ["chsh", "--visibility", "1.0000001"],
-                "[chsh] fringe_visibility must be in [0, 1], got 1.0000001",
-            ),
-            (["chsh", "--visibility", "nan"], "[chsh] fringe_visibility must be finite, got nan"),
-            (["chsh", "--integration", "0"], "[chsh] integration must be > 0, got 0.0"),
-            (
-                ["chsh", "--integration", "1e19"],
-                "[chsh] integration must be <= 1e+18, got 1e+19",
-            ),
-            (
-                ["chsh", "--angles", "nan", "0", "0", "0"],
-                "stage 'chsh' failed: s_chsh: angles must be finite, and so must each "
-                "setting's phase 2(phi1 + phi2); got (nan, 0.0, 0.0, 0.0)",
-            ),
-            (
-                ["chsh", "--angles", "0", "inf", "0", "0"],
-                "s_chsh: angles must be finite, and so must each setting's phase "
-                "2(phi1 + phi2); got (0.0, inf, 0.0, 0.0)",
-            ),
-            (
-                ["chsh", "--angles", "1e308", "1e308", "0", "0"],
-                "s_chsh: angles must be finite, and so must each setting's phase "
-                "2(phi1 + phi2); got (1e+308, 1e+308, 0.0, 0.0)",
-            ),
-            # Negative values in exponent form, and -inf, reach the checks.
-            (["chsh", "--integration", "-1e3"], "[chsh] integration must be > 0, got -1000.0"),
-            (
-                ["chsh", "--visibility", "-1e-3"],
-                "[chsh] fringe_visibility must be in [0, 1], got -0.001",
-            ),
-            (
-                ["chsh", "--angles", "-inf", "0", "0", "0"],
-                "stage 'chsh' failed: s_chsh: angles must be finite, and so must each "
-                "setting's phase 2(phi1 + phi2); got (-inf, 0.0, 0.0, 0.0)",
-            ),
             *[([c, "--out", ""], "[output] dir must be nonempty, got ''") for c in COMMANDS],
             (["schmidt", "--config", ""], "cannot read config"),
             (["schmidt", "--preset", ""], "unknown cavity preset ''"),
+            # Not 15ghz's cavity with 45ghz's JSI defaults.
+            (["jsi", "--preset", "15ghz "], "unknown cavity preset '15ghz '"),
             (["jsi", "--input", ""], "--input must be nonempty, got ''"),
             (["schmidt", "--input", ""], "--input must be nonempty, got ''"),
             (["schmidt", "--visibilities", ""], "--visibilities must be nonempty, got ''"),
         ],
         ids=[
             "chsh-seed",
-            "report-seed",
-            "visibility",
-            "visibility-nan",
-            "integration",
-            "integration-too-large",
-            "angles-nan",
-            "angles-inf",
-            "angles-phase-overflow",
-            "integration-negative-exponent",
-            "visibility-negative-exponent",
-            "angles-negative-inf",
             *[f"{command}-empty-out" for command in COMMANDS],
             "empty-config",
             "empty-preset",
+            "padded-preset",
             "jsi-empty-input",
             "schmidt-empty-input",
             "empty-visibilities",
@@ -302,6 +285,25 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([command, "--seed", "1", "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
+
+    # The config's [chsh] keys set these values; the CHSH angles are fixed.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--seed", "1"],
+            ["chsh", "--visibility", "0.9"],
+            ["chsh", "--integration", "5"],
+            ["chsh", "--angles", "0", "0", "0", "0"],
+        ],
+        ids=["report-seed", "visibility", "integration", "angles"],
+    )
+    def test_value_flag_is_a_usage_error(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_config_and_preset_together_is_a_usage_error(
@@ -436,14 +438,14 @@ class TestSubcommands:
     def test_chsh_past_tsirelson_by_noise_is_exit_0(self, tmp_path):
         # Seed 743 samples S 3.3 sigma above 2 sqrt(2); noise, not an unphysical run.
         out = tmp_path / "c"
-        argv = ["chsh", "--preset", "45ghz", "--visibility", "1", "--integration", "10000"]
+        argv = ["chsh", "--config", _perfect_chsh(tmp_path, integration=10000)]
         assert main([*argv, "--seed", "743", "--out", str(out)]) == 0
         assert json.loads((out / "chsh.json").read_text())["s_value"] > 2.0 * 2.0**0.5
 
     def test_chsh_sampled_s_of_four_at_zero_sigma_is_exit_0(self, tmp_path):
         # Seed 1892 draws |E| = 1 at all four pairs: S = 4 with sigma 0, a sampled result.
         out = tmp_path / "c"
-        argv = ["chsh", "--preset", "45ghz", "--visibility", "1", "--integration", "5"]
+        argv = ["chsh", "--config", _perfect_chsh(tmp_path, integration=5)]
         assert main([*argv, "--seed", "1892", "--out", str(out)]) == 0
         result = json.loads((out / "chsh.json").read_text())
         assert (result["s_value"], result["s_sigma"]) == (4.0, 0.0)
@@ -455,13 +457,6 @@ class TestSubcommands:
         report = json.loads((tmp_path / "r" / "report.json").read_text())
         assert chsh["s_value"] == report["s_chsh_simulated"]
         assert (chsh["fringe_visibility"], chsh["chsh_visibility"]) == (0.9796, 0.9497)
-
-    def test_visibility_flag_sets_both_visibilities(self, fast_cfg_path, tmp_path):
-        out = tmp_path / "v"
-        main(["chsh", "--config", fast_cfg_path, "--out", str(out), "--visibility", "0.9"])
-        result = json.loads((out / "chsh.json").read_text())
-        assert (result["fringe_visibility"], result["chsh_visibility"]) == (0.9, 0.9)
-        assert result["s_fringe"] == pytest.approx(0.9 * 2 * 2**0.5, rel=1e-12)
 
     def test_jsi_sidecar_describes_the_clamped_scan(self, tmp_path):
         cfg = tmp_path / "wide.cfg"
@@ -475,26 +470,14 @@ class TestSubcommands:
         assert len(rows) == 1 + 33
         assert all(len(r.split(",")) == 1 + 33 for r in rows)
 
-    def test_env_var_output_dir(self, fast_cfg_path, tmp_path, monkeypatch):
-        target = tmp_path / "envout"
-        monkeypatch.setenv("BFCSIM_OUT", str(target))
-        assert main(["chsh", "--config", fast_cfg_path]) == 0
-        assert (target / "chsh.json").exists()
-
-    def test_empty_env_var_is_unset(self, tmp_path, monkeypatch):
+    def test_output_dir_is_not_read_from_the_environment(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("BFCSIM_OUT", "")
+        monkeypatch.setenv("BFCSIM_OUT", str(tmp_path / "envout"))
         cfg = tmp_path / "c.cfg"
         cfg.write_text(FAST_CONFIG + '[output] dir="fromcfg"\n')
         assert main(["chsh", "--config", str(cfg)]) == 0
         assert sorted(p.name for p in (tmp_path / "fromcfg").iterdir()) == sorted(ARTIFACTS["chsh"])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "fromcfg"]
-
-    def test_negative_exponent_angle_is_a_value(self, fast_cfg_path, tmp_path):
-        out = tmp_path / "o"
-        argv = ["chsh", "--config", fast_cfg_path, "--out", str(out)]
-        assert main(argv + ["--angles", "-1e1", "0", "0", "0"]) == 0
-        assert json.loads((out / "chsh.json").read_text())["angles_deg"] == [-10.0, 0.0, 0.0, 0.0]
 
     def test_seed_flag_changes_counts(self, fast_cfg_path, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -510,7 +493,7 @@ class TestSubcommands:
         alone, after, chsh = tmp_path / "alone", tmp_path / "after", tmp_path / "chsh"
         assert main(["report", "--config", fast_cfg_path, "--out", str(alone)]) == 0
         argv = ["chsh", "--config", fast_cfg_path, "--out", str(chsh), "--seed", "5"]
-        assert main(argv + ["--visibility", "0.9", "--angles", "0", "45", "22.5", "67.5"]) == 0
+        assert main(argv) == 0
         assert json.loads((chsh / "chsh.json").read_text())["seed"] == 5
         assert main(["report", "--config", fast_cfg_path, "--out", str(after)]) == 0
         assert _snapshot(after) == _snapshot(alone)
@@ -616,11 +599,8 @@ class TestWriteStage:
     def test_success_lists_exactly_the_artifacts(self, command, fast_cfg_path, tmp_path):
         out = tmp_path / "o"
         out.mkdir()
-        # What a killed run leaves: staged files, which the next run removes, and
-        # likewise the staging directory of an earlier version.
+        # What a killed run leaves: a staged file, which the next run removes.
         (out / ".bfcsim-staging-chsh.json").write_text("{")
-        (out / ".bfcsim-staging-killed").mkdir()
-        (out / ".bfcsim-staging-killed" / "chsh.json").write_text("{")
         assert main([command, "--config", fast_cfg_path, "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS[command])
 
@@ -630,11 +610,18 @@ class TestWriteStage:
         out, elsewhere = tmp_path / "o", tmp_path / "elsewhere"
         (out / ".bfcsim-staging-x" / "nested").mkdir(parents=True)
         (out / ".bfcsim-staging-x" / "nested" / "chsh.json").write_text("{")
+        (out / ".bfcsim-staging-chsh.json").write_text("{")
         elsewhere.mkdir()
         (elsewhere / "keep.txt").write_text("kept")
-        (out / ".bfcsim-staging-link").symlink_to(elsewhere, target_is_directory=True)
+        (out / ".bfcsim-staging-link").symlink_to(elsewhere / "keep.txt")
+        (out / ".bfcsim-staging-dirlink").symlink_to(elsewhere, target_is_directory=True)
         assert main(["chsh", "--config", fast_cfg_path, "--out", str(out)]) == 0
-        assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS["chsh"])
+        # The staged file and the link go; a directory, as an earlier version
+        # staged into, is left as it is, and so is a link to one.
+        left = sorted([*ARTIFACTS["chsh"], ".bfcsim-staging-x", ".bfcsim-staging-dirlink"])
+        assert sorted(p.name for p in out.iterdir()) == left
+        assert (out / ".bfcsim-staging-x" / "nested" / "chsh.json").read_text() == "{"
+        assert sorted(p.name for p in elsewhere.iterdir()) == ["keep.txt"]
         assert (elsewhere / "keep.txt").read_text() == "kept"
 
     def test_run_killed_mid_write_leaves_earlier_files_and_blocks_nothing(
