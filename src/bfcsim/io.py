@@ -75,6 +75,15 @@ def _float_rows(cells: np.ndarray, n_cols: int) -> np.ndarray:
     return text[1:]
 
 
+def _write(path, kind: str, *chunks) -> None:
+    """Write the chunks to the file at `path`; an `OSError` raises `RuntimeError` naming it."""
+    try:
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise RuntimeError(f"failed writing {kind} {path}: {exc}") from exc
+
+
 def export_csv(path, header: list[str], columns) -> None:
     """Write equal-length 1-D columns as CSV under a header line.
 
@@ -85,7 +94,6 @@ def export_csv(path, header: list[str], columns) -> None:
     Header cells are written as they are and must not need quoting.  Columns
     of unequal length raise `ValueError`.
     """
-    path = Path(path)
     columns = [np.asarray(c) for c in columns]
     columns = [c.astype(np.float64, copy=False) if c.dtype.kind == "f" else c for c in columns]
     n_rows = columns[0].size if columns else 0
@@ -106,22 +114,12 @@ def export_csv(path, header: list[str], columns) -> None:
         ]
         text = "\n".join([",".join(header), *map(",".join, zip(*cells))]) + "\n"
         data = [text.encode("utf-8")]
-    try:
-        with path.open("wb") as fh:
-            fh.writelines(data)
-    except OSError as exc:
-        raise RuntimeError(f"failed writing CSV {path}: {exc}") from exc
+    _write(path, "CSV", *data)
 
 
 def export_json(path, obj) -> None:
     """Write ``json.dumps(obj, sort_keys=True, indent=2)`` and a newline as UTF-8."""
-    path = Path(path)
-    data = (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
-    try:
-        with path.open("wb") as fh:
-            fh.write(data)
-    except OSError as exc:
-        raise RuntimeError(f"failed writing JSON {path}: {exc}") from exc
+    _write(path, "JSON", (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8"))
 
 
 def _read_lines(path) -> list[str]:
@@ -240,7 +238,7 @@ def write_artifact(path, value) -> None:
     if isinstance(value, dict):
         export_json(path, value)
     elif isinstance(value, str):
-        Path(path).write_text(value, encoding="utf-8")
+        _write(path, "text", value.encode("utf-8"))
     elif isinstance(value, HomTrace):
         export_csv(path, ["delay_ps", "coincidence"], [value.delays_ps, value.coincidence])
     elif isinstance(value, Jsi):

@@ -224,20 +224,24 @@ def write_stage(out_dir, artifacts: dict) -> Path:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise RuntimeError(f"output directory {out} is locked by another run") from None
-        # Left by a killed run: under the lock no live run is using them.  A directory
-        # of this prefix, which an earlier version staged into, is left as it is.
-        for stale in out.glob(_STAGING_PREFIX + "*"):
-            if not stale.is_dir():
-                stale.unlink(missing_ok=True)
-        staged = {name: out / (_STAGING_PREFIX + name) for name in artifacts}
+        # One read of the directory: a staged file a killed run left goes (under the lock no
+        # live run uses it), a staging directory of an earlier version stays, and a directory
+        # of an artifact's name, whose rename would fail after others landed, fails the run.
+        with os.scandir(out) as entries:
+            for entry in entries:
+                if entry.name.startswith(_STAGING_PREFIX) and not entry.is_dir():
+                    os.unlink(entry.path)
+                elif entry.name in artifacts and entry.is_dir(follow_symlinks=False):
+                    raise RuntimeError(f"artifact path {entry.path} is a directory")
+        staged = {name: os.path.join(out, _STAGING_PREFIX + name) for name in artifacts}
         try:
             for name, value in artifacts.items():
                 io_mod.write_artifact(staged[name], value)
             for name, path in staged.items():
-                os.replace(path, out / name)
+                os.replace(path, os.path.join(out, name))
         except BaseException:
-            for path in staged.values():
-                path.unlink(missing_ok=True)
+            for path in filter(os.path.lexists, staged.values()):
+                os.unlink(path)
             raise
     finally:
         os.close(fd)

@@ -1,8 +1,10 @@
 """CLI subcommands, exit codes, determinism of the report pipeline."""
 
 import contextlib
+import errno
 import fcntl
 import hashlib
+import io
 import json
 import os
 import re
@@ -65,6 +67,17 @@ main(["chsh", "--config", sys.argv[1], "--out", sys.argv[2], "--seed", "8"])
 """
 
 
+# A run in a process that may write files of at most 64 KiB; past that, write(2)
+# fails with EFBIG instead of raising SIGXFSZ.
+FSIZE_LIMITED_RUN = """\
+import resource, signal, sys
+from bfcsim.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (64 * 1024, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 # Takes the lock a run takes on the directory argv[1], says so, and waits to be killed.
 HOLDER = """\
 import fcntl, os, sys, time
@@ -110,7 +123,33 @@ def _perfect_chsh(tmp_path: Path, integration: int) -> str:
 
 
 def _snapshot(path: Path) -> dict:
-    return {p.name: p.read_bytes() for p in path.iterdir()}
+    """Every entry under `path`: a file's bytes, a directory's own snapshot."""
+    return {p.name: _snapshot(p) if p.is_dir() else p.read_bytes() for p in path.iterdir()}
+
+
+def _reseeded(tmp_path: Path) -> str:
+    """The fast config with another seed, so its chsh, report and summary files differ."""
+    path = tmp_path / "reseeded.cfg"
+    path.write_text(FAST_CONFIG.replace("seed=7", "seed=8"))
+    return str(path)
+
+
+class _FullDisk(io.FileIO):
+    """A file on a full disk: it opens, and every write fails with ENOSPC."""
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def _fill_disk(monkeypatch, name: str) -> None:
+    """Make the writes of the staged artifact `name` fail, below `bfcsim.io`'s exporters."""
+
+    def full_open(path, *args, **kwargs):
+        if os.path.basename(path) == ".bfcsim-staging-" + name:
+            return io.BufferedWriter(_FullDisk(path, "w"))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(bfcsim.io, "open", full_open, raising=False)
 
 
 def _revival_rows(path: Path) -> np.recarray:
@@ -651,8 +690,6 @@ class TestWriteStage:
         out = tmp_path / "o"
         assert main([command, "--config", fast_cfg_path, "--out", str(out)]) == 0
         before = _snapshot(out)
-        reseeded = tmp_path / "reseeded.cfg"
-        reseeded.write_text(FAST_CONFIG.replace("seed=7", "seed=8"))
         real_export_json = bfcsim.io.export_json
 
         def export_json(path, obj):
@@ -661,11 +698,90 @@ class TestWriteStage:
             real_export_json(path, obj)
 
         monkeypatch.setattr(bfcsim.io, "export_json", export_json)
-        assert main([command, "--config", str(reseeded), "--out", str(out)]) == 2
+        assert main([command, "--config", _reseeded(tmp_path), "--out", str(out)]) == 2
         assert "stage 'write' failed: disk full" in capsys.readouterr().err
         assert _snapshot(out) == before
         with _locked(out):  # the failed run let go of its lock
             pass
+
+    @pytest.mark.parametrize(
+        ("failing", "kind"),
+        [("revivals.csv", "CSV"), ("dimensionality.json", "JSON"), ("summary.txt", "text")],
+    )
+    def test_full_disk_leaves_the_directory_as_it_was(
+        self, failing, kind, fast_cfg_path, tmp_path, monkeypatch, capsys
+    ):
+        out = tmp_path / "o"
+        assert main(["report", "--config", fast_cfg_path, "--out", str(out)]) == 0
+        before = _snapshot(out)
+        _fill_disk(monkeypatch, failing)
+        assert main(["report", "--config", _reseeded(tmp_path), "--out", str(out)]) == 2
+        staged = out / (".bfcsim-staging-" + failing)
+        assert f"failed writing {kind} {staged}: [Errno {errno.ENOSPC}]" in capsys.readouterr().err
+        # The staged file the failed write opened is gone with the others.
+        assert _snapshot(out) == before
+        with _locked(out):
+            pass
+
+    def test_file_size_limit_fails_the_write_and_leaves_the_directory(self, tmp_path):
+        out, cfg = tmp_path / "o", tmp_path / "reseeded45.cfg"
+        cfg.write_text('[cavity] preset="45ghz"\n[chsh] seed=8\n')
+        assert main(["report", "--preset", "45ghz", "--out", str(out)]) == 0
+        assert (out / "hom_trace.csv").stat().st_size > 64 * 1024
+        before = _snapshot(out)
+        run = subprocess.run(
+            [sys.executable, "-c", FSIZE_LIMITED_RUN, "report", "--config", str(cfg)]
+            + ["--out", str(out)],
+            env=_child_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert run.returncode == 2, run.stderr
+        staged = out / ".bfcsim-staging-hom_trace.csv"
+        assert f"failed writing CSV {staged}: [Errno {errno.EFBIG}]" in run.stderr
+        assert _snapshot(out) == before
+
+    def test_directory_of_an_artifact_name_fails_before_anything_is_staged(
+        self, fast_cfg_path, tmp_path, capsys
+    ):
+        out = tmp_path / "o"
+        assert main(["chsh", "--config", fast_cfg_path, "--out", str(out)]) == 0
+        (out / "chsh.json").unlink()
+        (out / "chsh.json" / "x").mkdir(parents=True)
+        before = _snapshot(out)
+        # chsh_fringes.csv, whose rename comes first, keeps the earlier run's bytes, and
+        # no staged entry is left.
+        assert main(["chsh", "--config", _reseeded(tmp_path), "--out", str(out)]) == 2
+        assert f"artifact path {out / 'chsh.json'} is a directory" in capsys.readouterr().err
+        assert _snapshot(out) == before
+        with _locked(out):
+            pass
+
+    def test_link_to_a_directory_of_an_artifact_name_is_replaced(self, fast_cfg_path, tmp_path):
+        out, elsewhere = tmp_path / "o", tmp_path / "elsewhere"
+        (elsewhere / "x").mkdir(parents=True)
+        out.mkdir()
+        (out / "chsh.json").symlink_to(elsewhere, target_is_directory=True)
+        assert main(["chsh", "--config", fast_cfg_path, "--out", str(out)]) == 0
+        assert not (out / "chsh.json").is_symlink()
+        assert "s_value" in json.loads((out / "chsh.json").read_text())
+        assert _snapshot(elsewhere) == {"x": {}}
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_no_descriptor_outlives_a_run(self, fast_cfg_path, tmp_path, monkeypatch):
+        out = tmp_path / "o"
+        argv = ["report", "--config", fast_cfg_path, "--out", str(out)]
+        before = len(os.listdir("/proc/self/fd"))
+        assert main(argv) == 0
+        assert len(os.listdir("/proc/self/fd")) == before
+        with _locked(out):
+            held = len(os.listdir("/proc/self/fd"))
+            assert main(argv) == 2
+            assert len(os.listdir("/proc/self/fd")) == held
+        _fill_disk(monkeypatch, "summary.txt")
+        assert main(argv) == 2
+        assert len(os.listdir("/proc/self/fd")) == before
 
     def test_killed_lock_holder_blocks_nothing(self, fast_cfg_path, tmp_path, capsys):
         out = tmp_path / "o"

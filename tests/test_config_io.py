@@ -767,6 +767,8 @@ def test_a_failed_write_raises_runtime_error_naming_the_file(tmp_path):
         export_json(missing / "report.json", {"k": 1.5})
     with pytest.raises(RuntimeError, match="failed writing CSV .*trace.csv"):
         export_csv(missing / "trace.csv", ["x"], [[1.5]])
+    with pytest.raises(RuntimeError, match="failed writing text .*summary.txt"):
+        write_artifact(missing / "summary.txt", "x")
 
 
 @pytest.mark.parametrize("preset", ["45ghz", "15ghz", "5ghz"])
